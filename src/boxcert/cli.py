@@ -91,6 +91,8 @@ def _load_json_file(path: str) -> object:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}: malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _CliError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_partition(path: str) -> Partition:
@@ -332,7 +334,7 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
                              format_rat(cert.claimed_side.length), "pass"))
             else:
                 failures += 1
-                stage = result.reasons[0][0] if result.reasons else "?"
+                stage = result.reasons[0].split(":", 1)[0] if result.reasons else "?"
                 rows.append((name, "-", "-", f"FAIL (check: {stage})"))
         except Exception as exc:  # report, never crash the table
             failures += 1

@@ -9,20 +9,23 @@ Both operations are symmetric and produce a value at least as large as every
 operand, so the part of X below a bound is finite and computable: it lives on
 the grid ``(1/Q) * Z`` where Q is the lcm of the generator denominators.
 
-:func:`bounded_closure` computes that finite set together with one producing
-rule per element, from which :func:`BoundedClosure.derivation_for` extracts a
-checkable derivation tree.  :func:`brute_force_closure` is a deliberately
-separate re-computation of the same set used to cross-check the engine; it
-shares no code with it and must stay that way.
+:func:`bounded_closure` saturates that finite set as one integer bitmask over
+the grid, so membership is a single bit test.  Derivations are built only on
+demand: :meth:`BoundedClosure.derivation_for` walks down from the requested
+value, choosing each element's producing rule by a fixed search the first
+time it is needed.  :func:`brute_force_closure` is a deliberately separate
+re-computation of the same set used to cross-check the engine; it shares no
+code with it and must stay that way.
 """
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, Optional, Union
+from functools import cached_property
+from math import isfinite, lcm
+from typing import Iterable, Optional, Union
 
 from .errors import LeafNotGenerator, SoundnessError
 from .geometry import RatLike, format_rat, parse_rat
@@ -128,8 +131,8 @@ def _children(node: Derivation) -> tuple[Derivation, ...]:
 
 
 def _evaluate(d: Derivation, gens: Optional[GeneratorSet]) -> Fraction:
-    # Iterative post-order with an id-keyed memo: derivations extracted from
-    # closure provenance share subtrees, and chains can be deep.
+    # Iterative post-order with an id-keyed memo: derivations built from
+    # closure rules share subtrees, and chains can be deep.
     values: dict[int, Fraction] = {}
     stack: list[Derivation] = [d]
     while stack:
@@ -177,59 +180,117 @@ def verify_derivation(d: Derivation, gens: GeneratorSet) -> Fraction:
 
 # --- the closure engine -----------------------------------------------------
 
-#: Producing rule for one closure element: ``("gen",)``, ``("sum", x, y)``
-#: with x + y = element, or ``("triple", a, b, c)`` with a <= b <= c and
-#: b + c - a = element.  Operands are themselves closure elements, each
-#: strictly smaller than the element, so extraction terminates.
-Provenance = tuple
-
 
 @dataclass(frozen=True, eq=False)
 class BoundedClosure:
-    """All closure elements of ``gens`` that are <= ``bound``, with provenance."""
+    """All closure elements of ``gens`` that are <= ``bound``, as a bitmask.
+
+    Bit ``v`` of ``bits`` is set iff ``v / q`` is an element; ``limit`` is the
+    bound on that grid.  Producing rules are found only for the values a
+    derivation walks through, and kept for later calls on the same instance.
+    """
 
     gens: GeneratorSet
     bound: Fraction
-    elements: frozenset[Fraction]
-    provenance: Mapping[Fraction, Provenance] = field(repr=False)
+    q: int
+    limit: int
+    bits: int = field(repr=False)
+    _rules: dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
+
+    def _scaled(self, value: object) -> Optional[int]:
+        """``value * q`` if that is a member's grid index, else None."""
+        if isinstance(value, float) and isfinite(value):
+            value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            return None
+        v, rest = divmod(value.numerator * self.q, value.denominator)
+        if rest or not 0 < v <= self.limit or not self.bits >> v & 1:
+            return None
+        return v
 
     def __contains__(self, value: object) -> bool:
-        return value in self.elements
+        return self._scaled(value) is not None
+
+    @cached_property
+    def elements(self) -> frozenset[Fraction]:
+        return frozenset(self.sorted_elements())
 
     def sorted_elements(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self.elements))
+        return tuple(Fraction(v, self.q) for v in _bits(self.bits))
 
-    def derivation_for(self, value: Fraction) -> Optional[Derivation]:
+    def _best_split(self, s: int) -> Optional[int]:
+        """The largest element x <= s/2 whose partner s - x is an element."""
+        low = self.bits & ((2 << (s // 2)) - 1)
+        while low:
+            x = low.bit_length() - 1
+            if self.bits >> (s - x) & 1:
+                return x
+            low ^= 1 << x
+        return None
+
+    def _rule(self, e: int) -> tuple:
+        """One well-founded producing rule for element ``e`` (scaled).
+
+        ``("gen",)``, ``("sum", x, y)`` with the most balanced split, or, for
+        the rare sum-free elements, ``("triple", a, b, c)`` with a < b <= c,
+        b + c - a = e, the smallest a and then the largest b.  The production
+        that first created ``e`` had strictly smaller operands, so searching
+        below ``e`` is complete and derivation walks terminate.  The rule
+        depends on the element set only, so derivations are deterministic.
+        """
+        rule = self._rules.get(e)
+        if rule is not None:
+            return rule
+        if Fraction(e, self.q) in self.gens:
+            rule = ("gen",)
+        elif (x := self._best_split(e)) is not None:
+            rule = ("sum", x, e - x)
+        else:
+            below = self.bits & ((1 << e) - 1)
+            while below:
+                a = (below & -below).bit_length() - 1
+                b = self._best_split(e + a)
+                if b is not None and b > a:
+                    rule = ("triple", a, b, e + a - b)
+                    break
+                below &= below - 1
+            else:
+                raise SoundnessError(
+                    f"no producing rule found for closure element {e} (scaled); "
+                    f"elements={_bits(self.bits)}"
+                )
+        self._rules[e] = rule
+        return rule
+
+    def derivation_for(self, value: object) -> Optional[Derivation]:
         """A derivation of ``value`` from the generators, or None.
 
-        Built iteratively from the provenance map; shared subtrees are reused,
-        so the result is a DAG presented as a tree.
+        Built iteratively from the producing rules; shared subtrees are
+        reused, so the result is a DAG presented as a tree.
         """
-        if value not in self.elements:
+        top = self._scaled(value)
+        if top is None:
             return None
-        memo: dict[Fraction, Derivation] = {}
-        stack = [value]
+        memo: dict[int, Derivation] = {}
+        stack = [top]
         while stack:
             cur = stack[-1]
             if cur in memo:
                 stack.pop()
                 continue
-            rule = self.provenance[cur]
-            if rule[0] == "gen":
-                memo[cur] = Leaf(cur)
-                stack.pop()
-                continue
-            deps = rule[1:]
+            kind, *deps = self._rule(cur)
             pending = [d for d in deps if d not in memo]
             if pending:
                 stack.extend(pending)
                 continue
-            if rule[0] == "sum":
+            if kind == "gen":
+                memo[cur] = Leaf(Fraction(cur, self.q))
+            elif kind == "sum":
                 memo[cur] = Sum(memo[deps[0]], memo[deps[1]])
             else:
                 memo[cur] = Triple(memo[deps[0]], memo[deps[1]], memo[deps[2]])
             stack.pop()
-        return memo[value]
+        return memo[top]
 
 
 def _scaled_setup(gens: GeneratorSet, bound: Fraction) -> tuple[list[int], int, int]:
@@ -287,56 +348,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _assign_provenance(els: list[int], gen_bits: set[int]) -> dict[int, tuple]:
-    """One well-founded producing rule per element, in increasing value order.
-
-    Every non-generator element has a production whose operands are strictly
-    smaller closure elements (the first production that ever created it had
-    that property), so searching smaller elements only is complete.  For sums
-    the most balanced split is taken to keep derivation trees shallow; the
-    rare sum-free elements fall back to a triple witness found through a
-    max-min pair-sum table.
-    """
-    present = set(els)
-    prov: dict[int, tuple] = {}
-    pair_best: Optional[dict[int, tuple[int, int]]] = None
-    for e in els:
-        if e in gen_bits:
-            prov[e] = ("gen",)
-            continue
-        rule: Optional[tuple] = None
-        i = bisect_right(els, e // 2) - 1
-        while i >= 0:
-            x = els[i]
-            y = e - x
-            if y > els[-1]:
-                break  # partners only grow as x shrinks; none can be present
-            if y in present:
-                rule = ("sum", x, y)
-                break
-            i -= 1
-        if rule is None:
-            if pair_best is None:
-                pair_best = {}
-                for i, b in enumerate(els):
-                    for c in els[i:]:
-                        pair_best[b + c] = (b, c)  # later rows have larger min
-            for a in els:
-                if a >= e:
-                    break
-                witness = pair_best.get(e + a)
-                if witness is not None and witness[0] > a:
-                    rule = ("triple", a, witness[0], witness[1])
-                    break
-        if rule is None:
-            raise SoundnessError(
-                f"no producing rule found for closure element {e} (scaled); "
-                f"elements={els}"
-            )
-        prov[e] = rule
-    return prov
-
-
 def bounded_closure(gens: GeneratorSet, bound: RatLike) -> BoundedClosure:
     """All values derivable from ``gens`` that do not exceed ``bound``.
 
@@ -347,30 +358,13 @@ def bounded_closure(gens: GeneratorSet, bound: RatLike) -> BoundedClosure:
     """
     bound_f = parse_rat(bound)
     scaled_gens, q, limit = _scaled_setup(gens, bound_f)
-    if not scaled_gens:
-        if len(gens) > 0:
-            warnings.warn(
-                f"bound {format_rat(bound_f)} is below the smallest generator; "
-                "the bounded closure is empty",
-                stacklevel=2,
-            )
-        return BoundedClosure(gens, bound_f, frozenset(), {})
-    mask = _saturate_bits(scaled_gens, limit)
-    els = _bits(mask)
-    prov_scaled = _assign_provenance(els, set(scaled_gens))
-    to_frac = {v: Fraction(v, q) for v in els}
-    provenance: dict[Fraction, tuple] = {}
-    for v, rule in prov_scaled.items():
-        if rule[0] == "gen":
-            provenance[to_frac[v]] = ("gen",)
-        else:
-            provenance[to_frac[v]] = (rule[0],) + tuple(to_frac[w] for w in rule[1:])
-    return BoundedClosure(
-        gens=gens,
-        bound=bound_f,
-        elements=frozenset(to_frac.values()),
-        provenance=provenance,
-    )
+    if not scaled_gens and len(gens) > 0:
+        warnings.warn(
+            f"bound {format_rat(bound_f)} is below the smallest generator; "
+            "the bounded closure is empty",
+            stacklevel=2,
+        )
+    return BoundedClosure(gens, bound_f, q, limit, _saturate_bits(scaled_gens, limit))
 
 
 def membership(gens: GeneratorSet, bound: RatLike, value: RatLike) -> Optional[Derivation]:

@@ -196,7 +196,9 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
             )
         if any(not 1 <= a <= n for a in cert.assignment.axes):
             return fail("assignment", "axis index out of range")
-        closure = bounded_closure(g, cert.bound)
+        # Box extents never exceed the outer extent, so a larger recorded
+        # bound cuts off nothing more; the partition caps the closure's cost.
+        closure = bounded_closure(g, min(cert.bound, max(p.outer.extents())))
         for k in range(1, k_count + 1):
             extent = p.boxes[k - 1].extent(cert.assignment.axis_of(k))
             if extent not in closure:

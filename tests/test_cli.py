@@ -246,3 +246,30 @@ def test_selftest_passes_and_is_deterministic():
     rows = [line for line in a.stdout.splitlines() if line.split()[-1:] == ["pass"]]
     assert len(rows) == 4
     assert "selftest: 4/4 passed" in a.stdout
+
+
+def test_selftest_names_the_failing_check_stage(capsys, monkeypatch):
+    from boxcert import pipeline
+
+    def reject(cert, p, g):
+        return pipeline.CheckResult(ok=False, reasons=("trail: step 0: no such edge (1, 1)",))
+
+    monkeypatch.setattr(pipeline, "check_certificate", reject)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    fails = [line for line in out.splitlines() if "FAIL" in line]
+    assert len(fails) == 4
+    assert all(line.endswith("FAIL (check: trail)") for line in fails)
+    assert "selftest: 0/4 passed" in out
+
+
+def test_deeply_nested_json_exits_one(capsys, tmp_path, strip_file):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for args in (("check", deep, "--partition", strip_file),
+                 ("check", deep, "--partition", deep),
+                 ("validate", deep)):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err == f"{deep}: JSON nested too deeply\n"

@@ -203,3 +203,33 @@ def test_closure_under_both_ops_within_bound():
         t = op_triple(x, y, z)
         if t <= bound:
             assert t in bc
+
+
+def test_membership_agrees_with_the_element_set_and_never_raises():
+    rng = random.Random(909)
+    odd_values = [None, "1", "abc", (1,), object(), 0, 0.0, -1, Fraction(-3, 2),
+                  0.5, 1.0, 2.5, float("nan"), float("inf"), True]
+    unhashable = [[1], {"v": 1}, {1}]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some bounds undercut every generator
+        for _ in range(60):
+            vals = {Fraction(rng.randint(1, 12 * d), d)
+                    for d in (rng.randint(1, 7) for _ in range(rng.randint(1, 4)))}
+            gens = GeneratorSet.from_values(vals)
+            bound = Fraction(rng.randint(1, 40), rng.randint(1, 5))
+            bc = bounded_closure(gens, bound)
+            probes = list(odd_values)
+            probes += [rng.randint(-3, 50) for _ in range(10)]
+            probes += [Fraction(rng.randint(-5, 300), rng.randint(1, 60)) for _ in range(30)]
+            probes += [bound, bound + Fraction(1, 7), bound * 3]
+            probes += list(bc.elements)
+            for v in probes:
+                member = v in bc
+                assert member == (v in bc.elements), (gens, bound, v)
+                d = bc.derivation_for(v)
+                assert (d is None) == (not member), (gens, bound, v)
+                if d is not None:
+                    assert verify_derivation(d, gens) == v
+            for v in unhashable:
+                assert v not in bc
+                assert bc.derivation_for(v) is None

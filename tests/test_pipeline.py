@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from boxcert import factory, jsonio
+from boxcert import factory, jsonio, pipeline
 from boxcert.closure import GeneratorSet, Leaf, Sum, Triple
 from boxcert.errors import HypothesisViolated
 from boxcert.geometry import Box, Partition, parse_point
@@ -224,3 +226,79 @@ def test_certificate_from_json_rejects_malformed():
     del enc["trail"]
     with pytest.raises(ValueError):
         certificate_from_json(enc)
+
+
+# Digests of canonical certificate bytes, recorded before the closure engine
+# moved from eager provenance to on-demand derivations.  Any change in which
+# producing rule a derivation uses changes these bytes.
+GOLDEN_CERT_SHA256 = {
+    "strip(15,5)": "fcb9b0117f0292ad590c1fb477601315106683297bb0ce0a35acb101cef2291a",
+    "pinwheel(17,10,7)": "b572b4fcdf317097bc5167075a4a01a23f25c181da9ca9ba008b70a0fed800a7",
+    "pinwheel(17,10,7) x [0,20]": "df3cb9820bcb0fefe51f6f0a758347738b448b8592588eb8142cd0420d5fbf92",
+    "pinwheel(3/5,3/5,46/77)": "51f9630e6cafec1fc6eeabde8d06869f80d59c535e75239458a8ac4b055ca9b3",
+    "guillotine 2D seed 1026": "5f939a08fa4364a8121e6758edb98421cc22fcd10716c8422de755d93df8904f",
+    "guillotine 3D seed 1017": "62fab33ca9c4fe8c1edfe086b18a05a4f6469f6dfdbb7ef6857d255ae3192a2c",
+}
+
+
+def _golden_instances():
+    pin, pin_gens = _pinwheel()
+    return {
+        "strip(15,5)": _strip(),
+        "pinwheel(17,10,7)": (pin, pin_gens),
+        "pinwheel(17,10,7) x [0,20]": (factory.lift_product(pin, 20, 3), pin_gens),
+        # 46/77 has no sum split in the closure of {3/5, 4/7, 6/11}: its
+        # derivation comes from a triple rule.
+        "pinwheel(3/5,3/5,46/77)": (
+            factory.pinwheel_partition("3/5", "3/5", "46/77"),
+            GeneratorSet.of("3/5", "4/7", "6/11"),
+        ),
+        "guillotine 2D seed 1026": factory.hypothesis_instance(
+            factory.random_guillotine(2, max_depth=4, seed=1026), seed=5026
+        ),
+        "guillotine 3D seed 1017": factory.hypothesis_instance(
+            factory.random_guillotine(3, max_depth=3, seed=1017), seed=5017
+        ),
+    }
+
+
+def test_certificate_bytes_match_golden_digests():
+    got = {}
+    for name, (p, g) in _golden_instances().items():
+        data = jsonio.canonical_json(certificate_to_json(certify(p, g))).encode("utf-8")
+        got[name] = hashlib.sha256(data).hexdigest()
+    assert got == GOLDEN_CERT_SHA256
+
+
+def test_check_closure_is_capped_by_the_partition(monkeypatch):
+    # A recorded bound far above the outer extent must not set the checker's
+    # cost.  The guard fails fast instead of saturating a huge closure.
+    real_closure = pipeline.bounded_closure
+
+    def guarded(gens, bound):
+        assert bound <= max(p.outer.extents()), f"closure bound {bound}"
+        return real_closure(gens, bound)
+
+    monkeypatch.setattr(pipeline, "bounded_closure", guarded)
+    cases = [
+        (*_pinwheel(), "20000"),
+        (
+            factory.pinwheel_partition("5/37", "7/41", "3/31"),
+            GeneratorSet.of("5/37", "7/41", "3/31"),
+            "200000",
+        ),
+    ]
+    for p, g, bound in cases:
+        enc = certificate_to_json(certify(p, g))
+        enc["bound"] = bound
+        t0 = time.perf_counter()
+        result = check_certificate(certificate_from_json(enc), p, g)
+        assert result.ok, result.reasons
+        assert time.perf_counter() - t0 < 2.0
+    # A bound below a box extent still cuts that extent off.
+    p, g = _pinwheel()
+    enc = certificate_to_json(certify(p, g))
+    enc["bound"] = "15"
+    result = check_certificate(certificate_from_json(enc), p, g)
+    assert not result.ok
+    assert result.reasons[0].startswith("assignment: box k=1 extent 17 ")
