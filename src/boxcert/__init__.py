@@ -49,8 +49,6 @@ from .geometry import (
     Partition,
     Point,
     ValidationReport,
-    box_extent,
-    box_volume,
     format_point,
     format_rat,
     interiors_disjoint,
@@ -137,8 +135,6 @@ __all__ = [
     "ZigzagIndexMissing",
     "assign_axes",
     "bounded_closure",
-    "box_extent",
-    "box_volume",
     "brute_force_closure",
     "build_graph",
     "canonical_json",

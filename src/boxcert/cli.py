@@ -21,7 +21,6 @@ All output is byte-deterministic for fixed inputs, flags, and seeds; the
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -172,15 +171,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     files = sorted(args.files)
     if args.out and len(files) != 1:
         raise _CliError("--out requires exactly one input file")
-
-    def work(path: str):
-        return _certify_one(path, gens, bound, start)
-
-    if args.jobs > 1 and len(files) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, files))
-    else:
-        results = [work(path) for path in files]
+    results = [_certify_one(path, gens, bound, start) for path in files]
 
     exit_code = EXIT_OK
     for path, (code, out, err, cert) in zip(files, results):
@@ -370,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--bound", help="closure bound (default: largest outer extent)")
     p_cert.add_argument("--start-corner", help="trail start corner, comma-separated")
     p_cert.add_argument("--out", help="write the certificate JSON here (single file)")
-    p_cert.add_argument("--jobs", type=int, default=1, help="concurrent workers")
     p_cert.set_defaults(func=_cmd_certify)
 
     p_chk = sub.add_parser("check", help="re-verify a certificate")

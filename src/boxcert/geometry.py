@@ -6,9 +6,10 @@ checking, so every comparison must be decidable, not approximate.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 RatLike = Union[int, str, Fraction]
 
@@ -127,15 +128,6 @@ class Box:
         return " x ".join(parts)
 
 
-def box_extent(b: Box, axis: int) -> Fraction:
-    """Side length of ``b`` along 1-based ``axis``."""
-    return b.extent(axis)
-
-
-def box_volume(b: Box) -> Fraction:
-    return b.volume()
-
-
 def interiors_disjoint(a: Box, b: Box) -> bool:
     """True iff the open interiors of ``a`` and ``b`` do not meet.
 
@@ -224,6 +216,26 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _sweep(
+    solid: Sequence[tuple[int, Box]], axis: int
+) -> Iterator[tuple[int, Box, list[tuple[Fraction, int, Box]]]]:
+    """Sweep ``solid`` in order of ``lo`` on 0-based ``axis``.
+
+    Yields each ``(k, box)`` together with the active heap: the boxes seen
+    earlier whose open interval on ``axis`` meets this box's, as
+    ``(hi, k, box)`` ordered by ``hi``.  A box leaves the heap once its ``hi``
+    is at or below the current ``lo``; since ``lo`` only grows, it can meet no
+    later box on this axis.  The heap is live: read it before advancing.
+    """
+    active: list[tuple[Fraction, int, Box]] = []
+    for k, b in sorted(solid, key=lambda kb: kb[1].lo[axis]):
+        lo = b.lo[axis]
+        while active and active[0][0] <= lo:
+            heapq.heappop(active)
+        yield k, b, active
+        heapq.heappush(active, (b.hi[axis], k, b))
+
+
 def validate_partition(p: Partition) -> ValidationReport:
     """Check that the constituent boxes exactly tile the outer box.
 
@@ -231,7 +243,12 @@ def validate_partition(p: Partition) -> ValidationReport:
     exceptions):
 
     * every box is nondegenerate and contained in the outer box;
-    * constituent interiors are pairwise disjoint (witnessed per pair);
+    * constituent interiors are pairwise disjoint.  A sort-and-sweep along
+      one axis (sweep-and-prune) finds the candidate pairs, those whose open
+      intervals on that axis meet; the sweep axis is the one with the fewest
+      such pairs.  Each candidate pair then gets the exact
+      :func:`interiors_disjoint` test, and each overlap is reported with its
+      common interior, in order of the box pair;
     * volumes sum exactly to the outer volume, which together with the two
       conditions above makes the cover exact rather than merely a packing.
     """
@@ -252,18 +269,24 @@ def validate_partition(p: Partition) -> ValidationReport:
     solid = [
         (k, b) for k, b in enumerate(p.boxes, start=1) if not b.is_degenerate()
     ]
-    for i, (ka, a) in enumerate(solid):
-        for kb, b in solid[i + 1 :]:
-            if not interiors_disjoint(a, b):
-                lo = tuple(max(al, bl) for al, bl in zip(a.lo, b.lo))
-                hi = tuple(min(ah, bh) for ah, bh in zip(a.hi, b.hi))
-                defects.append(
+    axis = min(
+        range(p.dim),
+        key=lambda j: sum(len(active) for _, _, active in _sweep(solid, j)),
+    )
+    overlaps: list[Defect] = []
+    for k, b, active in _sweep(solid, axis):
+        for _, k2, b2 in active:
+            if not interiors_disjoint(b2, b):
+                lo = tuple(max(al, bl) for al, bl in zip(b2.lo, b.lo))
+                hi = tuple(min(ah, bh) for ah, bh in zip(b2.hi, b.hi))
+                overlaps.append(
                     Defect(
                         "interior-overlap",
-                        (ka, kb),
+                        (min(k, k2), max(k, k2)),
                         f"common interior {Box(lo, hi)}",
                     )
                 )
+    defects.extend(sorted(overlaps, key=lambda d: d.boxes))
     if not defects:
         total = sum((b.volume() for b in p.boxes), Fraction(0))
         if total != outer.volume():
@@ -278,8 +301,3 @@ def validate_partition(p: Partition) -> ValidationReport:
     return ValidationReport(
         box_count=len(p.boxes), outer_volume=outer.volume(), defects=tuple(defects)
     )
-
-
-def dedupe_points(points: Iterable[Point]) -> tuple[Point, ...]:
-    """Sorted tuple of distinct points (lexicographic, exact)."""
-    return tuple(sorted(set(points)))

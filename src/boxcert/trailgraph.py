@@ -116,12 +116,13 @@ def build_graph(p: Partition, c: AxisAssignment) -> TrailGraph:
         raise ValueError(
             f"assignment covers {len(c)} boxes, partition has {len(p.boxes)}"
         )
-    vertices: set[Point] = set()
+    corners: set[Point] = set()
     edges: list[Edge] = []
     for k, b in enumerate(p.boxes, start=1):
-        vertices.update(b.corners())
+        corners.update(b.corners())
         edges.extend(edges_of_box(b, k, c.axis_of(k)))
-    incidence: dict[Point, list[tuple[Point, Edge]]] = {v: [] for v in sorted(vertices)}
+    vertices = tuple(sorted(corners))
+    incidence: dict[Point, list[tuple[Point, Edge]]] = {v: [] for v in vertices}
     for e in edges:
         incidence[e.a].append((e.b, e))
         incidence[e.b].append((e.a, e))
@@ -132,7 +133,7 @@ def build_graph(p: Partition, c: AxisAssignment) -> TrailGraph:
     return TrailGraph(
         partition=p,
         assignment=c,
-        vertices=tuple(sorted(vertices)),
+        vertices=vertices,
         edges=tuple(edges),
         adjacency=adjacency,
     )
@@ -186,13 +187,15 @@ def parity_audit(g: TrailGraph) -> ParityReport:
     must not proceed.
     """
     outer_corners = set(g.partition.outer.corners())
-    entries = []
-    seen = set(g.vertices) | outer_corners
-    for v in sorted(seen):
-        entries.append(
+    points = g.vertices  # already sorted; adjacency is keyed by exactly these
+    if not outer_corners.issubset(g.adjacency):
+        points = sorted(outer_corners.union(g.vertices))
+    return ParityReport(
+        entries=tuple(
             ParityEntry(point=v, degree=g.degree(v), is_outer_corner=v in outer_corners)
+            for v in points
         )
-    return ParityReport(entries=tuple(entries))
+    )
 
 
 @dataclass(frozen=True)

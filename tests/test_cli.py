@@ -108,8 +108,6 @@ def test_certify_batch_sorted_output(capsys, tmp_path):
         tmp_path / "a.json",
         "--gens",
         "15,5,12,8",
-        "--jobs",
-        "2",
     )
     assert code == 0
     lines = out.strip().splitlines()

@@ -9,8 +9,6 @@ import pytest
 from boxcert.geometry import (
     Box,
     Partition,
-    box_volume,
-    dedupe_points,
     format_point,
     format_rat,
     interiors_disjoint,
@@ -56,7 +54,6 @@ def test_box_extents_volume_and_corners():
     assert b.extent(2) == Fraction(5, 2)
     assert b.extents() == (Fraction(3), Fraction(5, 2))
     assert b.volume() == Fraction(15, 2)
-    assert box_volume(b) == b.volume()
     # corners come in binary order: bit j-1 set means hi on axis j
     assert b.corners() == (
         (Fraction(0), Fraction(0)),
@@ -143,9 +140,3 @@ def test_validate_flags_volume_gap_only_when_otherwise_clean():
     # with an overlap present, the volume complaint would be noise: omitted
     q = Partition(2, outer, (_box((0, 0), (3, 2)), _box((2, 0), (4, 2))))
     assert "volume-mismatch" not in {d.kind for d in validate_partition(q).defects}
-
-
-def test_dedupe_points_keeps_first_occurrence_order():
-    a = parse_point((0, 0))
-    b = parse_point((1, 0))
-    assert dedupe_points([a, b, a, b, a]) == (a, b)

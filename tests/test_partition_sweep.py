@@ -1,0 +1,188 @@
+"""Sort-and-sweep partition validation against an all-pairs oracle.
+
+``validate_partition`` finds overlapping boxes with a sweep along one axis.
+The oracle below is the plain all-pairs loop it replaced; it lives only here,
+so the two stay independent.  Reports must agree exactly (kinds, box pairs,
+witness text and order), and the sweep must not fall back to testing every
+pair.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from boxcert import factory, geometry
+from boxcert.geometry import (
+    Box,
+    Defect,
+    Partition,
+    ValidationReport,
+    format_rat,
+    interiors_disjoint,
+    validate_partition,
+)
+
+_F = Fraction
+
+
+def pairwise_validate(p: Partition) -> ValidationReport:
+    """Independent oracle: every pair of proper boxes gets the exact test."""
+    defects: list[Defect] = []
+    outer = p.outer
+    if outer.is_degenerate():
+        defects.append(
+            Defect("degenerate", (), f"outer box {outer} has a non-positive side")
+        )
+    for k, b in enumerate(p.boxes, start=1):
+        if b.is_degenerate():
+            defects.append(Defect("degenerate", (k,), f"box {b} has a non-positive side"))
+        elif not outer.contains_box(b):
+            defects.append(
+                Defect("not-contained", (k,), f"box {b} is not inside outer {outer}")
+            )
+    solid = [(k, b) for k, b in enumerate(p.boxes, start=1) if not b.is_degenerate()]
+    for i, (ka, a) in enumerate(solid):
+        for kb, b in solid[i + 1 :]:
+            if not interiors_disjoint(a, b):
+                lo = tuple(max(al, bl) for al, bl in zip(a.lo, b.lo))
+                hi = tuple(min(ah, bh) for ah, bh in zip(a.hi, b.hi))
+                defects.append(
+                    Defect("interior-overlap", (ka, kb), f"common interior {Box(lo, hi)}")
+                )
+    if not defects:
+        total = sum((b.volume() for b in p.boxes), _F(0))
+        if total != outer.volume():
+            defects.append(
+                Defect(
+                    "volume-mismatch",
+                    (),
+                    f"boxes cover volume {format_rat(total)} of "
+                    f"{format_rat(outer.volume())}: the cover has gaps",
+                )
+            )
+    return ValidationReport(
+        box_count=len(p.boxes), outer_volume=outer.volume(), defects=tuple(defects)
+    )
+
+
+def _with_boxes(p: Partition, boxes) -> Partition:
+    return Partition(p.dim, p.outer, tuple(boxes))
+
+
+def _shuffled(p: Partition, rng: random.Random) -> Partition:
+    boxes = list(p.boxes)
+    rng.shuffle(boxes)
+    return _with_boxes(p, boxes)
+
+
+def _perturbed(p: Partition, rng: random.Random) -> Partition:
+    """Move 1-3 box coordinates: overlaps, escapes, gaps, and degenerate boxes."""
+    boxes = list(p.boxes)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(boxes))
+        j = rng.randrange(p.dim)
+        side = rng.choice(("lo", "hi"))
+        coords = list(getattr(boxes[k], side))
+        coords[j] += rng.choice((_F(-1), _F(-1, 2), _F(-1, 7), _F(1, 7), _F(1, 2), _F(1)))
+        lo, hi = (coords, boxes[k].hi) if side == "lo" else (boxes[k].lo, coords)
+        boxes[k] = Box(tuple(lo), tuple(hi))
+    return _with_boxes(p, boxes)
+
+
+def _grid(cols: int, rows: int) -> Partition:
+    """``cols`` x ``rows`` unit squares, numbered row by row."""
+    boxes = [
+        Box((_F(i), _F(j)), (_F(i + 1), _F(j + 1)))
+        for j in range(rows)
+        for i in range(cols)
+    ]
+    return Partition(2, Box((_F(0), _F(0)), (_F(cols), _F(rows))), tuple(boxes))
+
+
+def _assert_agree(p: Partition) -> ValidationReport:
+    expected = pairwise_validate(p)
+    assert validate_partition(p) == expected, expected.summary()
+    return expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sweep_matches_oracle_on_random_guillotine_partitions(dim):
+    rng = random.Random(dim)
+    overlapping = 0
+    for seed in range(60):
+        p = factory.random_guillotine(dim, 6 if dim == 2 else 4, seed)
+        assert _assert_agree(_shuffled(p, rng)).ok
+        for _ in range(3):
+            report = _assert_agree(_shuffled(_perturbed(p, rng), rng))
+            overlapping += any(d.kind == "interior-overlap" for d in report.defects)
+    # the perturbed cases really do exercise the overlap path
+    assert overlapping >= 40
+
+
+def test_sweep_matches_oracle_on_degenerate_and_duplicated_boxes():
+    rng = random.Random(7)
+    for seed in range(40):
+        p = factory.random_guillotine(2 + seed % 2, 5, seed)
+        boxes = list(p.boxes)
+        for _ in range(rng.randint(1, 3)):
+            boxes.append(rng.choice(p.boxes))  # an exact duplicate
+        b = rng.choice(p.boxes)
+        j = rng.randrange(p.dim)
+        flat = list(b.hi)
+        flat[j] = b.lo[j]  # zero width on axis j
+        boxes.append(Box(b.lo, tuple(flat)))
+        boxes.append(Box(b.hi, b.lo))  # inverted on every axis
+        report = _assert_agree(_shuffled(_with_boxes(p, boxes), rng))
+        kinds = {d.kind for d in report.defects}
+        assert {"degenerate", "interior-overlap"} <= kinds
+    dup = _grid(3, 3)
+    _assert_agree(_with_boxes(dup, dup.boxes + dup.boxes))
+
+
+def test_sweep_matches_oracle_when_boxes_only_touch():
+    # every neighbour pair shares a face or a corner, and none overlaps
+    assert _assert_agree(_grid(6, 5)).ok
+    # checkerboard: the kept squares meet only at corners, so only a gap shows
+    board = _grid(6, 6)
+    kept = [b for b in board.boxes if (b.lo[0] + b.lo[1]) % 2 == 0]
+    report = _assert_agree(_with_boxes(board, kept))
+    assert [d.kind for d in report.defects] == ["volume-mismatch"]
+    # 3D: eight unit cubes around the centre, touching on faces, edges, corners
+    cubes = tuple(
+        Box((_F(x), _F(y), _F(z)), (_F(x + 1), _F(y + 1), _F(z + 1)))
+        for x in (0, 1)
+        for y in (0, 1)
+        for z in (0, 1)
+    )
+    outer = Box((_F(0),) * 3, (_F(2),) * 3)
+    assert _assert_agree(Partition(3, outer, cubes)).ok
+    assert not _assert_agree(Partition(3, outer, cubes[::2])).ok
+
+
+@pytest.fixture
+def pair_tests(monkeypatch) -> list[int]:
+    """Count calls of ``geometry.interiors_disjoint``; read as ``pair_tests[0]``."""
+    calls = [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return interiors_disjoint(a, b)
+
+    monkeypatch.setattr(geometry, "interiors_disjoint", counting)
+    return calls
+
+
+def test_sweep_on_a_grid_tests_far_fewer_pairs_than_all_pairs(pair_tests):
+    k = 40
+    assert validate_partition(_grid(k, k)).ok
+    # all pairs would be k**2 * (k**2 - 1) / 2 = 1,279,200 tests
+    assert 0 < pair_tests[0] <= k**3
+
+
+@pytest.mark.parametrize("cols,rows", [(1, 400), (400, 1)])
+def test_sweep_on_a_line_of_strips_tests_no_pair(pair_tests, cols, rows):
+    assert validate_partition(_grid(cols, rows)).ok
+    assert pair_tests[0] == 0
