@@ -58,9 +58,9 @@ for v in (Fraction(13), Fraction(20)):
 print()
 
 # membership() is the one-shot version: a derivation or None.
-d = membership(g, 20, 19)
+d = membership(g, 19)
 print("is 19 a member?", fmt(d) if d else None)
-print("is 12 a member?", membership(g, 20, 12))
+print("is 12 a member?", membership(g, 12))
 print()
 
 # The saturation engine works on a scaled integer bitmask.  The slow

@@ -71,7 +71,8 @@ print()
 # Stage 5: rewrite the sequence down to a single span.  Loops drop for
 # free, a position between its neighbours merges two steps into a sum,
 # and the zigzag that remains merges three steps with the triple
-# operation.  The log is replayable by an independent checker.
+# operation.  The log is a function of the sequence, so a checker
+# re-derives it, compares, and then verifies the derivation.
 def fmt(d):
     """Compact one-line rendering of a derivation tree."""
     kids = [getattr(d, f) for f in ("left", "right", "first", "second", "third")
@@ -86,4 +87,4 @@ for step in cert.steps:
     print(f"  {step.kind:6s} at {step.i}: {tuple(str(v) for v in step.lengths)}"
           + (f" -> {step.merged}" if step.merged is not None else ""))
 print(f"result: {cert.result} = {fmt(cert.derivation)}")
-print(f"replayed independently: {replay(cert, gens)}")
+print(f"re-derived and verified: {replay(cert, gens)}")

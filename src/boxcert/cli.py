@@ -135,10 +135,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _certify_one(
-    path: str,
-    gens: GeneratorSet,
-    bound: Optional[Fraction],
-    start: Optional[Point],
+    path: str, gens: GeneratorSet, start: Optional[Point]
 ) -> tuple[int, str, str, Optional[pipeline.Certificate]]:
     """Certify one file; returns (code, stdout text, stderr text, cert)."""
     try:
@@ -146,7 +143,7 @@ def _certify_one(
     except _CliError as exc:
         return exc.code, "", f"{exc}\n", None
     try:
-        cert = pipeline.certify(p, gens, bound=bound, start=start)
+        cert = pipeline.certify(p, gens, start=start)
     except pipeline.PartitionInvalid as exc:
         return EXIT_INVALID, "", f"{path}: {exc.report.summary()}\n", None
     except HypothesisViolated as exc:
@@ -166,12 +163,11 @@ def _certify_one(
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     gens = _parse_gens_arg(args.gens)
-    bound = _parse_rat_arg(args.bound, "--bound") if args.bound else None
     start = _parse_point_arg(args.start_corner) if args.start_corner else None
     files = sorted(args.files)
     if args.out and len(files) != 1:
         raise _CliError("--out requires exactly one input file")
-    results = [_certify_one(path, gens, bound, start) for path in files]
+    results = [_certify_one(path, gens, start) for path in files]
 
     exit_code = EXIT_OK
     for path, (code, out, err, cert) in zip(files, results):
@@ -228,9 +224,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def _cmd_member(args: argparse.Namespace) -> int:
     gens = _parse_gens_arg(args.gens)
     value = _parse_rat_arg(args.value, "--value")
-    bound = _parse_rat_arg(args.bound, "--bound") if args.bound else value
     try:
-        derivation = membership(gens, bound, value)
+        derivation = membership(gens, value)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     if derivation is None:
@@ -358,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certify partition files")
     p_cert.add_argument("files", nargs="+", metavar="file")
     p_cert.add_argument("--gens", required=True, help="comma-separated rationals")
-    p_cert.add_argument("--bound", help="closure bound (default: largest outer extent)")
     p_cert.add_argument("--start-corner", help="trail start corner, comma-separated")
     p_cert.add_argument("--out", help="write the certificate JSON here (single file)")
     p_cert.set_defaults(func=_cmd_certify)
@@ -377,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mem = sub.add_parser("member", help="closure membership with derivation")
     p_mem.add_argument("--gens", required=True)
     p_mem.add_argument("--value", required=True)
-    p_mem.add_argument("--bound", help="default: the value itself")
     p_mem.set_defaults(func=_cmd_member)
 
     p_gen = sub.add_parser("gen", help="generate partition files")

@@ -367,24 +367,19 @@ def bounded_closure(gens: GeneratorSet, bound: RatLike) -> BoundedClosure:
     return BoundedClosure(gens, bound_f, q, limit, _saturate_bits(scaled_gens, limit))
 
 
-def membership(gens: GeneratorSet, bound: RatLike, value: RatLike) -> Optional[Derivation]:
-    """A derivation of ``value`` from ``gens`` if one exists below ``bound``.
+def membership(gens: GeneratorSet, value: RatLike) -> Optional[Derivation]:
+    """A derivation of ``value`` from ``gens``, or None for non-members.
 
-    Returns None for non-members.  The bound must cover the value, otherwise
-    the answer would be trivially (and misleadingly) negative.
+    The closure is built up to the value itself.  Both operations give a
+    result at least as large as each operand, so elements above the value
+    never help derive it and a larger bound could not change the answer.
     """
     if len(gens) == 0:
         raise ValueError("membership queries need a nonempty generator set")
     value_f = parse_rat(value)
-    bound_f = parse_rat(bound)
     if value_f <= 0:
         raise ValueError(f"value must be positive, got {format_rat(value_f)}")
-    if bound_f < value_f:
-        raise ValueError(
-            f"bound {format_rat(bound_f)} is smaller than the value "
-            f"{format_rat(value_f)}"
-        )
-    return bounded_closure(gens, bound_f).derivation_for(value_f)
+    return bounded_closure(gens, value_f).derivation_for(value_f)
 
 
 def brute_force_closure(gens: GeneratorSet, bound: RatLike) -> frozenset[Fraction]:

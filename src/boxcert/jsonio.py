@@ -14,11 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from .closure import (
     Derivation,
-    GeneratorSet,
     Leaf,
     Sum,
     Triple,
@@ -121,28 +120,6 @@ def partition_digest(p: Partition) -> str:
     """sha256 over the canonical JSON form of the partition."""
     data = canonical_json(partition_to_json(p)).encode("utf-8")
     return hashlib.sha256(data).hexdigest()
-
-
-# --- generator sets ---------------------------------------------------------
-
-
-def gens_to_json(g: GeneratorSet, bound: Optional[Fraction] = None) -> dict:
-    payload: dict[str, Any] = {"gens": [format_rat(v) for v in g.sorted_values]}
-    if bound is not None:
-        payload["bound"] = format_rat(bound)
-    return payload
-
-
-def gens_from_json(obj: Any) -> tuple[GeneratorSet, Optional[Fraction]]:
-    d = expect_dict(obj, "gens")
-    values = expect_list(get_key(d, "gens", "gens"), "gens.gens")
-    gens = GeneratorSet(
-        frozenset(rat_from_json(v, f"gens.gens[{i}]") for i, v in enumerate(values))
-    )
-    bound = None
-    if "bound" in d:
-        bound = rat_from_json(d["bound"], "gens.bound")
-    return gens, bound
 
 
 # --- derivations ------------------------------------------------------------
@@ -334,16 +311,6 @@ def rewrite_step_from_json(obj: Any, where: str) -> RewriteStep:
         kind=kind, i=expect_int(get_key(d, "i", where), f"{where}.i"),
         j=j, lengths=lengths, merged=merged,
     )
-
-
-def reduction_to_json(r: ReductionCertificate) -> dict:
-    """Standalone reduction certificate: input points, log, result, derivation."""
-    return {
-        "y": [format_rat(v) for v in r.sequence.points],
-        "steps": [rewrite_step_to_json(st) for st in r.steps],
-        "result": format_rat(r.result),
-        "derivation": derivation_to_json(r.derivation),
-    }
 
 
 def reduction_from_json(obj: Any, sequence: YSequence) -> ReductionCertificate:

@@ -4,9 +4,10 @@
 closure of the generators, per-box axis assignment, trail graph, parity
 audit, greedy corner-to-corner trail, projection, and reduction.  The result
 is a :class:`Certificate` binding every intermediate artifact to the
-partition via a content digest, so a third party can re-check each stage
-without trusting the producer — that re-check is :func:`check_certificate`,
-which never raises on malformed input and reports the failing stage instead.
+partition via a content digest.  :func:`check_certificate` re-checks it
+without trusting the producer: it verifies the derivation and the claimed
+length, recomputes every other stage and compares, never raises on malformed
+input, and reports the failing stage instead.
 """
 from __future__ import annotations
 
@@ -20,10 +21,8 @@ from .errors import ParityViolation, SoundnessError
 from .geometry import (
     Partition,
     Point,
-    RatLike,
     format_point,
     format_rat,
-    parse_rat,
     validate_partition,
 )
 from .reduction import ReductionCertificate, reduce_sequence, replay
@@ -76,10 +75,7 @@ class Certificate:
 
 
 def certify(
-    p: Partition,
-    g: GeneratorSet,
-    bound: Optional[RatLike] = None,
-    start: Optional[Point] = None,
+    p: Partition, g: GeneratorSet, *, start: Optional[Point] = None
 ) -> Certificate:
     """Produce a certificate that the outer box has a side in the closure of g.
 
@@ -93,14 +89,8 @@ def certify(
     report = validate_partition(p)
     if not report.ok:
         raise PartitionInvalid(report)
-    max_extent = max(p.outer.extents())
-    bound_f = parse_rat(bound) if bound is not None else max_extent
-    if bound_f < max_extent:
-        raise ValueError(
-            f"bound {format_rat(bound_f)} does not cover the outer box "
-            f"(largest extent {format_rat(max_extent)})"
-        )
-    closure = bounded_closure(g, bound_f)
+    bound = max(p.outer.extents())
+    closure = bounded_closure(g, bound)
     assignment = assign_axes(p, closure.__contains__)
     graph = build_graph(p, assignment)
     parity = parity_audit(graph)
@@ -141,7 +131,7 @@ def certify(
     return Certificate(
         partition_sha256=jsonio.partition_digest(p),
         gens=g,
-        bound=bound_f,
+        bound=bound,
         assignment=assignment,
         trail=trail,
         y=y,
@@ -162,12 +152,21 @@ class CheckResult:
 
 
 def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> CheckResult:
-    """Independently revalidate every stage a certificate records.
+    """Independently re-check a certificate against the partition.
+
+    The soundness kernel is two checks: :func:`~boxcert.closure.verify_derivation`
+    (every leaf is a generator, every node is recomputed exactly) shows the
+    result is in the closure, and the claimed length must equal the outer
+    extent.  Everything else is an audit that explains the derivation, done
+    by recomputation: each stage is rebuilt from already-checked inputs and
+    must equal what the certificate records.  Only the certificate
+    :func:`certify` would produce is accepted; a valid but non-canonical trail
+    or rewrite log is rejected.
 
     Stages, in order (the first failure is reported with its stage tag):
-    digest, partition validity, generator match, assignment membership, trail
-    edges against a freshly rebuilt graph (existence, chaining, no repeats,
-    corner endpoints), projection arithmetic, reduction replay including
+    digest, partition validity, generator match, assignment membership, the
+    trail re-extracted from the recorded start on a rebuilt graph, the
+    projection, the reduction log re-derived by :func:`replay` followed by
     derivation verification, and the claimed side.  Never raises: malformed
     certificates yield ``CheckResult(False, ...)``.
     """
@@ -207,32 +206,11 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
                     f"box k={k} extent {format_rat(extent)} not in the closure",
                 )
         graph = build_graph(p, cert.assignment)
-        edge_map = {(e.box, e.edge_id): e for e in graph.edges}
-        corners = set(p.outer.corners())
         t = cert.trail
-        if t.start not in corners or t.end not in corners or t.start == t.end:
-            return fail("trail", "endpoints are not two distinct outer corners")
-        if not t.steps:
-            return fail("trail", "empty trail")
-        seen: set[tuple[int, int]] = set()
-        current = t.start
-        for idx, step in enumerate(t.steps):
-            key = (step.edge.box, step.edge.edge_id)
-            real = edge_map.get(key)
-            if real is None:
-                return fail("trail", f"step {idx}: no such edge {key}")
-            if {step.src, step.dst} != {real.a, real.b}:
-                return fail(
-                    "trail", f"step {idx}: endpoints do not match edge {key}"
-                )
-            if key in seen:
-                return fail("trail", f"step {idx}: edge {key} repeated")
-            seen.add(key)
-            if step.src != current:
-                return fail("trail", f"step {idx}: does not chain")
-            current = step.dst
-        if current != t.end:
-            return fail("trail", "final step does not reach the recorded end")
+        if t.start not in set(p.outer.corners()):
+            return fail("trail", "start is not an outer corner")
+        if extract_trail(graph, t.start) != t:
+            return fail("trail", "recomputed trail from the recorded start differs")
         projected = project_to_axis(t, p.outer)
         if projected != cert.y:
             return fail("projection", "recomputed position sequence differs")

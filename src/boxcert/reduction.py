@@ -14,9 +14,12 @@ keeping every step length in X:
    strict minimum of the three.  Both facts are asserted at runtime.
 
 Applied to exhaustion this leaves the two-point sequence [0, L] and a
-derivation of L from X.  The recorded :class:`RewriteStep` log is enough to
-re-run everything from the input alone (:func:`replay`), which is how
-certificates are checked without trusting the producer.
+derivation of L from X.  The rewrite order is fixed, so the recorded
+:class:`RewriteStep` log is a function of the sequence alone.  That is how a
+certificate's log is checked (:func:`replay`): :func:`reduce_sequence` runs
+again on the recorded sequence, with its runtime assertions, and the two logs
+must be equal.  The log explains the derivation; what makes the conclusion
+sound is :func:`~boxcert.closure.verify_derivation`, which replay runs last.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from typing import Callable, Iterable, Optional
 from .closure import (
     Derivation,
     GeneratorSet,
+    Leaf,
     Sum,
     Triple,
     op_sum,
@@ -192,73 +196,31 @@ def reduce_sequence(
 
 
 def replay(cert: ReductionCertificate, gens: GeneratorSet) -> Fraction:
-    """Re-run a recorded reduction and verify everything it claims.
+    """Recompute the reduction of the recorded sequence and demand equality.
 
-    Checks, per step and with exact arithmetic: the geometric precondition of
-    the rewrite (loop equality; betweenness; strict-zigzag state with the
-    minimal growth index), the recorded step lengths, and the merged values.
-    Afterwards the sequence must be exactly [0, result] and the attached
-    derivation must evaluate to the result using only the given generators.
-    Any discrepancy raises :class:`ReplayMismatch`.
+    The recorded log must equal, step for step, the canonical log that
+    :func:`reduce_sequence` produces from the same sequence (so the runtime
+    assertions of every rewrite run again), and the recorded result must
+    equal the recomputed one.  The attached derivation must then evaluate to
+    the result using only the given generators.  Any discrepancy raises
+    :class:`ReplayMismatch`.
     """
-    pts = list(cert.sequence.points)
-    for idx, st in enumerate(cert.steps):
-        m = len(pts)
-        steps = _step_lengths(pts)
-        if st.kind == "loop":
-            if st.j is None or not 1 <= st.i < st.j <= m:
-                raise ReplayMismatch(idx, f"loop indices ({st.i}, {st.j}) out of range")
-            if pts[st.i - 1] != pts[st.j - 1]:
-                raise ReplayMismatch(
-                    idx,
-                    f"positions {st.i} and {st.j} differ: "
-                    f"{format_rat(pts[st.i - 1])} vs {format_rat(pts[st.j - 1])}",
-                )
-            if tuple(steps[st.i - 1 : st.j - 1]) != st.lengths:
-                raise ReplayMismatch(idx, "recorded loop lengths do not match")
-            del pts[st.i : st.j]
-        elif st.kind == "sum":
-            if not 2 <= st.i <= m - 1:
-                raise ReplayMismatch(idx, f"sum index {st.i} out of range")
-            q = st.i - 1
-            lo, hi = sorted((pts[q - 1], pts[q + 1]))
-            if not lo <= pts[q] <= hi:
-                raise ReplayMismatch(
-                    idx, f"position {st.i} is not between its neighbours"
-                )
-            l1, l2 = abs(pts[q] - pts[q - 1]), abs(pts[q + 1] - pts[q])
-            if st.lengths != (l1, l2):
-                raise ReplayMismatch(idx, "recorded sum lengths do not match")
-            if st.merged != l1 + l2:
-                raise ReplayMismatch(idx, "recorded sum value is wrong")
-            del pts[q]
-        elif st.kind == "triple":
-            if not 3 <= st.i <= m - 1:
-                raise ReplayMismatch(idx, f"triple index {st.i} out of range")
-            if _first_loop(pts) is not None or _first_between(pts) is not None:
-                raise ReplayMismatch(idx, "triple applied to a non-zigzag state")
-            if _growth_index(steps) != st.i:
-                raise ReplayMismatch(
-                    idx, f"{st.i} is not the smallest growth index"
-                )
-            l1, l2, l3 = steps[st.i - 3], steps[st.i - 2], steps[st.i - 1]
-            if st.lengths != (l1, l2, l3):
-                raise ReplayMismatch(idx, "recorded triple lengths do not match")
-            if not (l2 < l1 and l2 < l3):
-                raise ReplayMismatch(idx, "middle length is not the strict minimum")
-            value = op_triple(l1, l2, l3)
-            if st.merged != value or value != abs(pts[st.i] - pts[st.i - 3]):
-                raise ReplayMismatch(idx, "triple value disagrees with geometry")
-            del pts[st.i - 2 : st.i]
-        else:
-            raise ReplayMismatch(idx, f"unknown rewrite kind {st.kind!r}")
+    again = reduce_sequence(cert.sequence, Leaf)
+    for idx, (st, canon) in enumerate(zip(cert.steps, again.steps)):
+        if st != canon:
+            raise ReplayMismatch(
+                idx, f"recorded step differs from the canonical {canon.kind} at {canon.i}"
+            )
     final = len(cert.steps)
-    if len(pts) != 2:
-        raise ReplayMismatch(final, f"{len(pts)} positions remain after replay")
-    if pts[0] != 0 or pts[1] != cert.result:
+    if final != len(again.steps):
+        raise ReplayMismatch(
+            min(final, len(again.steps)),
+            f"{final} recorded steps, {len(again.steps)} recomputed",
+        )
+    if cert.result != again.result:
         raise ReplayMismatch(
             final,
-            f"replay ended at [{format_rat(pts[0])}, {format_rat(pts[1])}], "
+            f"reduction ends at {format_rat(again.result)}, "
             f"result claims {format_rat(cert.result)}",
         )
     try:

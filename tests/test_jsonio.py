@@ -9,10 +9,9 @@ import pytest
 
 from boxcert import factory, jsonio
 from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
-from boxcert.reduction import reduce_sequence
+from boxcert.pipeline import certificate_to_json, certify
 from boxcert.trailgraph import (
     AxisAssignment,
-    YSequence,
     assign_axes,
     build_graph,
     extract_trail,
@@ -73,14 +72,6 @@ def test_partition_parsing_reports_missing_keys():
         jsonio.partition_from_json({"dim": 2, "boxes": []})
     with pytest.raises(ValueError, match="dim"):
         jsonio.partition_from_json({"outer": {}, "boxes": []})
-
-
-def test_gens_round_trip_with_and_without_bound():
-    g = GeneratorSet.of(17, 10, 7)
-    assert jsonio.gens_from_json(jsonio.gens_to_json(g)) == (g, None)
-    enc = jsonio.gens_to_json(g, bound=_F(20))
-    assert enc["bound"] == "20"
-    assert jsonio.gens_from_json(enc) == (g, _F(20))
 
 
 def test_derivation_round_trip_and_value_annotations():
@@ -146,12 +137,11 @@ def test_ysequence_round_trip():
 
 
 def test_reduction_round_trip():
-    y = YSequence(axis=1, length=_F(9), points=(_F(0), _F(5), _F(2), _F(9)))
-    cert = reduce_sequence(y, Leaf)
-    enc = jsonio.reduction_to_json(cert)
+    p = factory.pinwheel_partition(17, 10, 7)
+    cert = certify(p, GeneratorSet.of(17, 10, 7))
+    enc = json.loads(jsonio.canonical_json(certificate_to_json(cert)["reduction"]))
     assert enc["steps"][0]["kind"] == "triple"
-    back = jsonio.reduction_from_json(enc, y)
-    assert back == cert
+    assert jsonio.reduction_from_json(enc, cert.y) == cert.reduction
 
 
 def test_rewrite_step_parse_needs_kind_fields():

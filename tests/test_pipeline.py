@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from boxcert import factory, jsonio, pipeline
-from boxcert.closure import GeneratorSet, Leaf, Sum, Triple
+from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
 from boxcert.errors import HypothesisViolated
 from boxcert.geometry import Box, Partition, parse_point
 from boxcert.pipeline import (
@@ -22,6 +22,8 @@ from boxcert.pipeline import (
     certify,
     check_certificate,
 )
+from boxcert.reduction import reduce_sequence
+from boxcert.trailgraph import Trail, TrailStep, build_graph, project_to_axis
 
 
 def _F(x) -> Fraction:
@@ -81,15 +83,6 @@ def test_certify_custom_start_corner():
     assert cert.trail.start == _pt(20, 20)
     assert cert.claimed_side.length == 20
     assert check_certificate(cert, p, g).ok
-
-
-def test_certify_explicit_bound():
-    p, g = _strip()
-    cert = certify(p, g, bound=25)
-    assert cert.bound == 25
-    assert check_certificate(cert, p, g).ok
-    with pytest.raises(ValueError):
-        certify(p, g, bound=19)  # below the largest outer extent
 
 
 def test_certify_rejects_invalid_partition():
@@ -192,6 +185,41 @@ def test_check_flags_tampered_claim():
     result = check_certificate(bad, p, g)
     assert not result.ok
     assert result.reasons[0].startswith("claim")
+
+
+def test_check_rejects_a_valid_but_non_canonical_trail():
+    # This instance has a second non-repeating trail from the same start: take
+    # the largest far endpoint at every vertex instead of the smallest.  Its
+    # projection, reduction and claim are all consistent, but it is not the
+    # trail certify extracts, so the trail stage rejects it.
+    p, g = factory.hypothesis_instance(
+        factory.random_guillotine(2, max_depth=3, seed=1084), seed=5084
+    )
+    cert = certify(p, g)
+    graph = build_graph(p, cert.assignment)
+    used, current, steps = set(), cert.trail.start, []
+    while True:
+        options = [(far, e) for far, e in graph.adjacency[current] if e not in used]
+        if not options:
+            break
+        far, e = options[-1]
+        used.add(e)
+        steps.append(TrailStep(edge=e, src=current, dst=far))
+        current = far
+    trail = Trail(start=cert.trail.start, steps=tuple(steps), end=current)
+    assert trail != cert.trail
+    y = project_to_axis(trail, p.outer)
+    closure = bounded_closure(g, max(p.outer.extents()))
+    bad = dataclasses.replace(
+        cert,
+        trail=trail,
+        y=y,
+        reduction=reduce_sequence(y, closure.derivation_for),
+        claimed_side=ClaimedSide(axis=y.axis, length=y.length),
+    )
+    result = check_certificate(bad, p, g)
+    assert not result.ok
+    assert result.reasons[0].startswith("trail")
 
 
 def test_check_never_raises_on_garbage_fields():
