@@ -71,8 +71,9 @@ print()
 # Stage 5: rewrite the sequence down to a single span.  Loops drop for
 # free, a position between its neighbours merges two steps into a sum,
 # and the zigzag that remains merges three steps with the triple
-# operation.  The log is a function of the sequence, so a checker
-# re-derives it, compares, and then verifies the derivation.
+# operation.  The log is a function of the sequence, so certificates do
+# not carry it: a checker re-runs the rewrites on the recorded sequence,
+# compares the result, and then verifies the derivation.
 def fmt(d):
     """Compact one-line rendering of a derivation tree."""
     kids = [getattr(d, f) for f in ("left", "right", "first", "second", "third")

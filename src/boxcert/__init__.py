@@ -19,7 +19,6 @@ from .closure import (
     Triple,
     bounded_closure,
     brute_force_closure,
-    derivation_value,
     membership,
     op_sum,
     op_triple,
@@ -142,7 +141,6 @@ __all__ = [
     "certificate_to_json",
     "certify",
     "check_certificate",
-    "derivation_value",
     "extract_trail",
     "format_point",
     "format_rat",

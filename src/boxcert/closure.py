@@ -120,7 +120,7 @@ class Triple:
 Derivation = Union[Leaf, Sum, Triple]
 
 
-def _children(node: Derivation) -> tuple[Derivation, ...]:
+def children(node: Derivation) -> tuple[Derivation, ...]:
     if isinstance(node, Leaf):
         return ()
     if isinstance(node, Sum):
@@ -130,42 +130,24 @@ def _children(node: Derivation) -> tuple[Derivation, ...]:
     raise TypeError(f"not a derivation node: {node!r}")
 
 
-def _evaluate(d: Derivation, gens: Optional[GeneratorSet]) -> Fraction:
-    # Iterative post-order with an id-keyed memo: derivations built from
-    # closure rules share subtrees, and chains can be deep.
-    values: dict[int, Fraction] = {}
-    stack: list[Derivation] = [d]
+def topological(d: Derivation) -> list[Derivation]:
+    """Every distinct node of ``d`` once, children before parents, ``d`` last.
+
+    Nodes are told apart by identity, so a subtree shared in memory is listed
+    once.  Iterative, because chains can be deep.
+    """
+    order: list[Derivation] = []
+    seen: set[int] = set()
+    stack: list[tuple[Derivation, bool]] = [(d, False)]
     while stack:
-        node = stack[-1]
-        if id(node) in values:
-            stack.pop()
-            continue
-        kids = _children(node)
-        pending = [k for k in kids if id(k) not in values]
-        if pending:
-            stack.extend(pending)
-            continue
-        if isinstance(node, Leaf):
-            if gens is not None and node.value not in gens:
-                raise LeafNotGenerator(node.value)
-            if node.value <= 0:
-                raise ValueError(f"leaf value must be positive: {node.value}")
-            values[id(node)] = node.value
-        elif isinstance(node, Sum):
-            values[id(node)] = op_sum(values[id(node.left)], values[id(node.right)])
-        else:
-            values[id(node)] = op_triple(
-                values[id(node.first)],
-                values[id(node.second)],
-                values[id(node.third)],
-            )
-        stack.pop()
-    return values[id(d)]
-
-
-def derivation_value(d: Derivation) -> Fraction:
-    """The rational a derivation tree derives (no generator check)."""
-    return _evaluate(d, None)
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(children(node)))
+    return order
 
 
 def verify_derivation(d: Derivation, gens: GeneratorSet) -> Fraction:
@@ -175,7 +157,17 @@ def verify_derivation(d: Derivation, gens: GeneratorSet) -> Fraction:
     every internal node is recomputed with exact arithmetic, so a returned
     value really is in the closure of ``gens``.
     """
-    return _evaluate(d, gens)
+    values: dict[int, Fraction] = {}
+    for node in topological(d):
+        if isinstance(node, Leaf):
+            if node.value not in gens:
+                raise LeafNotGenerator(node.value)
+            values[id(node)] = node.value
+        else:
+            values[id(node)] = (op_sum if isinstance(node, Sum) else op_triple)(
+                *(values[id(k)] for k in children(node))
+            )
+    return values[id(d)]
 
 
 # --- the closure engine -----------------------------------------------------

@@ -21,11 +21,13 @@ from .closure import (
     Leaf,
     Sum,
     Triple,
+    children,
     op_sum,
     op_triple,
+    topological,
 )
 from .geometry import Box, Partition, Point, parse_rat, format_rat
-from .reduction import ReductionCertificate, RewriteStep
+from .reduction import ReductionCertificate
 from .trailgraph import Edge, Trail, TrailStep, YSequence
 
 
@@ -125,98 +127,88 @@ def partition_digest(p: Partition) -> str:
 # --- derivations ------------------------------------------------------------
 
 
-def derivation_to_json(d: Derivation) -> dict:
-    """Nested ``{"op", "value", "args"}`` payload, built without recursion."""
-    payloads: dict[int, dict] = {}
-    values: dict[int, Fraction] = {}
-    stack: list[Derivation] = [d]
-    while stack:
-        node = stack[-1]
-        if id(node) in payloads:
-            stack.pop()
-            continue
+# Internal ops by wire name: node class and operation.
+_OPS = {"sum": (Sum, op_sum), "triple": (Triple, op_triple)}
+_ARITY = {"leaf": 0, "sum": 2, "triple": 3}
+
+
+def derivation_to_json(d: Derivation) -> list[dict]:
+    """The derivation as a flat table, children first and the root last.
+
+    Each entry is ``{"op", "value", "args"}``, where ``args`` are indices of
+    earlier entries and ``value`` is what the entry derives.  Equal
+    sub-derivations (the same leaf value, or the same op over the same
+    entries) are written once, so the table grows with the number of
+    distinct sub-derivations, not with the size of the tree.
+    """
+    table: list[dict] = []
+    values: list[Fraction] = []
+    entry_of: dict[int, int] = {}  # id(node) -> table index
+    shared: dict[tuple, int] = {}  # (op, leaf value or arg indices) -> table index
+    for node in topological(d):
         if isinstance(node, Leaf):
-            values[id(node)] = node.value
-            payloads[id(node)] = {
-                "op": "leaf", "value": format_rat(node.value), "args": [],
-            }
-            stack.pop()
-            continue
-        if isinstance(node, Sum):
-            kids = (node.left, node.right)
-        elif isinstance(node, Triple):
-            kids = (node.first, node.second, node.third)
+            op, args, value = "leaf", [], node.value
+            key: tuple = (op, value)
         else:
-            raise ValueError(f"not a derivation node: {node!r}")
-        pending = [k for k in kids if id(k) not in payloads]
-        if pending:
-            stack.extend(pending)
-            continue
-        if isinstance(node, Sum):
-            value = op_sum(values[id(kids[0])], values[id(kids[1])])
-            op = "sum"
-        else:
-            value = op_triple(*(values[id(k)] for k in kids))
-            op = "triple"
-        values[id(node)] = value
-        payloads[id(node)] = {
-            "op": op,
-            "value": format_rat(value),
-            "args": [payloads[id(k)] for k in kids],
-        }
-        stack.pop()
-    return payloads[id(d)]
+            op = "sum" if isinstance(node, Sum) else "triple"
+            args = [entry_of[id(k)] for k in children(node)]
+            value = _OPS[op][1](*(values[i] for i in args))
+            key = (op, *args)
+        entry = shared.setdefault(key, len(table))
+        entry_of[id(node)] = entry
+        if entry == len(table):
+            table.append({"op": op, "value": format_rat(value), "args": args})
+            values.append(value)
+    return table
 
 
 def derivation_from_json(obj: Any, where: str = "derivation") -> Derivation:
-    """Parse and *check* a derivation payload.
+    """Parse and *check* a derivation table; the last entry is the root.
 
-    Arities must match the op, and each node's "value" annotation must equal
-    the value recomputed from its children — a payload whose annotations lie
-    is rejected here, before any semantic checking.  Iterative, so deeply
-    chained derivations parse without recursion limits.
+    One forward pass: arities must match the op, every argument must index
+    an earlier entry, and each entry's "value" annotation must equal the
+    value recomputed from its arguments.  A table whose annotations lie is
+    rejected here, before any semantic checking.  The annotations keep the
+    arithmetic in proportion to the input: every value computed is also
+    written out, so n chained doublings cannot derive an n-bit value from
+    O(n) bytes.
     """
-    preorder: list[tuple[Any, str, str, Fraction, list]] = []
-    todo: list[tuple[Any, str]] = [(obj, where)]
-    while todo:
-        node_obj, node_where = todo.pop()
-        d = expect_dict(node_obj, node_where)
-        op = get_key(d, "op", node_where)
-        args = expect_list(get_key(d, "args", node_where), f"{node_where}.args")
-        claimed = rat_from_json(get_key(d, "value", node_where), f"{node_where}.value")
-        arity = {"leaf": 0, "sum": 2, "triple": 3}.get(op)
+    table = expect_list(obj, where)
+    if not table:
+        raise ValueError(f"{where}: empty derivation table")
+    nodes: list[Derivation] = []
+    values: list[Fraction] = []
+    for n, entry in enumerate(table):
+        at = f"{where}[{n}]"
+        d = expect_dict(entry, at)
+        op = get_key(d, "op", at)
+        args = expect_list(get_key(d, "args", at), f"{at}.args")
+        claimed = rat_from_json(get_key(d, "value", at), f"{at}.value")
+        arity = _ARITY.get(op) if isinstance(op, str) else None
         if arity is None:
-            raise ValueError(f"{node_where}.op: unknown operation {op!r}")
+            raise ValueError(f"{at}.op: unknown operation {op!r}")
         if len(args) != arity:
-            raise ValueError(
-                f"{node_where}: op {op!r} takes {arity} arguments, got {len(args)}"
-            )
-        preorder.append((node_obj, node_where, op, claimed, args))
+            raise ValueError(f"{at}: op {op!r} takes {arity} arguments, got {len(args)}")
         for i, a in enumerate(args):
-            todo.append((a, f"{node_where}.args[{i}]"))
-    # Reverse preorder puts every child before its parent.
-    built: dict[int, tuple[Derivation, Fraction]] = {}
-    for node_obj, node_where, op, claimed, args in reversed(preorder):
+            if not 0 <= expect_int(a, f"{at}.args[{i}]") < n:
+                raise ValueError(f"{at}.args[{i}]: {a} is not an earlier entry")
         if op == "leaf":
             if claimed <= 0:
-                raise ValueError(f"{node_where}: leaf value must be positive")
-            built[id(node_obj)] = (Leaf(claimed), claimed)
-            continue
-        kids = [built[id(a)][0] for a in args]
-        kid_values = [built[id(a)][1] for a in args]
-        if op == "sum":
-            node: Derivation = Sum(kids[0], kids[1])
-            value = op_sum(kid_values[0], kid_values[1])
+                raise ValueError(f"{at}: leaf value must be positive")
+            node: Derivation = Leaf(claimed)
+            value = claimed
         else:
-            node = Triple(kids[0], kids[1], kids[2])
-            value = op_triple(kid_values[0], kid_values[1], kid_values[2])
-        if value != claimed:
-            raise ValueError(
-                f"{node_where}: value annotation {format_rat(claimed)} does not "
-                f"match recomputed {format_rat(value)}"
-            )
-        built[id(node_obj)] = (node, value)
-    return built[id(obj)][0]
+            cls, fn = _OPS[op]
+            node = cls(*(nodes[a] for a in args))
+            value = fn(*(values[a] for a in args))
+            if value != claimed:
+                raise ValueError(
+                    f"{at}: value annotation {format_rat(claimed)} does not "
+                    f"match recomputed {format_rat(value)}"
+                )
+        nodes.append(node)
+        values.append(value)
+    return nodes[-1]
 
 
 # --- trails and sequences ---------------------------------------------------
@@ -279,50 +271,18 @@ def ysequence_from_json(obj: Any) -> YSequence:
     )
 
 
-def rewrite_step_to_json(st: RewriteStep) -> dict:
-    payload: dict[str, Any] = {
-        "kind": st.kind,
-        "i": st.i,
-        "lengths": [format_rat(v) for v in st.lengths],
-    }
-    if st.j is not None:
-        payload["j"] = st.j
-    if st.merged is not None:
-        payload["merged"] = format_rat(st.merged)
-    return payload
-
-
-def rewrite_step_from_json(obj: Any, where: str) -> RewriteStep:
-    d = expect_dict(obj, where)
-    kind = get_key(d, "kind", where)
-    if kind not in ("loop", "sum", "triple"):
-        raise ValueError(f"{where}.kind: unknown rewrite kind {kind!r}")
-    lengths = tuple(
-        rat_from_json(v, f"{where}.lengths[{i}]")
-        for i, v in enumerate(expect_list(get_key(d, "lengths", where), f"{where}.lengths"))
-    )
-    j = expect_int(d["j"], f"{where}.j") if "j" in d else None
-    merged = rat_from_json(d["merged"], f"{where}.merged") if "merged" in d else None
-    if kind == "loop" and j is None:
-        raise ValueError(f"{where}: loop steps need a \"j\" index")
-    if kind in ("sum", "triple") and merged is None:
-        raise ValueError(f"{where}: {kind} steps need a \"merged\" value")
-    return RewriteStep(
-        kind=kind, i=expect_int(get_key(d, "i", where), f"{where}.i"),
-        j=j, lengths=lengths, merged=merged,
-    )
-
-
 def reduction_from_json(obj: Any, sequence: YSequence) -> ReductionCertificate:
-    """Rebuild a reduction certificate against an already-parsed sequence."""
+    """Rebuild a reduction certificate against an already-parsed sequence.
+
+    The wire carries no rewrite log (it is a function of the sequence), so the
+    parsed certificate has ``steps=()``.
+    """
     d = expect_dict(obj, "reduction")
-    steps = tuple(
-        rewrite_step_from_json(s, f"reduction.steps[{i}]")
-        for i, s in enumerate(expect_list(get_key(d, "steps", "reduction"), "reduction.steps"))
-    )
     return ReductionCertificate(
         sequence=sequence,
-        steps=steps,
+        steps=(),
         result=rat_from_json(get_key(d, "result", "reduction"), "reduction.result"),
-        derivation=derivation_from_json(get_key(d, "derivation", "reduction")),
+        derivation=derivation_from_json(
+            get_key(d, "derivation", "reduction"), "reduction.derivation"
+        ),
     )

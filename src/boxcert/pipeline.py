@@ -159,14 +159,15 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     result is in the closure, and the claimed length must equal the outer
     extent.  Everything else is an audit that explains the derivation, done
     by recomputation: each stage is rebuilt from already-checked inputs and
-    must equal what the certificate records.  Only the certificate
-    :func:`certify` would produce is accepted; a valid but non-canonical trail
-    or rewrite log is rejected.
+    must equal what the certificate records.  Only the trail :func:`certify`
+    would produce is accepted; a valid but non-canonical trail is rejected.
+    The rewrite log is not on the wire: it is a function of the recorded
+    sequence, so :func:`replay` recomputes it.
 
     Stages, in order (the first failure is reported with its stage tag):
     digest, partition validity, generator match, assignment membership, the
     trail re-extracted from the recorded start on a rebuilt graph, the
-    projection, the reduction log re-derived by :func:`replay` followed by
+    projection, the reduction re-run by :func:`replay` followed by
     derivation verification, and the claimed side.  Never raises: malformed
     certificates yield ``CheckResult(False, ...)``.
     """
@@ -243,7 +244,6 @@ def certificate_to_json(cert: Certificate) -> dict:
         "trail": jsonio.trail_to_json(cert.trail),
         "y": jsonio.ysequence_to_json(cert.y),
         "reduction": {
-            "steps": [jsonio.rewrite_step_to_json(s) for s in cert.reduction.steps],
             "result": format_rat(cert.reduction.result),
             "derivation": jsonio.derivation_to_json(cert.reduction.derivation),
         },

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 from boxcert import factory, jsonio
 from boxcert.cli import main
 from boxcert.closure import GeneratorSet, verify_derivation
+from boxcert.geometry import Box, Partition, parse_point
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -120,6 +122,30 @@ def test_check_round_trip(capsys, pinwheel_file, tmp_path):
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
     code, out, _ = run_cli(capsys, "check", cert_path, "--partition", pinwheel_file)
+    assert code == 0
+    assert out.startswith("OK")
+
+
+def test_certify_and_check_a_600_strip_row(capsys, tmp_path):
+    # A row's derivation is a chain as long as the row: nested, it would be
+    # far deeper than the recursion limit allows JSON to be written.
+    rng = random.Random(600)
+    xs = [0]
+    for _ in range(600):
+        xs.append(xs[-1] + rng.randint(2, 9))
+    height = "5/3"
+    outer = Box(parse_point((0, 0)), parse_point((xs[-1], height)))
+    strips = tuple(
+        Box(parse_point((a, 0)), parse_point((b, height))) for a, b in zip(xs, xs[1:])
+    )
+    part_path, cert_path = tmp_path / "row.json", tmp_path / "cert.json"
+    payload = jsonio.partition_to_json(Partition(2, outer, strips))
+    part_path.write_text(jsonio.pretty_json(payload))
+    code, _, err = run_cli(
+        capsys, "certify", part_path, "--gens", "2,3,4,5,6,7,8,9", "--out", cert_path
+    )
+    assert code == 0, err
+    code, out, _ = run_cli(capsys, "check", cert_path, "--partition", part_path)
     assert code == 0
     assert out.startswith("OK")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -75,26 +76,58 @@ def test_partition_parsing_reports_missing_keys():
 
 
 def test_derivation_round_trip_and_value_annotations():
-    d = Sum(Triple(Leaf(_F(10)), Leaf(_F(7)), Leaf(_F(17))), Leaf(_F("1/2")))
+    seven = Leaf(_F(7))
+    d = Sum(Triple(Leaf(_F(10)), seven, Leaf(_F(17))), Sum(seven, Leaf(_F(7))))
     enc = jsonio.derivation_to_json(d)
-    assert enc["op"] == "sum"
-    assert enc["value"] == "41/2"
+    # children first, root last; the two 7 leaves share one entry
+    assert enc == [
+        {"op": "leaf", "value": "10", "args": []},
+        {"op": "leaf", "value": "7", "args": []},
+        {"op": "leaf", "value": "17", "args": []},
+        {"op": "triple", "value": "20", "args": [0, 1, 2]},
+        {"op": "sum", "value": "14", "args": [1, 1]},
+        {"op": "sum", "value": "34", "args": [3, 4]},
+    ]
     assert jsonio.derivation_from_json(enc) == d
+    # equal subtrees that are distinct objects are written once too
+    twice = Sum(Sum(Leaf(_F(1)), Leaf(_F("1/2"))), Sum(Leaf(_F(1)), Leaf(_F("1/2"))))
+    assert [e["args"] for e in jsonio.derivation_to_json(twice)] == [[], [], [0, 1], [2, 2]]
 
 
 def test_derivation_parse_rejects_wrong_value_annotation():
     enc = jsonio.derivation_to_json(Sum(Leaf(_F(1)), Leaf(_F(2))))
-    enc["value"] = "4"
+    enc[-1]["value"] = "4"
     with pytest.raises(ValueError, match="value"):
+        jsonio.derivation_from_json(enc)
+    enc = jsonio.derivation_to_json(Sum(Leaf(_F(1)), Leaf(_F(2))))
+    enc[0]["value"] = "0"  # a leaf must be positive
+    with pytest.raises(ValueError):
         jsonio.derivation_from_json(enc)
 
 
 def test_derivation_parse_rejects_wrong_arity():
-    enc = {"op": "sum", "value": "2", "args": [{"op": "leaf", "value": "2", "args": []}]}
+    two = {"op": "leaf", "value": "2", "args": []}
+    with pytest.raises(ValueError, match="arguments"):
+        jsonio.derivation_from_json([two, {"op": "sum", "value": "2", "args": [0]}])
+    with pytest.raises(ValueError, match="arguments"):
+        jsonio.derivation_from_json([{"op": "leaf", "value": "2", "args": [0]}])
     with pytest.raises(ValueError):
-        jsonio.derivation_from_json(enc)
+        jsonio.derivation_from_json([{"op": "halve", "value": "1", "args": []}])
     with pytest.raises(ValueError):
-        jsonio.derivation_from_json({"op": "halve", "value": "1", "args": []})
+        jsonio.derivation_from_json([{"op": ["sum"], "value": "1", "args": []}])
+    # hostile tables: every argument must index an earlier entry
+    hostile = {
+        "forward reference": [two, {"op": "sum", "value": "4", "args": [0, 2]}, two],
+        "self reference": [two, {"op": "sum", "value": "4", "args": [0, 1]}],
+        "negative index": [two, {"op": "sum", "value": "4", "args": [0, -1]}],
+        "out-of-range index": [two, {"op": "sum", "value": "4", "args": [0, 7]}],
+        "true index": [two, two, {"op": "sum", "value": "4", "args": [0, True]}],
+        "empty table": [],
+        "non-list": two,
+    }
+    for table in hostile.values():
+        with pytest.raises(ValueError):
+            jsonio.derivation_from_json(table)
 
 
 def test_deep_derivation_round_trips_without_recursion():
@@ -139,17 +172,9 @@ def test_ysequence_round_trip():
 def test_reduction_round_trip():
     p = factory.pinwheel_partition(17, 10, 7)
     cert = certify(p, GeneratorSet.of(17, 10, 7))
+    assert cert.reduction.steps[0].kind == "triple"
     enc = json.loads(jsonio.canonical_json(certificate_to_json(cert)["reduction"]))
-    assert enc["steps"][0]["kind"] == "triple"
-    assert jsonio.reduction_from_json(enc, cert.y) == cert.reduction
-
-
-def test_rewrite_step_parse_needs_kind_fields():
-    with pytest.raises(ValueError):
-        jsonio.rewrite_step_from_json(
-            {"kind": "loop", "i": 1, "lengths": ["1"]}, "steps[0]"
-        )  # loop without j
-    with pytest.raises(ValueError):
-        jsonio.rewrite_step_from_json(
-            {"kind": "sum", "i": 1, "lengths": ["1", "2"]}, "steps[0]"
-        )  # sum without merged
+    assert sorted(enc) == ["derivation", "result"]  # the rewrite log is not on the wire
+    assert enc["derivation"][-1]["op"] == "triple"
+    back = jsonio.reduction_from_json(enc, cert.y)
+    assert back == dataclasses.replace(cert.reduction, steps=())

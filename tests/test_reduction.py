@@ -7,11 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from boxcert import pipeline
 from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
 from boxcert.errors import GenerationFailed, ReplayMismatch
-from boxcert.geometry import Box, Partition, parse_point
-from boxcert.reduction import RewriteStep, random_y_sequence, reduce_sequence, replay
+from boxcert.reduction import random_y_sequence, reduce_sequence, replay
 from boxcert.trailgraph import YSequence
 
 
@@ -93,51 +91,6 @@ def test_replay_accepts_untampered_log():
     gens = GeneratorSet.of(5, 3, 7, 4)
     cert = reduce_sequence(_seq(9, 0, 5, 2, 5, 9), _leaf)
     assert replay(cert, gens) == 9
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda s: dataclasses.replace(s, kind="sum", j=None),
-        lambda s: dataclasses.replace(s, i=s.i + 1),
-        lambda s: dataclasses.replace(s, lengths=s.lengths[:-1] + (_F(99),)),
-        lambda s: dataclasses.replace(s, merged=_F(8)),
-    ],
-)
-def test_replay_rejects_tampered_steps(mutate):
-    gens = GeneratorSet.of(5, 3, 7)
-    cert = reduce_sequence(_seq(9, 0, 5, 2, 9), _leaf)
-    bad = dataclasses.replace(cert, steps=(mutate(cert.steps[0]),))
-    with pytest.raises(ReplayMismatch):
-        replay(bad, gens)
-
-
-def test_replay_rejects_a_valid_log_in_non_canonical_order():
-    # Three width-2 strips over {2}: y = 0,2,4,6.  Merging at position 3 and
-    # then at 2 is as valid as the canonical 2-then-2, but it is not the log
-    # reduce_sequence writes, so replay and the checker reject it.
-    gens = GeneratorSet.of(2)
-    outer = Box(parse_point((0, 0)), parse_point((6, 1)))
-    strips = tuple(
-        Box(parse_point((x, 0)), parse_point((x + 2, 1))) for x in (0, 2, 4)
-    )
-    p = Partition(2, outer, strips)
-    cert = pipeline.certify(p, gens)
-    assert cert.y.points == (_F(0), _F(2), _F(4), _F(6))
-    assert [(s.kind, s.i) for s in cert.reduction.steps] == [("sum", 2), ("sum", 2)]
-    swapped = (
-        RewriteStep(kind="sum", i=3, j=None, lengths=(_F(2), _F(2)), merged=_F(4)),
-        RewriteStep(kind="sum", i=2, j=None, lengths=(_F(2), _F(4)), merged=_F(6)),
-    )
-    two = Leaf(_F(2))
-    reduction = dataclasses.replace(
-        cert.reduction, steps=swapped, derivation=Sum(two, Sum(two, two))
-    )
-    with pytest.raises(ReplayMismatch) as info:
-        replay(reduction, gens)
-    assert info.value.step_index == 0
-    bad = dataclasses.replace(cert, reduction=reduction)
-    assert not pipeline.check_certificate(bad, p, gens).ok
 
 
 def test_replay_rejects_foreign_generators():
