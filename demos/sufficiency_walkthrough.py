@@ -72,8 +72,9 @@ print()
 # free, a position between its neighbours merges two steps into a sum,
 # and the zigzag that remains merges three steps with the triple
 # operation.  The log is a function of the sequence, so certificates do
-# not carry it: a checker re-runs the rewrites on the recorded sequence,
-# compares the result, and then verifies the derivation.
+# not carry it.  A checker does not re-run the rewrites either: replay()
+# verifies the derivation from the generators and compares its value with
+# the result, and the earlier stages are recomputed and compared.
 def fmt(d):
     """Compact one-line rendering of a derivation tree."""
     kids = [getattr(d, f) for f in ("left", "right", "first", "second", "third")
@@ -88,4 +89,4 @@ for step in cert.steps:
     print(f"  {step.kind:6s} at {step.i}: {tuple(str(v) for v in step.lengths)}"
           + (f" -> {step.merged}" if step.merged is not None else ""))
 print(f"result: {cert.result} = {fmt(cert.derivation)}")
-print(f"re-derived and verified: {replay(cert, gens)}")
+print(f"derivation verified: {replay(cert, gens)}")

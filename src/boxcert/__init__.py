@@ -25,7 +25,6 @@ from .closure import (
     verify_derivation,
 )
 from .errors import (
-    GenerationFailed,
     HypothesisViolated,
     LeafNotGenerator,
     ParityViolation,
@@ -75,7 +74,6 @@ from .pipeline import (
 from .reduction import (
     ReductionCertificate,
     RewriteStep,
-    random_y_sequence,
     reduce_sequence,
     replay,
 )
@@ -107,7 +105,6 @@ __all__ = [
     "Defect",
     "Derivation",
     "Edge",
-    "GenerationFailed",
     "GeneratorSet",
     "HypothesisViolated",
     "Leaf",
@@ -160,7 +157,6 @@ __all__ = [
     "pretty_json",
     "project_to_axis",
     "random_guillotine",
-    "random_y_sequence",
     "reduce_sequence",
     "render_svg",
     "replay",

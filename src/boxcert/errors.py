@@ -55,12 +55,11 @@ class ZigzagIndexMissing(SoundnessError):
 
 
 class ReplayMismatch(SoundnessError):
-    """Replaying a recorded reduction contradicted the recorded data."""
+    """A recorded derivation does not prove the recorded reduction result."""
 
-    def __init__(self, step_index: int, reason: str) -> None:
-        self.step_index = step_index
+    def __init__(self, reason: str) -> None:
         self.reason = reason
-        super().__init__(f"replay failed at step {step_index}: {reason}")
+        super().__init__(f"replay failed: {reason}")
 
 
 class LeafNotGenerator(Exception):
@@ -69,10 +68,6 @@ class LeafNotGenerator(Exception):
     def __init__(self, value, message: str = "") -> None:
         self.value = value
         super().__init__(message or f"leaf {value} is not a generator")
-
-
-class GenerationFailed(Exception):
-    """A randomized constructor exhausted its retry budget."""
 
 
 class RenderUnsupported(Exception):

@@ -167,17 +167,22 @@ def derivation_from_json(obj: Any, where: str = "derivation") -> Derivation:
 
     One forward pass: arities must match the op, every argument must index
     an earlier entry, and each entry's "value" annotation must equal the
-    value recomputed from its arguments.  A table whose annotations lie is
-    rejected here, before any semantic checking.  The annotations keep the
-    arithmetic in proportion to the input: every value computed is also
-    written out, so n chained doublings cannot derive an n-bit value from
-    O(n) bytes.
+    value recomputed from its arguments.  No entry may repeat another (the
+    same leaf value, or the same op over the same entries, the sharing key
+    of :func:`derivation_to_json`), and every entry but the root must be an
+    argument of a later one, so every entry is part of the derivation.  A
+    table that breaks any of these is rejected here, before any semantic
+    checking.  The annotations keep the arithmetic in proportion to the
+    input: every value computed is also written out, so n chained doublings
+    cannot derive an n-bit value from O(n) bytes.
     """
     table = expect_list(obj, where)
     if not table:
         raise ValueError(f"{where}: empty derivation table")
     nodes: list[Derivation] = []
     values: list[Fraction] = []
+    seen: set[tuple] = set()
+    unused: set[int] = set()  # entries no later entry has taken as an argument
     for n, entry in enumerate(table):
         at = f"{where}[{n}]"
         d = expect_dict(entry, at)
@@ -192,6 +197,12 @@ def derivation_from_json(obj: Any, where: str = "derivation") -> Derivation:
         for i, a in enumerate(args):
             if not 0 <= expect_int(a, f"{at}.args[{i}]") < n:
                 raise ValueError(f"{at}.args[{i}]: {a} is not an earlier entry")
+        key = (op, claimed) if op == "leaf" else (op, *args)
+        if key in seen:
+            raise ValueError(f"{at}: duplicates an earlier entry")
+        seen.add(key)
+        unused.difference_update(args)
+        unused.add(n)
         if op == "leaf":
             if claimed <= 0:
                 raise ValueError(f"{at}: leaf value must be positive")
@@ -208,6 +219,9 @@ def derivation_from_json(obj: Any, where: str = "derivation") -> Derivation:
                 )
         nodes.append(node)
         values.append(value)
+    unused.discard(len(table) - 1)
+    if unused:
+        raise ValueError(f"{where}[{min(unused)}]: no later entry uses it")
     return nodes[-1]
 
 

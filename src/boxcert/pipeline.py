@@ -1,13 +1,14 @@
 """End-to-end certification and independent certificate checking.
 
-``certify`` runs the whole construction on a validated partition: bounded
-closure of the generators, per-box axis assignment, trail graph, parity
-audit, greedy corner-to-corner trail, projection, and reduction.  The result
-is a :class:`Certificate` binding every intermediate artifact to the
-partition via a content digest.  :func:`check_certificate` re-checks it
-without trusting the producer: it verifies the derivation and the claimed
-length, recomputes every other stage and compares, never raises on malformed
-input, and reports the failing stage instead.
+One private function, :func:`_construct`, runs the stages both sides share:
+validation, bounded closure of the generators, per-box axis assignment,
+trail graph, parity audit, greedy corner-to-corner trail and projection.
+``certify`` is that sequence plus the reduction and packaging into a
+:class:`Certificate` bound to the partition by a content digest.
+:func:`check_certificate` re-checks a certificate without trusting the
+producer: it runs the soundness kernel first, then the same shared stages from
+the recorded start, and compares; it never raises on malformed input, and
+reports the failing stage instead.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from . import jsonio
-from .closure import GeneratorSet, bounded_closure
-from .errors import ParityViolation, SoundnessError
+from .closure import BoundedClosure, GeneratorSet, bounded_closure
+from .errors import HypothesisViolated, ParityViolation, ReplayMismatch, SoundnessError
 from .geometry import (
     Partition,
     Point,
@@ -74,17 +75,15 @@ class Certificate:
     claimed_side: ClaimedSide
 
 
-def certify(
-    p: Partition, g: GeneratorSet, *, start: Optional[Point] = None
-) -> Certificate:
-    """Produce a certificate that the outer box has a side in the closure of g.
+def _construct(
+    p: Partition, g: GeneratorSet, start: Optional[Point]
+) -> tuple[Fraction, BoundedClosure, AxisAssignment, Trail, YSequence]:
+    """The stages certify and check share, from validation to projection.
 
-    Deterministic: with fixed inputs the certificate (and its JSON form) is
-    byte-identical across runs.  Raises :class:`PartitionInvalid` for invalid
-    partitions, :class:`~boxcert.errors.HypothesisViolated` when some box has
-    no side in the closure, and a :class:`~boxcert.errors.SoundnessError`
-    subclass if an internal invariant fails (which means a bug, not a
-    property of the input).
+    Returns the closure bound, the closure, the axis assignment, the trail
+    from ``start`` (the smallest outer corner when None) and its projection.
+    Each stage is looked up as a global of this module at call time, so a
+    tracer that wraps those globals sees certify's and check's calls alike.
     """
     report = validate_partition(p)
     if not report.ok:
@@ -113,6 +112,22 @@ def certify(
                 f"projected step {format_rat(step)} is not an assigned extent "
                 f"on axis {y.axis}"
             )
+    return bound, closure, assignment, trail, y
+
+
+def certify(
+    p: Partition, g: GeneratorSet, *, start: Optional[Point] = None
+) -> Certificate:
+    """Produce a certificate that the outer box has a side in the closure of g.
+
+    Deterministic: with fixed inputs the certificate (and its JSON form) is
+    byte-identical across runs.  Raises :class:`PartitionInvalid` for invalid
+    partitions, :class:`~boxcert.errors.HypothesisViolated` when some box has
+    no side in the closure, and a :class:`~boxcert.errors.SoundnessError`
+    subclass if an internal invariant fails (which means a bug, not a
+    property of the input).
+    """
+    bound, closure, assignment, trail, y = _construct(p, g, start)
 
     def leaf_derivation(value: Fraction):
         d = closure.derivation_for(value)
@@ -154,22 +169,22 @@ class CheckResult:
 def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> CheckResult:
     """Independently re-check a certificate against the partition.
 
-    The soundness kernel is two checks: :func:`~boxcert.closure.verify_derivation`
-    (every leaf is a generator, every node is recomputed exactly) shows the
-    result is in the closure, and the claimed length must equal the outer
-    extent.  Everything else is an audit that explains the derivation, done
-    by recomputation: each stage is rebuilt from already-checked inputs and
-    must equal what the certificate records.  Only the trail :func:`certify`
-    would produce is accepted; a valid but non-canonical trail is rejected.
-    The rewrite log is not on the wire: it is a function of the recorded
-    sequence, so :func:`replay` recomputes it.
+    The soundness kernel is :func:`~boxcert.reduction.replay` (every leaf of
+    the derivation is a generator, every node is recomputed exactly, and the
+    value is the recorded result) plus "the claimed length is the outer
+    extent".  It runs before any partition work.  Everything else is an
+    audit by recomputation: :func:`certify`'s own stages are re-run from the
+    recorded trail start and each recorded field must equal the recomputed
+    one, so only the certificate :func:`certify` would write is accepted.
+    The derivation is verified, not rebuilt.
 
     Stages, in order (the first failure is reported with its stage tag):
-    digest, partition validity, generator match, assignment membership, the
-    trail re-extracted from the recorded start on a rebuilt graph, the
-    projection, the reduction re-run by :func:`replay` followed by
-    derivation verification, and the claimed side.  Never raises: malformed
-    certificates yield ``CheckResult(False, ...)``.
+    ``digest``, ``gens``, the kernel (``reduction``, ``claim``), then the
+    shared stages (``partition`` when validation fails, ``assignment`` when
+    a box has no side in the closure, ``trail`` when the start is not an
+    outer corner), then equality of ``bound``, ``assignment``, ``trail``,
+    ``projection`` and ``claim`` with the recomputed values.  Never raises:
+    malformed certificates yield ``CheckResult(False, ...)``.
     """
     reasons: list[str] = []
 
@@ -180,53 +195,39 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     try:
         if jsonio.partition_digest(p) != cert.partition_sha256:
             return fail("digest", "partition digest does not match the certificate")
-        report = validate_partition(p)
-        if not report.ok:
-            return fail("partition", report.summary())
         if cert.gens.gens != g.gens:
             return fail(
                 "gens", f"certificate gens {cert.gens} differ from supplied {g}"
             )
-        n = p.dim
-        k_count = len(p.boxes)
-        if len(cert.assignment) != k_count:
-            return fail(
-                "assignment",
-                f"{len(cert.assignment)} entries for {k_count} boxes",
-            )
-        if any(not 1 <= a <= n for a in cert.assignment.axes):
-            return fail("assignment", "axis index out of range")
-        # Box extents never exceed the outer extent, so a larger recorded
-        # bound cuts off nothing more; the partition caps the closure's cost.
-        closure = bounded_closure(g, min(cert.bound, max(p.outer.extents())))
-        for k in range(1, k_count + 1):
-            extent = p.boxes[k - 1].extent(cert.assignment.axis_of(k))
-            if extent not in closure:
-                return fail(
-                    "assignment",
-                    f"box k={k} extent {format_rat(extent)} not in the closure",
-                )
-        graph = build_graph(p, cert.assignment)
-        t = cert.trail
-        if t.start not in set(p.outer.corners()):
-            return fail("trail", "start is not an outer corner")
-        if extract_trail(graph, t.start) != t:
-            return fail("trail", "recomputed trail from the recorded start differs")
-        projected = project_to_axis(t, p.outer)
-        if projected != cert.y:
-            return fail("projection", "recomputed position sequence differs")
-        if cert.reduction.sequence != cert.y:
-            return fail("reduction", "reduction input is not the recorded sequence")
-        value = replay(cert.reduction, g)
+        try:
+            value = replay(cert.reduction, g)
+        except ReplayMismatch as exc:
+            return fail("reduction", exc.reason)
         claim = cert.claimed_side
-        if not 1 <= claim.axis <= n:
+        if not 1 <= claim.axis <= p.dim:
             return fail("claim", f"axis {claim.axis} out of range")
-        if claim.axis != cert.y.axis or claim.length != cert.y.length:
-            return fail("claim", "claimed side does not match the projection")
         if value != claim.length:
-            return fail("claim", "replayed result does not match the claimed length")
+            return fail("claim", "derived result does not match the claimed length")
         if p.outer.extent(claim.axis) != claim.length:
             return fail("claim", "claimed length is not the outer extent")
+        try:
+            bound, _, assignment, trail, y = _construct(p, g, cert.trail.start)
+        except PartitionInvalid as exc:
+            return fail("partition", exc.report.summary())
+        except HypothesisViolated as exc:
+            return fail("assignment", str(exc))
+        except ValueError as exc:  # extract_trail: the start is not an outer corner
+            return fail("trail", str(exc))
+        if cert.bound != bound:
+            return fail("bound", f"bound is not the outer extent {format_rat(bound)}")
+        if cert.assignment != assignment:
+            return fail("assignment", "recomputed axis assignment differs")
+        if cert.trail != trail:
+            return fail("trail", "recomputed trail from the recorded start differs")
+        if cert.y != y:
+            return fail("projection", "recomputed position sequence differs")
+        if claim != ClaimedSide(axis=y.axis, length=y.length):
+            return fail("claim", "claimed side does not match the projection")
     except Exception as exc:  # malformed data must reject, not raise
         return fail("error", f"{type(exc).__name__}: {exc}")
     return CheckResult(ok=True, reasons=())

@@ -1,4 +1,4 @@
-"""Collapse a position sequence to a single derived length, with a replayable log.
+"""Collapse a position sequence to a single derived length, with a rewrite log.
 
 A :class:`~boxcert.trailgraph.YSequence` walks from 0 to L inside [0, L] with
 every step length in the tracked set X.  Three rewrites shrink it while
@@ -15,23 +15,21 @@ keeping every step length in X:
 
 Applied to exhaustion this leaves the two-point sequence [0, L] and a
 derivation of L from X.  The rewrite order is fixed, so the recorded
-:class:`RewriteStep` log is a function of the sequence alone.  Certificates
-therefore do not carry it: :func:`replay` runs :func:`reduce_sequence` again
-on the recorded sequence, with its runtime assertions, and compares the
-result.  What makes the conclusion sound is
-:func:`~boxcert.closure.verify_derivation`, which replay runs last.
+:class:`RewriteStep` log is a function of the sequence alone, and
+certificates do not carry it.  The checker does not re-run the rewrites
+either: :func:`replay` is its kernel, which verifies the derivation with
+:func:`~boxcert.closure.verify_derivation` and compares its value with the
+recorded result.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .closure import (
     Derivation,
     GeneratorSet,
-    Leaf,
     Sum,
     Triple,
     op_sum,
@@ -39,13 +37,12 @@ from .closure import (
     verify_derivation,
 )
 from .errors import (
-    GenerationFailed,
     LeafNotGenerator,
     ReplayMismatch,
     SoundnessError,
     ZigzagIndexMissing,
 )
-from .geometry import RatLike, format_rat, parse_rat
+from .geometry import format_rat
 from .trailgraph import YSequence
 
 
@@ -200,75 +197,20 @@ def reduce_sequence(
 
 
 def replay(cert: ReductionCertificate, gens: GeneratorSet) -> Fraction:
-    """Recompute the reduction of the recorded sequence and check the result.
+    """The checker's kernel: the recorded derivation proves the recorded result.
 
-    :func:`reduce_sequence` runs again on the recorded sequence, so the
-    runtime assertions of every rewrite run again, and its result must equal
-    the recorded one.  The attached derivation must then evaluate to the
-    result using only the given generators.  Any discrepancy raises
-    :class:`ReplayMismatch`.  The recorded ``steps`` are not read.
+    The derivation must evaluate to ``cert.result`` using only the given
+    generators (:func:`~boxcert.closure.verify_derivation`), which puts the
+    result in their closure.  Any discrepancy raises :class:`ReplayMismatch`.
+    The recorded ``sequence`` and ``steps`` are not read.
     """
-    again = reduce_sequence(cert.sequence, Leaf)
-    final = len(again.steps)
-    if cert.result != again.result:
-        raise ReplayMismatch(
-            final,
-            f"reduction ends at {format_rat(again.result)}, "
-            f"result claims {format_rat(cert.result)}",
-        )
     try:
         derived = verify_derivation(cert.derivation, gens)
     except LeafNotGenerator as exc:
-        raise ReplayMismatch(final, str(exc)) from exc
+        raise ReplayMismatch(str(exc)) from exc
     if derived != cert.result:
         raise ReplayMismatch(
-            final,
             f"derivation evaluates to {format_rat(derived)}, "
-            f"result claims {format_rat(cert.result)}",
+            f"result claims {format_rat(cert.result)}"
         )
     return cert.result
-
-
-def random_y_sequence(
-    length: RatLike,
-    step_pool: Iterable[RatLike],
-    seed: int,
-    *,
-    max_steps: int = 64,
-    retries: int = 200,
-) -> YSequence:
-    """A seeded random walk from 0 to ``length`` inside [0, length].
-
-    Steps are drawn (signed) from ``step_pool``; a move that lands exactly on
-    the endpoint is always taken, so the walk terminates as soon as it can.
-    Attempts that wander too long are retried up to ``retries`` times; if the
-    endpoint is unreachable (or never hit within the budget) this raises
-    :class:`GenerationFailed`.
-    """
-    target = parse_rat(length)
-    pool = sorted({parse_rat(s) for s in step_pool})
-    if target <= 0:
-        raise ValueError(f"length must be positive, got {format_rat(target)}")
-    if not pool:
-        raise ValueError("step pool must be nonempty")
-    if any(s <= 0 for s in pool):
-        raise ValueError("step pool entries must be positive")
-    rng = random.Random(seed)
-    pool_set = set(pool)
-    for _ in range(retries):
-        pos = Fraction(0)
-        points = [pos]
-        for _ in range(max_steps):
-            if target - pos in pool_set:
-                points.append(target)
-                return YSequence(axis=1, length=target, points=tuple(points))
-            moves = [pos + s for s in pool if pos + s < target]
-            moves += [pos - s for s in pool if pos - s >= 0]
-            if not moves:
-                break
-            pos = rng.choice(moves)
-            points.append(pos)
-    raise GenerationFailed(
-        f"no walk from 0 to {format_rat(target)} with steps "
-        f"{{{', '.join(format_rat(s) for s in pool)}}} found (seed {seed})"
-    )

@@ -29,11 +29,11 @@ from boxcert.closure import (
     brute_force_closure,
     verify_derivation,
 )
-from boxcert.errors import GenerationFailed
 from boxcert.geometry import format_rat, parse_rat
-from boxcert.reduction import random_y_sequence, reduce_sequence, replay
+from boxcert.reduction import reduce_sequence, replay
 from boxcert.svg import render_svg
 from boxcert.trailgraph import assign_axes, build_graph, parity_audit
+from walks import GenerationFailed, random_y_sequence
 
 GOLDEN = Path(__file__).parent / "golden"
 

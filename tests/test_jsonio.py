@@ -124,6 +124,24 @@ def test_derivation_parse_rejects_wrong_arity():
         "true index": [two, two, {"op": "sum", "value": "4", "args": [0, True]}],
         "empty table": [],
         "non-list": two,
+        # every entry must be distinct and part of the derivation
+        "duplicate leaf": [two, two, {"op": "sum", "value": "4", "args": [0, 1]}],
+        "duplicate op": [
+            two,
+            {"op": "sum", "value": "4", "args": [0, 0]},
+            {"op": "sum", "value": "4", "args": [0, 0]},
+            {"op": "sum", "value": "8", "args": [1, 2]},
+        ],
+        "unreachable leaf": [
+            {"op": "leaf", "value": "3", "args": []},
+            two,
+            {"op": "sum", "value": "4", "args": [1, 1]},
+        ],
+        "unreachable op": [
+            two,
+            {"op": "sum", "value": "4", "args": [0, 0]},
+            {"op": "triple", "value": "2", "args": [0, 0, 0]},
+        ],
     }
     for table in hostile.values():
         with pytest.raises(ValueError):

@@ -1,0 +1,26 @@
+"""The benchmark harness still runs against the package as it is now.
+
+The traced run wraps module globals by name and reads certificate fields for
+its exact counts, so a refactor that renames a traced function or drops a
+field breaks it; a tiny traced run catches that.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_tiny_traced_benchmark_run_is_correct():
+    cmd = [
+        sys.executable, "perfbench/run.py",
+        "--workload", "row", "--tiny", "--trace", "1", "--seconds", "0.5",
+    ]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, result

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxcert import factory, jsonio, pipeline
+from boxcert import factory, jsonio, pipeline, reduction
 from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
 from boxcert.errors import HypothesisViolated
 from boxcert.geometry import Box, Partition, parse_point
@@ -24,7 +24,14 @@ from boxcert.pipeline import (
     check_certificate,
 )
 from boxcert.reduction import reduce_sequence
-from boxcert.trailgraph import Trail, TrailStep, build_graph, project_to_axis
+from boxcert.trailgraph import (
+    AxisAssignment,
+    Trail,
+    TrailStep,
+    build_graph,
+    extract_trail,
+    project_to_axis,
+)
 
 
 def _F(x) -> Fraction:
@@ -212,13 +219,82 @@ def test_check_rejects_a_valid_but_non_canonical_trail():
     assert result.reasons[0].startswith("trail")
 
 
+def test_check_rejects_a_valid_but_non_canonical_assignment():
+    # Box 1 of strip(15,5) has both extents in the closure of {15, 5}; giving
+    # it its 20-side instead of its 15-side yields a consistent trail,
+    # projection (0 -> 20 on axis 2), reduction and claim.  It is not the
+    # assignment certify makes, so the assignment stage rejects it.
+    p, g = _strip()
+    cert = certify(p, g)
+    assignment = AxisAssignment((2, 1))
+    trail = extract_trail(build_graph(p, assignment), cert.trail.start)
+    y = project_to_axis(trail, p.outer)
+    assert (y.axis, y.points) == (2, (_F(0), _F(20)))
+    closure = bounded_closure(g, max(p.outer.extents()))
+    bad = dataclasses.replace(
+        cert,
+        assignment=assignment,
+        trail=trail,
+        y=y,
+        reduction=reduce_sequence(y, closure.derivation_for),
+        claimed_side=ClaimedSide(axis=y.axis, length=y.length),
+    )
+    result = check_certificate(bad, p, g)
+    assert not result.ok
+    assert result.reasons[0].startswith("assignment")
+
+
 def test_check_never_raises_on_garbage_fields():
     p, g = _pinwheel()
     cert = certify(p, g)
     bad = dataclasses.replace(cert, bound=_F(-5))
-    with pytest.warns(UserWarning):  # the nonsense bound empties the closure
-        result = check_certificate(bad, p, g)
+    result = check_certificate(bad, p, g)
     assert not result.ok
+    assert result.reasons[0].startswith("bound")
+
+
+def test_check_does_not_rerun_the_reduction(monkeypatch):
+    p, g = _pinwheel()
+    cert = certify(p, g)
+
+    def forbidden(*args):
+        raise AssertionError("check re-ran the reduction")
+
+    monkeypatch.setattr(pipeline, "reduce_sequence", forbidden)
+    monkeypatch.setattr(reduction, "reduce_sequence", forbidden)
+    result = check_certificate(cert, p, g)
+    assert result.ok, result.reasons
+
+
+def test_check_runs_the_kernel_before_any_partition_work(monkeypatch):
+    p, g = _pinwheel()
+    enc = certificate_to_json(certify(p, g))
+
+    def forbidden(*args):
+        raise AssertionError("check validated the partition")
+
+    monkeypatch.setattr(pipeline, "validate_partition", forbidden)
+    for field in ("result", "length"):
+        bad = json.loads(json.dumps(enc))
+        part = bad["reduction"] if field == "result" else bad["claimed_side"]
+        part[field] = "21"
+        result = check_certificate(certificate_from_json(bad), p, g)
+        assert not result.ok
+        assert result.reasons[0].split(":")[0] in ("claim", "reduction"), result.reasons
+
+
+def test_check_rejects_unreachable_and_duplicate_table_entries():
+    # Prepend a leaf no entry uses and append a copy of the root: every value
+    # still checks out, but the table is not the derivation certify writes.
+    p, g = _pinwheel()
+    enc = certificate_to_json(certify(p, g))
+    table = enc["reduction"]["derivation"]
+    shifted = [dict(e, args=[a + 1 for a in e["args"]]) for e in table]
+    enc["reduction"]["derivation"] = (
+        [{"op": "leaf", "value": "99991", "args": []}] + shifted + [dict(shifted[-1])]
+    )
+    with pytest.raises(ValueError):
+        certificate_from_json(enc)
 
 
 def test_certificate_json_shape():
@@ -331,12 +407,13 @@ def test_check_closure_is_capped_by_the_partition(monkeypatch):
         enc["bound"] = bound
         t0 = time.perf_counter()
         result = check_certificate(certificate_from_json(enc), p, g)
-        assert result.ok, result.reasons
+        assert not result.ok
+        assert result.reasons[0].startswith("bound"), result.reasons
         assert time.perf_counter() - t0 < 2.0
-    # A bound below a box extent still cuts that extent off.
+    # The bound is the largest outer extent; a smaller one is rejected too.
     p, g = _pinwheel()
     enc = certificate_to_json(certify(p, g))
     enc["bound"] = "15"
     result = check_certificate(certificate_from_json(enc), p, g)
     assert not result.ok
-    assert result.reasons[0].startswith("assignment: box k=1 extent 17 ")
+    assert result.reasons[0].startswith("bound"), result.reasons

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
-from boxcert.errors import GenerationFailed, ReplayMismatch
-from boxcert.reduction import random_y_sequence, reduce_sequence, replay
+from boxcert.errors import ReplayMismatch
+from boxcert.reduction import reduce_sequence, replay
+from walks import GenerationFailed, random_y_sequence
 from boxcert.trailgraph import YSequence
 
 
