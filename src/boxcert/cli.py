@@ -49,6 +49,14 @@ class _CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as :class:`_CliError` (exit 1), not argparse's 2."""
+
+    def error(self, message: str) -> None:
+        self.print_usage(sys.stderr)
+        raise _CliError(f"{self.prog}: error: {message}")
+
+
 def _parse_rat_arg(text: str, what: str) -> Fraction:
     try:
         return parse_rat(text)
@@ -193,7 +201,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _CliError(f"{args.cert}: {exc}") from exc
     p = _load_partition(args.partition)
-    gens = _parse_gens_arg(args.gens) if args.gens else cert.gens
+    gens = _parse_gens_arg(args.gens)
     result = pipeline.check_certificate(cert, p, gens)
     if result.ok:
         side = cert.claimed_side
@@ -339,7 +347,7 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boxcert",
         description="Certify that box partitions force an outer side "
         "reachable from the side lengths by x+y and x+y+z-2*min(x,y,z).",
@@ -360,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="re-verify a certificate")
     p_chk.add_argument("cert")
     p_chk.add_argument("--partition", required=True)
-    p_chk.add_argument("--gens", help="expected generators (default: from certificate)")
+    p_chk.add_argument("--gens", required=True, help="the generators to check against")
     p_chk.set_defaults(func=_cmd_check)
 
     p_clo = sub.add_parser("closure", help="list a bounded closure")
@@ -408,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -285,15 +285,14 @@ def ysequence_from_json(obj: Any) -> YSequence:
     )
 
 
-def reduction_from_json(obj: Any, sequence: YSequence) -> ReductionCertificate:
-    """Rebuild a reduction certificate against an already-parsed sequence.
+def reduction_from_json(obj: Any) -> ReductionCertificate:
+    """Rebuild a reduction certificate: its result and derivation.
 
     The wire carries no rewrite log (it is a function of the sequence), so the
     parsed certificate has ``steps=()``.
     """
     d = expect_dict(obj, "reduction")
     return ReductionCertificate(
-        sequence=sequence,
         steps=(),
         result=rat_from_json(get_key(d, "result", "reduction"), "reduction.result"),
         derivation=derivation_from_json(

@@ -287,7 +287,7 @@ def certificate_from_json(obj: Any) -> Certificate:
         assignment=AxisAssignment(axes),
         trail=jsonio.trail_from_json(jsonio.get_key(d, "trail", "certificate")),
         y=y,
-        reduction=jsonio.reduction_from_json(jsonio.get_key(d, "reduction", "certificate"), y),
+        reduction=jsonio.reduction_from_json(jsonio.get_key(d, "reduction", "certificate")),
         claimed_side=ClaimedSide(
             axis=jsonio.expect_int(
                 jsonio.get_key(claim_obj, "axis", "certificate.claimed_side"),

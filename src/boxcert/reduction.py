@@ -4,7 +4,9 @@ A :class:`~boxcert.trailgraph.YSequence` walks from 0 to L inside [0, L] with
 every step length in the tracked set X.  Three rewrites shrink it while
 keeping every step length in X:
 
-1. **loop** — two equal positions enclose a detour; delete it.
+1. **loop** — two equal positions enclose a detour; delete it.  Rewrites
+   only delete points, so every loop is in the input: one left-to-right pass
+   erases them all first (chronological loop erasure, Lawler 1980).
 2. **sum** — an interior position lies (weakly) between its neighbours, so
    the two adjacent steps point the same way and merge into their sum.
 3. **triple** — with no loops and no mergeable position the walk is a strict
@@ -67,13 +69,12 @@ class RewriteStep:
 
 @dataclass(frozen=True)
 class ReductionCertificate:
-    """Input sequence, rewrite log, final length, and its derivation.
+    """Rewrite log, final length, and its derivation.
 
     ``steps`` is the in-memory log of :func:`reduce_sequence`; it is not part
     of the wire format, so a parsed certificate has ``steps=()``.
     """
 
-    sequence: YSequence
     steps: tuple[RewriteStep, ...]
     result: Fraction
     derivation: Derivation
@@ -81,17 +82,6 @@ class ReductionCertificate:
 
 def _step_lengths(pts: list[Fraction]) -> list[Fraction]:
     return [abs(b - a) for a, b in zip(pts, pts[1:])]
-
-
-def _first_loop(pts: list[Fraction]) -> Optional[tuple[int, int]]:
-    """Smallest 0-based (i, j), i < j, with pts[i] == pts[j]."""
-    first_at: dict[Fraction, int] = {}
-    for j, v in enumerate(pts):
-        if v in first_at:
-            # smallest j overall; among equal j the smallest i is the stored one
-            return first_at[v], j
-        first_at[v] = j
-    return None
 
 
 def _first_between(pts: list[Fraction]) -> Optional[int]:
@@ -122,30 +112,30 @@ def reduce_sequence(
 
     ``leaf_derivation`` supplies a derivation for each original step length
     (a bare Leaf when the length is a generator, a closure derivation
-    otherwise).  Rewrites are tried in the fixed order loop, sum, triple;
-    loops close at the earliest repeated position, merges pick the smallest
-    admissible index — so the log and the final derivation are deterministic
-    functions of the input.
+    otherwise).  First the input's loops are erased in one left-to-right
+    pass, each at the earliest repeated position; merges never repeat a
+    position, so none is left for later.  Then sums are tried before
+    triples, each at the smallest admissible index — so the log and the
+    final derivation are deterministic functions of the input.
     """
     pts = list(y.points)
     derivs: list[Derivation] = [
         leaf_derivation(le) for le in _step_lengths(pts)
     ]
     log: list[RewriteStep] = []
+    first_at: dict[Fraction, int] = {}
+    j = 0
+    while j < len(pts):
+        i = first_at.setdefault(pts[j], j)
+        if i < j:
+            lengths = tuple(_step_lengths(pts[i : j + 1]))
+            log.append(RewriteStep("loop", i + 1, j + 1, lengths, None))
+            for v in pts[i + 1 : j]:
+                del first_at[v]
+            del pts[i + 1 : j + 1]
+            del derivs[i:j]
+        j = i + 1
     while len(pts) > 2:
-        loop = _first_loop(pts)
-        if loop is not None:
-            i0, j0 = loop
-            dropped = _step_lengths(pts)[i0:j0]
-            log.append(
-                RewriteStep(
-                    kind="loop", i=i0 + 1, j=j0 + 1,
-                    lengths=tuple(dropped), merged=None,
-                )
-            )
-            del pts[i0 + 1 : j0 + 1]
-            del derivs[i0:j0]
-            continue
         q = _first_between(pts)
         if q is not None:
             l1 = abs(pts[q] - pts[q - 1])
@@ -192,7 +182,7 @@ def reduce_sequence(
     if pts != [Fraction(0), y.length]:
         raise SoundnessError(f"reduction ended at {tuple(pts)} instead of [0, L]")
     return ReductionCertificate(
-        sequence=y, steps=tuple(log), result=y.length, derivation=derivs[0]
+        steps=tuple(log), result=y.length, derivation=derivs[0]
     )
 
 
@@ -202,7 +192,7 @@ def replay(cert: ReductionCertificate, gens: GeneratorSet) -> Fraction:
     The derivation must evaluate to ``cert.result`` using only the given
     generators (:func:`~boxcert.closure.verify_derivation`), which puts the
     result in their closure.  Any discrepancy raises :class:`ReplayMismatch`.
-    The recorded ``sequence`` and ``steps`` are not read.
+    The recorded ``steps`` are not read.
     """
     try:
         derived = verify_derivation(cert.derivation, gens)

@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -121,7 +122,9 @@ def test_certify_batch_sorted_output(capsys, tmp_path):
 def test_check_round_trip(capsys, pinwheel_file, tmp_path):
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
-    code, out, _ = run_cli(capsys, "check", cert_path, "--partition", pinwheel_file)
+    code, out, _ = run_cli(
+        capsys, "check", cert_path, "--partition", pinwheel_file, "--gens", "17,10,7"
+    )
     assert code == 0
     assert out.startswith("OK")
 
@@ -145,7 +148,9 @@ def test_certify_and_check_a_600_strip_row(capsys, tmp_path):
         capsys, "certify", part_path, "--gens", "2,3,4,5,6,7,8,9", "--out", cert_path
     )
     assert code == 0, err
-    code, out, _ = run_cli(capsys, "check", cert_path, "--partition", part_path)
+    code, out, _ = run_cli(
+        capsys, "check", cert_path, "--partition", part_path, "--gens", "2,3,4,5,6,7,8,9"
+    )
     assert code == 0
     assert out.startswith("OK")
 
@@ -156,9 +161,46 @@ def test_check_tampered_certificate_exit_two(capsys, pinwheel_file, tmp_path):
     payload = json.loads(cert_path.read_text())
     payload["claimed_side"]["length"] = "19"
     cert_path.write_text(json.dumps(payload))
-    code, out, _ = run_cli(capsys, "check", cert_path, "--partition", pinwheel_file)
+    code, out, _ = run_cli(
+        capsys, "check", cert_path, "--partition", pinwheel_file, "--gens", "17,10,7"
+    )
     assert code == 2
     assert "REJECTED" in out
+
+
+def test_check_rejects_certificate_gens_the_caller_did_not_supply(
+    capsys, pinwheel_file, tmp_path
+):
+    # The closure's cost follows the generators' common denominator, so
+    # gens taken from the certificate would let it set the checker's cost.
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
+    payload = json.loads(cert_path.read_text())
+    payload["gens"].append("1/10007")
+    cert_path.write_text(json.dumps(payload))
+    started = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "check", cert_path, "--partition", pinwheel_file, "--gens", "17,10,7"
+    )
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    assert out.startswith("REJECTED: gens")
+
+
+def test_usage_errors_exit_one(capsys, pinwheel_file, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
+    for args in (("certify", pinwheel_file),
+                 ("bogus",),
+                 ("check", cert_path, "--partition", pinwheel_file)):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: boxcert")
 
 
 def test_closure_output(capsys):
@@ -290,8 +332,8 @@ def test_selftest_names_the_failing_check_stage(capsys, monkeypatch):
 def test_deeply_nested_json_exits_one(capsys, tmp_path, strip_file):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    for args in (("check", deep, "--partition", strip_file),
-                 ("check", deep, "--partition", deep),
+    for args in (("check", deep, "--partition", strip_file, "--gens", "15,5"),
+                 ("check", deep, "--partition", deep, "--gens", "15,5"),
                  ("validate", deep)):
         code, out, err = run_cli(capsys, *args)
         assert code == 1

@@ -62,6 +62,50 @@ def test_loop_dropped_before_anything_else():
     assert cert.derivation == Sum(Leaf(_F(5)), Leaf(_F(4)))
 
 
+def _log(cert) -> list[tuple]:
+    return [
+        (s.kind, s.i, s.j, tuple(int(v) for v in s.lengths),
+         None if s.merged is None else int(s.merged))
+        for s in cert.steps
+    ]
+
+
+def test_overlapping_repeats_erase_in_order_of_appearance():
+    # 2 repeats first (positions 3 and 5); erasing that detour makes the
+    # 4 at position 2 meet its repeat, which then closes the second loop
+    cert = reduce_sequence(_seq(9, 0, 4, 2, 6, 2, 4, 9), _leaf)
+    assert _log(cert) == [
+        ("loop", 3, 5, (4, 4), None),
+        ("loop", 2, 4, (2, 2), None),
+        ("sum", 2, None, (4, 5), 9),
+    ]
+    assert cert.derivation == Sum(Leaf(_F(4)), Leaf(_F(5)))
+
+
+def test_nested_repeats_erase_the_inner_loop_first():
+    cert = reduce_sequence(_seq(5, 0, 3, 0, 2, 0, 5), _leaf)
+    assert _log(cert) == [("loop", 1, 3, (3, 3), None), ("loop", 1, 3, (2, 2), None)]
+    assert cert.derivation == Leaf(_F(5))
+
+
+def test_a_long_row_hashes_each_position_a_bounded_number_of_times(monkeypatch):
+    # Loops are erased in one pass: a position is hashed when it is first
+    # seen and at most once more when a detour deletes it.
+    n = 1001
+    y = _seq(n - 1, *range(n))
+    calls = [0]
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    cert = reduce_sequence(y, _leaf)
+    assert [s.kind for s in cert.steps] == ["sum"] * (n - 2)
+    assert 0 < calls[0] <= 2 * n
+
+
 def test_pinwheel_projection_reduces_to_triple():
     # the projected sequence 0 -> 10 -> 3 -> 20 of the 20-square instance
     gens = GeneratorSet.of(17, 10, 7)
