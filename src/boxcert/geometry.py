@@ -13,6 +13,9 @@ from typing import Iterator, Sequence, Union
 
 RatLike = Union[int, str, Fraction]
 
+#: Over these characters ``Fraction(text)`` reads no exponent or underscore.
+_RATIONAL_CHARS = frozenset("0123456789+-./")
+
 #: A point is a tuple of exact rationals; its length is the ambient dimension.
 Point = tuple[Fraction, ...]
 
@@ -20,9 +23,11 @@ Point = tuple[Fraction, ...]
 def parse_rat(value: RatLike) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a "p/q" string.
 
-    Strings must be an optionally signed integer or ``p/q`` with a nonzero
-    denominator.  Floats (and bools) are rejected outright: a binary float
-    silently denotes a different rational than the decimal the user typed.
+    Strings must be an optionally signed integer, ``p/q`` with a nonzero
+    denominator, or a plain decimal; not exponent notation, whose ten bytes
+    ``"1e4000000"`` take seconds to parse.  Floats (and bools) are rejected
+    outright: a binary float silently denotes a different rational than the
+    decimal the user typed.
     """
     if isinstance(value, Fraction):
         return value
@@ -36,8 +41,10 @@ def parse_rat(value: RatLike) -> Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
+        if not _RATIONAL_CHARS.issuperset(text):
+            raise ValueError(f"not a rational: {value!r}")
         try:
-            return Fraction(text)  # handles "p" and "p/q", normalizes sign
+            return Fraction(text)  # normalizes sign and lowest terms
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
     raise ValueError(f"not a rational: {value!r}")

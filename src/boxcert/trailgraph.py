@@ -96,8 +96,8 @@ class TrailGraph:
     assignment: AxisAssignment
     vertices: tuple[Point, ...]
     edges: tuple[Edge, ...]
-    #: vertex -> ((far endpoint, edge), ...) sorted by far endpoint, box, edge_id
-    adjacency: Mapping[Point, tuple[tuple[Point, Edge], ...]]
+    #: vertex -> [(far endpoint, edge), ...] in edge order, unsorted
+    adjacency: Mapping[Point, list[tuple[Point, Edge]]]
 
     def degree(self, v: Point) -> int:
         return len(self.adjacency.get(v, ()))
@@ -106,34 +106,27 @@ class TrailGraph:
 def build_graph(p: Partition, c: AxisAssignment) -> TrailGraph:
     """Assemble the multigraph; deterministic given the assignment.
 
-    Vertices are all corners of all constituent boxes (deduplicated as exact
-    points).  Box k contributes its ``2^(n-1)`` edges parallel to axis
-    ``c.axis_of(k)``; edges meeting at a vertex are kept sorted so that every
-    later traversal choice is reproducible.  T-junction contacts (a vertex of
+    Box k contributes its ``2^(n-1)`` edges parallel to axis ``c.axis_of(k)``.
+    Vertices are the edges' endpoints (deduplicated as exact points): these
+    edges reach all ``2^n`` corners of their box, so the vertices are exactly
+    the corners of all constituent boxes.  T-junction contacts (a vertex of
     one box interior to an edge of another) do not split edges.
     """
     if len(c) != len(p.boxes):
         raise ValueError(
             f"assignment covers {len(c)} boxes, partition has {len(p.boxes)}"
         )
-    corners: set[Point] = set()
     edges: list[Edge] = []
     for k, b in enumerate(p.boxes, start=1):
-        corners.update(b.corners())
         edges.extend(edges_of_box(b, k, c.axis_of(k)))
-    vertices = tuple(sorted(corners))
-    incidence: dict[Point, list[tuple[Point, Edge]]] = {v: [] for v in vertices}
+    adjacency: dict[Point, list[tuple[Point, Edge]]] = {}
     for e in edges:
-        incidence[e.a].append((e.b, e))
-        incidence[e.b].append((e.a, e))
-    adjacency = {
-        v: tuple(sorted(inc, key=lambda fe: (fe[0], fe[1].box, fe[1].edge_id)))
-        for v, inc in incidence.items()
-    }
+        adjacency.setdefault(e.a, []).append((e.b, e))
+        adjacency.setdefault(e.b, []).append((e.a, e))
     return TrailGraph(
         partition=p,
         assignment=c,
-        vertices=vertices,
+        vertices=tuple(sorted(adjacency)),
         edges=tuple(edges),
         adjacency=adjacency,
     )
@@ -222,10 +215,11 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
 
     With the parity pattern in place the walk can only get stuck at an outer
     corner different from the start (at every even vertex an arrival leaves an
-    odd number of used incidences, so an unused edge remains).  Tie-break at
-    each vertex: unused edge with the lexicographically smallest far
-    endpoint, then smallest box index, then smallest edge_id — this makes the
-    whole pipeline reproducible byte-for-byte.
+    odd number of used incidences, so an unused edge remains).  Tie-break,
+    applied at each vertex the walk visits: the unused edge with the
+    lexicographically smallest far endpoint, then smallest box index, then
+    smallest edge_id — this makes the whole pipeline reproducible
+    byte-for-byte.  ``(box, edge_id)`` identifies an edge.
     """
     corners = set(g.partition.outer.corners())
     if start is None:
@@ -234,17 +228,19 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
         raise ValueError(
             f"start {format_point(start)} is not a corner of the outer box"
         )
-    used: set[Edge] = set()
+    used: set[tuple[int, int]] = set()
     current = start
     steps: list[TrailStep] = []
     while True:
         options = [
-            (far, e) for far, e in g.adjacency.get(current, ()) if e not in used
+            (far, e)
+            for far, e in g.adjacency.get(current, ())
+            if (e.box, e.edge_id) not in used
         ]
         if not options:
             break
-        far, e = options[0]  # adjacency lists are pre-sorted
-        used.add(e)
+        far, e = min(options, key=lambda fe: (fe[0], fe[1].box, fe[1].edge_id))
+        used.add((e.box, e.edge_id))
         steps.append(TrailStep(edge=e, src=current, dst=far))
         current = far
     if not steps:

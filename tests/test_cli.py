@@ -187,6 +187,49 @@ def test_check_rejects_certificate_gens_the_caller_did_not_supply(
     assert out.startswith("REJECTED: gens")
 
 
+def test_check_rejects_exponent_notation_before_parsing_it(
+    capsys, pinwheel_file, tmp_path
+):
+    # "1e3000000" is nine bytes but a three-million-digit integer: parsing
+    # it would let an untrusted field set the checker's cost.
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
+    payload = json.loads(cert_path.read_text())
+    payload["claimed_side"]["length"] = "1e3000000"
+    cert_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(
+        capsys, "check", cert_path, "--partition", pinwheel_file, "--gens", "17,10,7"
+    )
+    assert code == 1
+    assert out == ""
+    assert "'1e3000000'" in err
+
+
+def test_certify_from_a_chosen_start_corner(capsys, pinwheel_file, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    code, _, err = run_cli(
+        capsys, "certify", pinwheel_file, "--gens", "17,10,7",
+        "--start-corner", "20,20", "--out", cert_path,
+    )
+    assert code == 0, err
+    cert = json.loads(cert_path.read_text())
+    assert cert["trail"]["start"] == ["20", "20"]
+    code, out, _ = run_cli(
+        capsys, "check", cert_path, "--partition", pinwheel_file, "--gens", "17,10,7"
+    )
+    assert code == 0
+    assert out.startswith("OK")
+
+
+def test_certify_start_corner_off_the_outer_corners_exits_one(capsys, pinwheel_file):
+    code, out, err = run_cli(
+        capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--start-corner", "5,5"
+    )
+    assert code == 1
+    assert out == ""
+    assert "start (5, 5)" in err
+
+
 def test_usage_errors_exit_one(capsys, pinwheel_file, tmp_path):
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)

@@ -26,10 +26,14 @@ def test_parse_rat_accepts_ints_strings_fractions():
     assert parse_rat(3) == Fraction(3)
     assert parse_rat("3/4") == Fraction(3, 4)
     assert parse_rat("-2") == Fraction(-2)
+    assert parse_rat("2.5") == Fraction(5, 2)
+    assert parse_rat("-.25") == Fraction(-1, 4)
     assert parse_rat(Fraction(5, 10)) == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", [1.5, True, "1/0", "abc", None])
+@pytest.mark.parametrize(
+    "bad", [1.5, True, "1/0", "abc", None, "1e3", "2E5", "1e-9"]
+)
 def test_parse_rat_rejects_floats_bools_and_garbage(bad):
     with pytest.raises((ValueError, TypeError, ZeroDivisionError)):
         parse_rat(bad)

@@ -199,7 +199,7 @@ def test_check_rejects_a_valid_but_non_canonical_trail():
         options = [(far, e) for far, e in graph.adjacency[current] if e not in used]
         if not options:
             break
-        far, e = options[-1]
+        far, e = max(options, key=lambda fe: (fe[0], fe[1].box, fe[1].edge_id))
         used.add(e)
         steps.append(TrailStep(edge=e, src=current, dst=far))
         current = far

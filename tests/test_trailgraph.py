@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,18 @@ def _member(gens, bound):
 
 def _pt(*coords):
     return parse_point(coords)
+
+
+def _count_fraction_hashes(monkeypatch):
+    calls = [0]
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    return calls
 
 
 def test_assign_axes_prefers_smallest_axis():
@@ -219,3 +232,50 @@ def test_parity_holds_on_random_instances():
         c = assign_axes(p, _member(tuple(gens), bound))
         report = parity_audit(build_graph(p, c))
         assert report.ok, f"seed {seed}: {report.table()}"
+
+
+def test_vertices_are_the_sorted_box_corners_under_any_assignment():
+    # The vertex set is read off the edges' endpoints; the parallel edges of
+    # each box reach all of its corners whatever axis it is assigned.
+    for seed in range(12):
+        n = 2 if seed % 2 == 0 else 3
+        p = random_guillotine(n, 3, seed=seed)
+        rng = random.Random(seed)
+        assignments = [
+            (1,) * len(p.boxes),
+            (n,) * len(p.boxes),
+            tuple(rng.randint(1, n) for _ in p.boxes),
+        ]
+        corners = {v for b in p.boxes for v in b.corners()}
+        for axes in assignments:
+            g = build_graph(p, AxisAssignment(axes))
+            assert set(g.vertices) == corners
+            assert list(g.vertices) == sorted(corners)
+
+
+def test_a_grid_graph_hashes_each_endpoint_a_bounded_number_of_times(monkeypatch):
+    # One incidence map, built in one pass over the edges: each edge hashes
+    # its two endpoints once (2 coordinates each, 4 * 3,200 = 12,800).
+    n = 40
+    boxes = tuple(
+        Box(_pt(i, j), _pt(i + 1, j + 1)) for i in range(n) for j in range(n)
+    )
+    p = Partition(2, Box(_pt(0, 0), _pt(n, n)), boxes)
+    c = assign_axes(p, _member((1,), n))
+    calls = _count_fraction_hashes(monkeypatch)
+    g = build_graph(p, c)
+    assert len(g.edges) == 2 * n * n
+    assert 0 < calls[0] <= 16_000
+
+
+def test_a_row_trail_hashes_a_bounded_number_of_fractions_per_step(monkeypatch):
+    # The walk looks up the vertex it stands on and marks edges used by
+    # (box, edge_id), which hashes no Fraction.
+    n = 400
+    boxes = tuple(Box(_pt(i, 0), _pt(i + 1, 3)) for i in range(n))
+    p = Partition(2, Box(_pt(0, 0), _pt(n, 3)), boxes)
+    g = build_graph(p, assign_axes(p, _member((1,), n)))
+    calls = _count_fraction_hashes(monkeypatch)
+    t = extract_trail(g)
+    assert len(t.steps) == n
+    assert 0 < calls[0] <= 3 * n
