@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -415,13 +416,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_warning(message, *_details) -> None:
+    """Show a library warning as one ``boxcert: warning:`` line on stderr.
+
+    Python's own format names the source file and line, so stderr would
+    depend on where the package is installed.
+    """
+    print(f"boxcert: warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+    with warnings.catch_warnings():
+        warnings.showwarning = _plain_warning
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except _CliError as exc:
+            print(str(exc), file=sys.stderr)
+            return exc.code
 
 
 if __name__ == "__main__":

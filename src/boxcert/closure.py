@@ -5,15 +5,17 @@ The tracked set X is whatever contains the generators and is closed under
 * ``op_sum(x, y) = x + y``
 * ``op_triple(x, y, z) = x + y + z - 2*min(x, y, z)``
 
-Both operations are symmetric and produce a value at least as large as every
-operand, so the part of X below a bound is finite and computable: it lives on
-the grid ``(1/Q) * Z`` where Q is the lcm of the generator denominators.
+Both operations are symmetric, and a value they produce that is not one of
+their operands lies above all of them, so the part of X below a bound is
+finite and computable: it lives on the grid ``(1/Q) * Z`` where Q is the lcm
+of the generator denominators.
 
-:func:`bounded_closure` saturates that finite set as one integer bitmask over
-the grid, so membership is a single bit test.  Derivations are built only on
-demand: :meth:`BoundedClosure.derivation_for` walks down from the requested
-value, choosing each element's producing rule by a fixed search the first
-time it is needed.  :func:`brute_force_closure` is a deliberately separate
+:func:`bounded_closure` therefore finds that set in one ascending pass over
+the grid and keeps it as one integer bitmask, so membership is a single bit
+test.  Derivations are built only on demand:
+:meth:`BoundedClosure.derivation_for` walks down from the requested value,
+choosing each element's producing rule by a fixed search the first time it
+is needed.  :func:`brute_force_closure` is a deliberately separate
 re-computation of the same set used to cross-check the engine; it shares no
 code with it and must stay that way.
 """
@@ -296,39 +298,30 @@ def _scaled_setup(gens: GeneratorSet, bound: Fraction) -> tuple[list[int], int, 
 
 
 def _saturate_bits(gen_bits: list[int], limit: int) -> int:
-    """Fixpoint of both operations on the scaled integer grid, as a bitmask.
+    """The closure on the scaled integer grid, as a bitmask (bit v: value v).
 
-    Bit v of the result is set iff value v (scaled) is in the closure.  Each
-    round applies both operations to the whole current set:
-
-    * sums: OR of ``mask << v`` over elements v;
-    * triples in canonical form ``b + c - a`` with ``a <= b <= c``: walk the
-      elements in descending order maintaining the pair sums of the suffix
-      (all elements >= the current one), then shift by the current element,
-      which subtracts it as the minimum.
+    A new value lies above all of its operands: ``x + y`` exceeds both, and
+    ``b + c - a`` with ``a <= b <= c`` exceeds ``c`` unless ``a = b``, which
+    gives back ``c``.  So one ascending pass is complete: when member ``c``
+    is taken, add ``c + (b - a)`` for every taken ``b <= c`` and every
+    ``a < b`` that is taken or 0 (a sum is the triple with ``a = 0``).
+    ``rev`` has bit ``limit - a`` for each such ``a``; ``diffs`` has bit
+    ``b - a`` for each such pair.
     """
     full = (1 << (limit + 1)) - 2  # bits 1..limit
     mask = 0
     for v in gen_bits:
         if v <= limit:
             mask |= 1 << v
-    while True:
-        els = _bits(mask)
-        sums = 0
-        for v in els:
-            sums |= mask << v
-        pair_sums = 0
-        active = 0
-        triples = 0
-        for v in reversed(els):
-            bit = 1 << v
-            active |= bit
-            pair_sums |= active << v
-            triples |= pair_sums >> v
-        candidate = (sums | triples) & full
-        if candidate | mask == mask:
-            return mask
-        mask |= candidate
+    rev = 1 << limit
+    diffs = 0
+    c = 0
+    while rest := mask >> (c + 1):
+        c += (rest & -rest).bit_length()
+        rev |= 1 << (limit - c)
+        diffs |= rev >> (limit - c)
+        mask |= (diffs << c) & full
+    return mask
 
 
 def _bits(mask: int) -> list[int]:
@@ -365,12 +358,15 @@ def membership(gens: GeneratorSet, value: RatLike) -> Optional[Derivation]:
     The closure is built up to the value itself.  Both operations give a
     result at least as large as each operand, so elements above the value
     never help derive it and a larger bound could not change the answer.
+    Nothing lies below the smallest generator, so such a value needs no closure.
     """
     if len(gens) == 0:
         raise ValueError("membership queries need a nonempty generator set")
     value_f = parse_rat(value)
     if value_f <= 0:
         raise ValueError(f"value must be positive, got {format_rat(value_f)}")
+    if value_f < min(gens.gens):
+        return None
     return bounded_closure(gens, value_f).derivation_for(value_f)
 
 

@@ -265,6 +265,36 @@ def test_member_nonmember_exit_five(capsys):
     assert out.strip() == "not a member"
 
 
+def _run_process(*args):
+    cmd = [sys.executable, "-m", "boxcert.cli", *map(str, args)]
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def test_member_below_the_smallest_generator_prints_no_warning():
+    done = _run_process("member", "--gens", "5", "--value", "3")
+    assert (done.returncode, done.stdout, done.stderr) == (5, "not a member\n", "")
+
+
+def test_empty_closure_is_reported_in_one_plain_line():
+    done = _run_process("closure", "--gens", "5", "--bound", "3")
+    assert done.returncode == 0
+    assert done.stderr == (
+        "boxcert: warning: bound 3 is below the smallest generator; "
+        "the bounded closure is empty\n"
+    )
+
+
+def test_certify_below_the_smallest_generator_prints_no_python_warning(strip_file):
+    done = _run_process("certify", strip_file, "--gens", "100")
+    assert done.returncode == 3
+    assert done.stderr.splitlines() == [
+        "boxcert: warning: bound 20 is below the smallest generator; "
+        "the bounded closure is empty",
+        f"{strip_file}: hypothesis violated: box k=1 has no side in the closure; "
+        "extents ('15', '20')",
+    ]
+
+
 def test_member_bad_gens_exit_one(capsys):
     code, _, err = run_cli(capsys, "member", "--gens", "5/0", "--value", "5")
     assert code == 1

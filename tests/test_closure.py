@@ -126,9 +126,22 @@ def test_bounded_matches_oracle_on_fixtures():
         (GeneratorSet.of("1/2"), _F(2)),
         (GeneratorSet.of(17, 10, 7), _F(20)),
         (GeneratorSet.of(15, 5), _F(20)),
+        (GeneratorSet.of(3, 5), _F(60)),  # 7 comes only from the triple 5+5-3
+        (GeneratorSet.of(4, 6), _F(40)),  # gcd 2
+        (GeneratorSet.of("1/31", "1/37"), _F(1)),  # q = 1147
+        (GeneratorSet.of("1/2"), _F("7/3")),  # the bound is off the grid
+        (GeneratorSet.of(6, 10, 15), _F(90)),
     ]:
         bc = bounded_closure(gens, bound)
         assert frozenset(bc.elements) == brute_force_closure(gens, bound)
+
+
+def test_closure_closed_forms_at_scale():
+    assert bounded_closure(GeneratorSet.of(1), 20000).bits == (1 << 20001) - 2
+    three_five = bounded_closure(GeneratorSet.of(3, 5), 20000)
+    assert three_five.bits == (1 << 3) | ((1 << 20001) - (1 << 5))
+    evens = bounded_closure(GeneratorSet.of(2), 1001)
+    assert evens.sorted_elements() == tuple(_F(v) for v in range(2, 1001, 2))
 
 
 def test_bounded_matches_oracle_on_random_sets():

@@ -12,13 +12,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tiny_traced_benchmark_run_is_correct():
+@pytest.mark.parametrize("workload", ["row", "coprime", "bigcert"])
+def test_tiny_traced_benchmark_run_is_correct(workload):
     cmd = [
         sys.executable, "perfbench/run.py",
-        "--workload", "row", "--tiny", "--trace", "1", "--seconds", "0.5",
+        "--workload", workload, "--tiny", "--trace", "1", "--seconds", "0.5",
     ]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
