@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -222,10 +221,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_closure(args: argparse.Namespace) -> int:
     gens = _parse_gens_arg(args.gens)
     bound = _parse_rat_arg(args.bound, "--bound")
-    try:
-        closure = bounded_closure(gens, bound)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    if bound < min(gens.gens):
+        print(
+            f"boxcert: warning: bound {format_rat(bound)} is below the smallest "
+            "generator; the bounded closure is empty",
+            file=sys.stderr,
+        )
+    closure = bounded_closure(gens, bound)
     print(" ".join(format_rat(v) for v in closure.sorted_elements()))
     return EXIT_OK
 
@@ -416,24 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain_warning(message, *_details) -> None:
-    """Show a library warning as one ``boxcert: warning:`` line on stderr.
-
-    Python's own format names the source file and line, so stderr would
-    depend on where the package is installed.
-    """
-    print(f"boxcert: warning: {message}", file=sys.stderr)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    with warnings.catch_warnings():
-        warnings.showwarning = _plain_warning
-        try:
-            args = build_parser().parse_args(argv)
-            return args.func(args)
-        except _CliError as exc:
-            print(str(exc), file=sys.stderr)
-            return exc.code
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except _CliError as exc:
+        print(str(exc), file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

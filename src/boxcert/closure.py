@@ -12,7 +12,17 @@ of the generator denominators.
 
 :func:`bounded_closure` therefore finds that set in one ascending pass over
 the grid and keeps it as one integer bitmask, so membership is a single bit
-test.  Derivations are built only on demand:
+test.  The pass stops at the conductor: the point from which every multiple
+of d is an element, where d is the gcd of the scaled generators and every
+element is a multiple of d.  It exists because X is closed under ``+e`` for
+the smallest generator e, so any e/d consecutive multiples of d go on
+forever.  The triple moves it down to the first pair of elements a, a + d:
+``x + (a + d) - a = x + d`` is an element for every element x >= a + d.
+When the pass takes an element, every grid value at or below it is decided,
+so the pass spots that pair as it goes and sets every larger multiple of d
+in one step.  The bitmask stays complete up to the bound.
+
+Derivations are built only on demand:
 :meth:`BoundedClosure.derivation_for` walks down from the requested value,
 choosing each element's producing rule by a fixed search the first time it
 is needed.  :func:`brute_force_closure` is a deliberately separate
@@ -21,12 +31,11 @@ code with it and must stay that way.
 """
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, Optional, Union
 
 from .errors import LeafNotGenerator, SoundnessError
@@ -307,17 +316,34 @@ def _saturate_bits(gen_bits: list[int], limit: int) -> int:
     ``a < b`` that is taken or 0 (a sum is the triple with ``a = 0``).
     ``rev`` has bit ``limit - a`` for each such ``a``; ``diffs`` has bit
     ``b - a`` for each such pair.
+
+    The pass stops at the conductor.  Every member is a multiple of ``d``,
+    the gcd of the generators.  When ``c`` is taken, every bit at or below
+    ``c`` is final: all smaller members were taken before it, and a new value
+    lies above its operands.  If ``c`` is also ``d`` above the member taken
+    before it (or ``c = d``, above the virtual 0), the pair ``(c - d, c)``
+    gives ``x + d`` for every member ``x >= c``, so every multiple of ``d``
+    above ``c`` is a member.  They are set in one step, and the mask is then
+    complete up to ``limit``.
     """
+    gen_bits = [v for v in gen_bits if v <= limit]
+    d = gcd(*gen_bits)  # 0 if there are none, and then the mask stays empty
     full = (1 << (limit + 1)) - 2  # bits 1..limit
     mask = 0
     for v in gen_bits:
-        if v <= limit:
-            mask |= 1 << v
+        mask |= 1 << v
     rev = 1 << limit
     diffs = 0
     c = 0
     while rest := mask >> (c + 1):
-        c += (rest & -rest).bit_length()
+        step = (rest & -rest).bit_length()
+        c += step
+        if step == d:
+            fill, span = 1 << (c + d), d  # bits c+d, c+2d, ..., c+span
+            while span < limit - c:
+                fill |= fill << span
+                span *= 2
+            return mask | (fill & full)
         rev |= 1 << (limit - c)
         diffs |= rev >> (limit - c)
         mask |= (diffs << c) & full
@@ -338,17 +364,10 @@ def bounded_closure(gens: GeneratorSet, bound: RatLike) -> BoundedClosure:
 
     Both operations only ever grow values, so this finite set *is* the part
     of the (infinite) closed set below the bound.  Generators above the bound
-    are ignored; if none survive, the closure is empty (with a warning when
-    the bound cut them all off).
+    are ignored; if none survive, the closure is empty.
     """
     bound_f = parse_rat(bound)
     scaled_gens, q, limit = _scaled_setup(gens, bound_f)
-    if not scaled_gens and len(gens) > 0:
-        warnings.warn(
-            f"bound {format_rat(bound_f)} is below the smallest generator; "
-            "the bounded closure is empty",
-            stacklevel=2,
-        )
     return BoundedClosure(gens, bound_f, q, limit, _saturate_bits(scaled_gens, limit))
 
 

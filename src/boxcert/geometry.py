@@ -7,14 +7,16 @@ checking, so every comparison must be decidable, not approximate.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 RatLike = Union[int, str, Fraction]
 
-#: Over these characters ``Fraction(text)`` reads no exponent or underscore.
-_RATIONAL_CHARS = frozenset("0123456789+-./")
+#: A signed integer, ``p/q`` or a plain decimal in ASCII digits: the strings
+#: ``Fraction`` reads, less exponent notation and underscores.
+_RATIONAL = re.compile(r"([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?", re.ASCII)
 
 #: A point is a tuple of exact rationals; its length is the ambient dimension.
 Point = tuple[Fraction, ...]
@@ -29,6 +31,20 @@ def parse_rat(value: RatLike) -> Fraction:
     outright: a binary float silently denotes a different rational than the
     decimal the user typed.
     """
+    if isinstance(value, str):  # first: the ABC check for Fraction is slower
+        match = _RATIONAL.fullmatch(value.strip())
+        if match is None:
+            raise ValueError(f"not a rational: {value!r}")
+        sign, num, den, dec = match.groups()
+        try:
+            if den is not None:
+                n, d = int(num), int(den)
+            else:
+                d = 10 ** len(dec or "")
+                n = int(num or "0") * d + int(dec or "0")
+            return Fraction(-n if sign == "-" else n, d)  # lowest terms
+        except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
+            raise ValueError(f"not a rational: {value!r}") from exc
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -39,14 +55,6 @@ def parse_rat(value: RatLike) -> Fraction:
         raise ValueError(
             f"floats are not accepted (got {value!r}); write an exact \"p/q\" string"
         )
-    if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_CHARS.issuperset(text):
-            raise ValueError(f"not a rational: {value!r}")
-        try:
-            return Fraction(text)  # normalizes sign and lowest terms
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
     raise ValueError(f"not a rational: {value!r}")
 
 

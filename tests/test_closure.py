@@ -9,6 +9,7 @@ is then required to agree with it exactly.
 from __future__ import annotations
 
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from boxcert.closure import (
     Leaf,
     Sum,
     Triple,
+    _saturate_bits,
     bounded_closure,
     brute_force_closure,
     membership,
@@ -136,25 +138,75 @@ def test_bounded_matches_oracle_on_fixtures():
         assert frozenset(bc.elements) == brute_force_closure(gens, bound)
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [
+        GeneratorSet.of(7, 11),  # 14, 15 are the first members 1 apart
+        GeneratorSet.of(4, 6),  # d = 2: 4, 6
+        GeneratorSet.of(9, 12),  # d = 3: 9, 12; 15 only from 12+12-9
+        GeneratorSet.of("1/2", "3/4"),  # scaled {2, 3}: 2, 3
+    ],
+    ids=["7_11", "4_6", "9_12", "1over2_3over4"],
+)
+def test_conductor_cut_off_matches_oracle_at_every_bound(gens):
+    # The bounds land below, on and above the member where the pass stops
+    # and fills in every larger multiple of the gcd.
+    for bound in range(1, 81):
+        bc = bounded_closure(gens, bound)
+        assert frozenset(bc.elements) == brute_force_closure(gens, bound), bound
+
+
+def _lines_run(fn, *args) -> int:
+    """How many source lines of ``fn`` run in one call ``fn(*args)``."""
+    count = 0
+
+    def trace(frame, event, _arg):
+        nonlocal count
+        if frame.f_code is not fn.__code__:
+            return None
+        count += event == "line"
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+@pytest.mark.parametrize(
+    "gens", [[1], [3, 5], [7, 11], [4, 6], [9, 12]], ids=lambda g: "_".join(map(str, g))
+)
+def test_the_pass_stops_at_the_conductor(gens):
+    # A step count, not a timer: the pass takes the members up to the first
+    # two that are d apart and fills the rest in O(log bound) steps, so
+    # about 60-90 lines run at 10**4.  Without the cut-off it is thousands.
+    assert _lines_run(_saturate_bits, gens, 10**4) < 200
+
+
 def test_closure_closed_forms_at_scale():
-    assert bounded_closure(GeneratorSet.of(1), 20000).bits == (1 << 20001) - 2
-    three_five = bounded_closure(GeneratorSet.of(3, 5), 20000)
-    assert three_five.bits == (1 << 3) | ((1 << 20001) - (1 << 5))
+    n = 10**6
+    assert bounded_closure(GeneratorSet.of(1), n).bits == (1 << (n + 1)) - 2
+    three_five = bounded_closure(GeneratorSet.of(3, 5), n)
+    assert three_five.bits == (1 << 3) | ((1 << (n + 1)) - (1 << 5))
+    # (4**k - 1) // 3 has bits 0, 2, ..., 2k - 2; drop bits 0 and 2.
+    four_six = bounded_closure(GeneratorSet.of(4, 6), n)
+    assert four_six.bits == ((1 << (n + 2)) - 1) // 3 - 0b101
     evens = bounded_closure(GeneratorSet.of(2), 1001)
     assert evens.sorted_elements() == tuple(_F(v) for v in range(2, 1001, 2))
 
 
 def test_bounded_matches_oracle_on_random_sets():
     rng = random.Random(2024)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # some bounds undercut every generator
-        for _ in range(40):
-            k = rng.randint(1, 4)
-            vals = {Fraction(rng.randint(1, 36), rng.randint(1, 6)) for _ in range(k)}
-            gens = GeneratorSet.from_values(vals)
-            bound = Fraction(rng.randint(6, 120), rng.randint(1, 6))
-            bc = bounded_closure(gens, bound)
-            assert frozenset(bc.elements) == brute_force_closure(gens, bound)
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        vals = {Fraction(rng.randint(1, 36), rng.randint(1, 6)) for _ in range(k)}
+        gens = GeneratorSet.from_values(vals)
+        bound = Fraction(rng.randint(6, 120), rng.randint(1, 6))
+        bc = bounded_closure(gens, bound)
+        assert frozenset(bc.elements) == brute_force_closure(gens, bound)
 
 
 def test_every_element_gets_a_verifiable_derivation():
@@ -179,8 +231,9 @@ def test_closure_respects_bound_tightly():
     assert _F(8) not in bc
 
 
-def test_bound_below_all_generators_warns_and_is_empty():
-    with pytest.warns(UserWarning):
+def test_bound_below_all_generators_is_empty_and_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         bc = bounded_closure(GeneratorSet.of(5), 3)
     assert bc.sorted_elements() == ()
 
@@ -219,26 +272,24 @@ def test_membership_agrees_with_the_element_set_and_never_raises():
     odd_values = [None, "1", "abc", (1,), object(), 0, 0.0, -1, Fraction(-3, 2),
                   0.5, 1.0, 2.5, float("nan"), float("inf"), True]
     unhashable = [[1], {"v": 1}, {1}]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # some bounds undercut every generator
-        for _ in range(60):
-            vals = {Fraction(rng.randint(1, 12 * d), d)
-                    for d in (rng.randint(1, 7) for _ in range(rng.randint(1, 4)))}
-            gens = GeneratorSet.from_values(vals)
-            bound = Fraction(rng.randint(1, 40), rng.randint(1, 5))
-            bc = bounded_closure(gens, bound)
-            probes = list(odd_values)
-            probes += [rng.randint(-3, 50) for _ in range(10)]
-            probes += [Fraction(rng.randint(-5, 300), rng.randint(1, 60)) for _ in range(30)]
-            probes += [bound, bound + Fraction(1, 7), bound * 3]
-            probes += list(bc.elements)
-            for v in probes:
-                member = v in bc
-                assert member == (v in bc.elements), (gens, bound, v)
-                d = bc.derivation_for(v)
-                assert (d is None) == (not member), (gens, bound, v)
-                if d is not None:
-                    assert verify_derivation(d, gens) == v
-            for v in unhashable:
-                assert v not in bc
-                assert bc.derivation_for(v) is None
+    for _ in range(60):
+        vals = {Fraction(rng.randint(1, 12 * d), d)
+                for d in (rng.randint(1, 7) for _ in range(rng.randint(1, 4)))}
+        gens = GeneratorSet.from_values(vals)
+        bound = Fraction(rng.randint(1, 40), rng.randint(1, 5))
+        bc = bounded_closure(gens, bound)
+        probes = list(odd_values)
+        probes += [rng.randint(-3, 50) for _ in range(10)]
+        probes += [Fraction(rng.randint(-5, 300), rng.randint(1, 60)) for _ in range(30)]
+        probes += [bound, bound + Fraction(1, 7), bound * 3]
+        probes += list(bc.elements)
+        for v in probes:
+            member = v in bc
+            assert member == (v in bc.elements), (gens, bound, v)
+            d = bc.derivation_for(v)
+            assert (d is None) == (not member), (gens, bound, v)
+            if d is not None:
+                assert verify_derivation(d, gens) == v
+        for v in unhashable:
+            assert v not in bc
+            assert bc.derivation_for(v) is None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,25 @@ def test_parse_rat_accepts_ints_strings_fractions():
 def test_parse_rat_rejects_floats_bools_and_garbage(bad):
     with pytest.raises((ValueError, TypeError, ZeroDivisionError)):
         parse_rat(bad)
+
+
+def test_parse_rat_reads_strings_as_fraction_does_less_exponents_and_underscores():
+    rng = random.Random(11)
+    alphabet = "0123456789" * 3 + "+-./ eE_"
+    accepted = 0
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+        try:
+            want = None if set("eE_") & set(text) else Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        try:
+            got = parse_rat(text)
+        except ValueError:
+            got = None
+        assert got == want, text
+        accepted += got is not None
+    assert accepted > 1000
 
 
 def test_format_rat_lowest_terms():

@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["row", "coprime", "bigcert"])
+@pytest.mark.parametrize("workload", ["grid", "row", "coprime", "bigcert"])
 def test_tiny_traced_benchmark_run_is_correct(workload):
     cmd = [
         sys.executable, "perfbench/run.py",
