@@ -46,12 +46,14 @@ from .geometry import (
     Defect,
     Partition,
     Point,
+    RankView,
     ValidationReport,
     format_point,
     format_rat,
     interiors_disjoint,
     parse_point,
     parse_rat,
+    rank_partition,
     validate_partition,
 )
 from .jsonio import (
@@ -114,6 +116,7 @@ __all__ = [
     "Partition",
     "PartitionInvalid",
     "Point",
+    "RankView",
     "ReductionCertificate",
     "RenderSpec",
     "RenderUnsupported",
@@ -157,6 +160,7 @@ __all__ = [
     "pretty_json",
     "project_to_axis",
     "random_guillotine",
+    "rank_partition",
     "reduce_sequence",
     "render_svg",
     "replay",

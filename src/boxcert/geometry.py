@@ -3,6 +3,13 @@
 All coordinates are exact rationals (``fractions.Fraction``).  Floats are
 rejected at the boundary: geometric predicates here feed certificate
 checking, so every comparison must be decidable, not approximate.
+
+Validation and the trail graph only ever ask how coordinates *order*, so
+they work on a :class:`RankView`: each axis's distinct coordinates sorted
+once, and every box rewritten in integer ranks (coordinate compression).
+Exact values come back from the view's per-axis tables only where a result
+is read, and the exact-cover test sums integer volumes scaled per axis by
+the lcm of that axis's denominators.
 """
 from __future__ import annotations
 
@@ -10,7 +17,9 @@ import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from math import lcm, prod
+from operator import getitem
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RatLike = Union[int, str, Fraction]
 
@@ -77,9 +86,10 @@ def format_point(p: Point) -> str:
 class Box:
     """A closed axis-aligned box ``[lo[1], hi[1]] x ... x [lo[n], hi[n]]``.
 
-    Construction only enforces that ``lo`` and ``hi`` agree in length;
-    degeneracy (``lo[j] >= hi[j]``) is a *reported* defect, not an exception,
-    so raw input can be loaded and then validated.
+    Coordinates are exact rationals, except in a :class:`RankView`, whose
+    boxes hold integer ranks.  Construction only enforces that ``lo`` and
+    ``hi`` agree in length; degeneracy (``lo[j] >= hi[j]``) is a *reported*
+    defect, not an exception, so raw input can be loaded and then validated.
     """
 
     lo: Point
@@ -148,12 +158,14 @@ def interiors_disjoint(a: Box, b: Box) -> bool:
 
     Exact criterion: some axis separates them, i.e. one box ends (weakly)
     before the other begins.  Shared faces, edges, and corners are fine.
+    Only the order of coordinates matters, so boxes in ranks work alike.
     """
-    if a.dim != b.dim:
+    if len(a.lo) != len(b.lo):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return any(
-        a.hi[j] <= b.lo[j] or b.hi[j] <= a.lo[j] for j in range(a.dim)
-    )
+    for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi):
+        if ah <= bl or bh <= al:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -193,6 +205,71 @@ class Partition:
         return len(self.boxes)
 
 
+@dataclass(frozen=True, eq=False)
+class RankView:
+    """A partition with every coordinate replaced by its rank on its axis.
+
+    ``values[j]`` holds the distinct coordinates on 0-based axis ``j`` in
+    increasing order, so rank ``r`` stands for ``values[j][r]``; ``index[j]``
+    maps ``(numerator, denominator)`` back to the rank.  ``outer`` and
+    ``boxes`` are the partition's boxes in ranks, in the same order.  Ranks
+    order exactly as the values do, so every order test (and every tie) on
+    the view is the same as on the partition, with integers in place of
+    Fractions.  Build it with :func:`rank_partition`.
+    """
+
+    partition: Partition
+    values: tuple[tuple[Fraction, ...], ...]
+    index: tuple[dict[tuple[int, int], int], ...]
+    outer: Box
+    boxes: tuple[Box, ...]
+
+    def point(self, ranks: Iterable[int]) -> Point:
+        """The exact point whose coordinates have these ranks."""
+        return tuple(map(getitem, self.values, ranks))
+
+    def ranks_of(self, point: Point) -> Optional[tuple[int, ...]]:
+        """The ranks of an exact ``point``; None if it has the wrong dimension
+        or a coordinate that no box face has."""
+        if len(point) != len(self.index):
+            return None
+        ranks = []
+        for index, c in zip(self.index, point):
+            r = index.get((c.numerator, c.denominator))
+            if r is None:
+                return None
+            ranks.append(r)
+        return tuple(ranks)
+
+
+def rank_partition(p: Partition) -> RankView:
+    """Sort each axis's distinct coordinates once and rewrite ``p`` in ranks.
+
+    The tables are keyed on ``(numerator, denominator)``, so building them
+    hashes no Fraction; only the distinct values of an axis are compared.
+    """
+    shapes = (p.outer,) + p.boxes
+    values: list[tuple[Fraction, ...]] = []
+    index: list[dict[tuple[int, int], int]] = []
+    lo_ranks: list[list[int]] = []
+    hi_ranks: list[list[int]] = []
+    for j in range(p.dim):
+        coords = [b.lo[j] for b in shapes] + [b.hi[j] for b in shapes]
+        keys = [(c.numerator, c.denominator) for c in coords]
+        distinct = dict(zip(keys, coords))
+        order = sorted(distinct, key=distinct.__getitem__)
+        ranks = {key: r for r, key in enumerate(order)}
+        values.append(tuple(distinct[key] for key in order))
+        index.append(ranks)
+        column = [ranks[key] for key in keys]
+        lo_ranks.append(column[: len(shapes)])
+        hi_ranks.append(column[len(shapes) :])
+    outer, *boxes = (
+        Box(lo, hi) for lo, hi in zip(zip(*lo_ranks), zip(*hi_ranks))
+    )
+    return RankView(p, tuple(values), tuple(index), outer, tuple(boxes))
+
+
 @dataclass(frozen=True)
 class Defect:
     """One validation failure, with exact witness coordinates in ``detail``."""
@@ -208,13 +285,22 @@ class Defect:
         )
 
 
+#: Interior overlaps listed by :func:`validate_partition`; the rest are counted.
+LISTED_OVERLAPS = 100
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate_partition`; falsy iff defects were found."""
+    """Outcome of :func:`validate_partition`; falsy iff defects were found.
+
+    ``unlisted_overlaps`` counts the interior overlaps beyond the first
+    :data:`LISTED_OVERLAPS` box pairs, which are the only ones in ``defects``.
+    """
 
     box_count: int
     outer_volume: Fraction
     defects: tuple[Defect, ...] = field(default_factory=tuple)
+    unlisted_overlaps: int = 0
 
     @property
     def ok(self) -> bool:
@@ -226,15 +312,18 @@ class ValidationReport:
     def summary(self) -> str:
         if self.ok:
             return f"OK: {self.box_count} boxes, volume {format_rat(self.outer_volume)}"
-        lines = [f"INVALID: {len(self.defects)} defect(s)"]
+        total = len(self.defects) + self.unlisted_overlaps
+        lines = [f"INVALID: {total} defect(s)"]
         lines.extend(f"  - {d}" for d in self.defects)
+        if self.unlisted_overlaps:
+            lines.append(f"  … and {self.unlisted_overlaps} more interior overlaps")
         return "\n".join(lines)
 
 
 def _sweep(
     solid: Sequence[tuple[int, Box]], axis: int
-) -> Iterator[tuple[int, Box, list[tuple[Fraction, int, Box]]]]:
-    """Sweep ``solid`` in order of ``lo`` on 0-based ``axis``.
+) -> Iterator[tuple[int, Box, list[tuple[int, int, Box]]]]:
+    """Sweep ``solid`` (boxes in ranks) in order of ``lo`` on 0-based ``axis``.
 
     Yields each ``(k, box)`` together with the active heap: the boxes seen
     earlier whose open interval on ``axis`` meets this box's, as
@@ -242,7 +331,7 @@ def _sweep(
     is at or below the current ``lo``; since ``lo`` only grows, it can meet no
     later box on this axis.  The heap is live: read it before advancing.
     """
-    active: list[tuple[Fraction, int, Box]] = []
+    active: list[tuple[int, int, Box]] = []
     for k, b in sorted(solid, key=lambda kb: kb[1].lo[axis]):
         lo = b.lo[axis]
         while active and active[0][0] <= lo:
@@ -251,68 +340,86 @@ def _sweep(
         heapq.heappush(active, (b.hi[axis], k, b))
 
 
-def validate_partition(p: Partition) -> ValidationReport:
+def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
     """Check that the constituent boxes exactly tile the outer box.
 
-    Three independent exact checks, all reported (defects are data, not
-    exceptions):
+    Takes the partition or its :class:`RankView`; every test below runs on
+    ranks.  Three independent exact checks, all reported (defects are data,
+    not exceptions):
 
     * every box is nondegenerate and contained in the outer box;
     * constituent interiors are pairwise disjoint.  A sort-and-sweep along
       one axis (sweep-and-prune) finds the candidate pairs, those whose open
       intervals on that axis meet; the sweep axis is the one with the fewest
       such pairs.  Each candidate pair then gets the exact
-      :func:`interiors_disjoint` test, and each overlap is reported with its
-      common interior, in order of the box pair;
+      :func:`interiors_disjoint` test.  The first :data:`LISTED_OVERLAPS`
+      overlapping pairs, in order of the box pair, are reported with their
+      common interior; the rest are only counted;
     * volumes sum exactly to the outer volume, which together with the two
       conditions above makes the cover exact rather than merely a packing.
     """
+    view = p if isinstance(p, RankView) else rank_partition(p)
+    p = view.partition
     defects: list[Defect] = []
-    outer = p.outer
+    outer = view.outer
     if outer.is_degenerate():
         defects.append(
-            Defect("degenerate", (), f"outer box {outer} has a non-positive side")
+            Defect("degenerate", (), f"outer box {p.outer} has a non-positive side")
         )
-    for k, b in enumerate(p.boxes, start=1):
-        if b.is_degenerate():
+    for k, (b, ranked) in enumerate(zip(p.boxes, view.boxes), start=1):
+        if ranked.is_degenerate():
             defects.append(Defect("degenerate", (k,), f"box {b} has a non-positive side"))
-        elif not outer.contains_box(b):
+        elif not outer.contains_box(ranked):
             defects.append(
-                Defect("not-contained", (k,), f"box {b} is not inside outer {outer}")
+                Defect("not-contained", (k,), f"box {b} is not inside outer {p.outer}")
             )
     # Pairwise overlap only makes sense for boxes that are proper boxes.
     solid = [
-        (k, b) for k, b in enumerate(p.boxes, start=1) if not b.is_degenerate()
+        (k, b) for k, b in enumerate(view.boxes, start=1) if not b.is_degenerate()
     ]
     axis = min(
         range(p.dim),
         key=lambda j: sum(len(active) for _, _, active in _sweep(solid, j)),
     )
-    overlaps: list[Defect] = []
-    for k, b, active in _sweep(solid, axis):
-        for _, k2, b2 in active:
-            if not interiors_disjoint(b2, b):
-                lo = tuple(max(al, bl) for al, bl in zip(b2.lo, b.lo))
-                hi = tuple(min(ah, bh) for ah, bh in zip(b2.hi, b.hi))
-                overlaps.append(
-                    Defect(
-                        "interior-overlap",
-                        (min(k, k2), max(k, k2)),
-                        f"common interior {Box(lo, hi)}",
-                    )
-                )
-    defects.extend(sorted(overlaps, key=lambda d: d.boxes))
+    overlapping = 0
+
+    def overlaps() -> Iterator[tuple[int, int, Box, Box]]:
+        nonlocal overlapping
+        for k, b, active in _sweep(solid, axis):
+            for _, k2, b2 in active:
+                if not interiors_disjoint(b2, b):
+                    overlapping += 1
+                    yield (k2, k, b2, b) if k2 < k else (k, k2, b, b2)
+
+    for k, k2, a, b in heapq.nsmallest(LISTED_OVERLAPS, overlaps()):
+        lo = view.point(max(al, bl) for al, bl in zip(a.lo, b.lo))
+        hi = view.point(min(ah, bh) for ah, bh in zip(a.hi, b.hi))
+        defects.append(
+            Defect("interior-overlap", (k, k2), f"common interior {Box(lo, hi)}")
+        )
     if not defects:
-        total = sum((b.volume() for b in p.boxes), Fraction(0))
-        if total != outer.volume():
+        scales = [lcm(*(v.denominator for v in values)) for values in view.values]
+        scaled = [
+            [v.numerator * (q // v.denominator) for v in values]
+            for values, q in zip(view.values, scales)
+        ]
+
+        def volume(b: Box) -> int:  # the exact volume times prod(scales)
+            return prod(s[h] - s[l] for s, l, h in zip(scaled, b.lo, b.hi))
+
+        total = sum(volume(b) for b in view.boxes)
+        if total != volume(outer):
             defects.append(
                 Defect(
                     "volume-mismatch",
                     (),
-                    f"boxes cover volume {format_rat(total)} of "
-                    f"{format_rat(outer.volume())}: the cover has gaps",
+                    f"boxes cover volume {format_rat(Fraction(total, prod(scales)))} "
+                    f"of {format_rat(p.outer.volume())}: the cover has gaps",
                 )
             )
     return ValidationReport(
-        box_count=len(p.boxes), outer_volume=outer.volume(), defects=tuple(defects)
+        box_count=len(p.boxes),
+        outer_volume=p.outer.volume(),
+        defects=tuple(defects),
+        unlisted_overlaps=max(0, overlapping - LISTED_OVERLAPS),
     )

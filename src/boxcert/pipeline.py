@@ -24,6 +24,7 @@ from .geometry import (
     Point,
     format_point,
     format_rat,
+    rank_partition,
     validate_partition,
 )
 from .reduction import ReductionCertificate, reduce_sequence, replay
@@ -84,14 +85,16 @@ def _construct(
     from ``start`` (the smallest outer corner when None) and its projection.
     Each stage is looked up as a global of this module at call time, so a
     tracer that wraps those globals sees certify's and check's calls alike.
+    Validation and the graph share one rank view of the partition.
     """
-    report = validate_partition(p)
+    ranks = rank_partition(p)
+    report = validate_partition(ranks)
     if not report.ok:
         raise PartitionInvalid(report)
     bound = max(p.outer.extents())
     closure = bounded_closure(g, bound)
     assignment = assign_axes(p, closure.__contains__)
-    graph = build_graph(p, assignment)
+    graph = build_graph(ranks, assignment)
     parity = parity_audit(graph)
     if not parity.ok:
         raise ParityViolation(
@@ -123,9 +126,9 @@ def certify(
     Deterministic: with fixed inputs the certificate (and its JSON form) is
     byte-identical across runs.  Raises :class:`PartitionInvalid` for invalid
     partitions, :class:`~boxcert.errors.HypothesisViolated` when some box has
-    no side in the closure, and a :class:`~boxcert.errors.SoundnessError`
-    subclass if an internal invariant fails (which means a bug, not a
-    property of the input).
+    no side in the closure, ``ValueError`` when ``start`` is not an exact
+    outer corner, and a :class:`~boxcert.errors.SoundnessError` subclass if an
+    internal invariant fails (which means a bug, not a property of the input).
     """
     bound, closure, assignment, trail, y = _construct(p, g, start)
 
@@ -182,7 +185,7 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     ``digest``, ``gens``, the kernel (``reduction``, ``claim``), then the
     shared stages (``partition`` when validation fails, ``assignment`` when
     a box has no side in the closure, ``trail`` when the start is not an
-    outer corner), then equality of ``bound``, ``assignment``, ``trail``,
+    exact outer corner), then equality of ``bound``, ``assignment``, ``trail``,
     ``projection`` and ``claim`` with the recomputed values.  Never raises:
     malformed certificates yield ``CheckResult(False, ...)``.
     """
@@ -216,7 +219,7 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
             return fail("partition", exc.report.summary())
         except HypothesisViolated as exc:
             return fail("assignment", str(exc))
-        except ValueError as exc:  # extract_trail: the start is not an outer corner
+        except ValueError as exc:  # extract_trail: the start is not an exact outer corner
             return fail("trail", str(exc))
         if cert.bound != bound:
             return fail("bound", f"bound is not the outer extent {format_rat(bound)}")

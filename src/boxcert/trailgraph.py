@@ -9,15 +9,33 @@ a different outer corner, and projecting the walk to the first axis on which
 the two corners differ yields a sequence of positions whose nonzero step
 lengths are all tracked side lengths.  That sequence is what the reducer
 collapses into a single derived length.
+
+Only axis assignment reads lengths.  The graph, the parity audit and the walk
+depend on the order of coordinates alone, so they run on the partition's
+:class:`~boxcert.geometry.RankView`: vertices are tuples of integer ranks,
+and exact points come back from the view's value tables only where a result
+is read (``TrailGraph.vertices``, parity reports, trail steps).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import HypothesisViolated, SoundnessError, StuckAtEvenVertex
-from .geometry import Box, Partition, Point, format_point, format_rat
+from .geometry import (
+    Box,
+    Partition,
+    Point,
+    RankView,
+    format_point,
+    format_rat,
+    parse_point,
+    rank_partition,
+)
+
+#: A vertex of the trail graph: the ranks of a point's coordinates.
+Ranks = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -63,7 +81,9 @@ class Edge:
     ``edge_id`` enumerates the ``2^(n-1)`` parallel edges of box ``box``: bit
     t of ``edge_id`` says whether the t-th *other* axis (ascending) sits at
     the box's hi face.  ``a``/``b`` are the endpoints with the lower/higher
-    coordinate on the assigned axis, so ``a < b`` lexicographically.
+    coordinate on the assigned axis, so ``a < b`` lexicographically.  They
+    are in the coordinates of the box the edge came from: ranks inside a
+    :class:`TrailGraph`, exact points in a :class:`Trail`.
     """
 
     box: int
@@ -90,46 +110,50 @@ def edges_of_box(b: Box, k: int, axis: int) -> tuple[Edge, ...]:
 
 @dataclass(frozen=True, eq=False)
 class TrailGraph:
-    """Multigraph of assigned-axis edges over all constituent-box vertices."""
+    """Multigraph of assigned-axis edges over all constituent-box vertices.
 
-    partition: Partition
+    ``edges`` and ``adjacency`` are in the ranks of ``ranks``; ``vertices``
+    and :meth:`degree` speak exact points.
+    """
+
+    ranks: RankView
     assignment: AxisAssignment
-    vertices: tuple[Point, ...]
     edges: tuple[Edge, ...]
     #: vertex -> [(far endpoint, edge), ...] in edge order, unsorted
-    adjacency: Mapping[Point, list[tuple[Point, Edge]]]
+    adjacency: Mapping[Ranks, list[tuple[Ranks, Edge]]]
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        """Every vertex as an exact point, in increasing order."""
+        return tuple(self.ranks.point(v) for v in sorted(self.adjacency))
 
     def degree(self, v: Point) -> int:
-        return len(self.adjacency.get(v, ()))
+        return len(self.adjacency.get(self.ranks.ranks_of(v), ()))
 
 
-def build_graph(p: Partition, c: AxisAssignment) -> TrailGraph:
+def build_graph(p: Union[Partition, RankView], c: AxisAssignment) -> TrailGraph:
     """Assemble the multigraph; deterministic given the assignment.
 
-    Box k contributes its ``2^(n-1)`` edges parallel to axis ``c.axis_of(k)``.
-    Vertices are the edges' endpoints (deduplicated as exact points): these
+    Takes the partition or its :class:`~boxcert.geometry.RankView`.  Box k
+    contributes its ``2^(n-1)`` edges parallel to axis ``c.axis_of(k)``.
+    Vertices are the edges' endpoints (deduplicated as rank tuples): these
     edges reach all ``2^n`` corners of their box, so the vertices are exactly
     the corners of all constituent boxes.  T-junction contacts (a vertex of
     one box interior to an edge of another) do not split edges.
     """
-    if len(c) != len(p.boxes):
+    view = p if isinstance(p, RankView) else rank_partition(p)
+    if len(c) != len(view.boxes):
         raise ValueError(
-            f"assignment covers {len(c)} boxes, partition has {len(p.boxes)}"
+            f"assignment covers {len(c)} boxes, partition has {len(view.boxes)}"
         )
     edges: list[Edge] = []
-    for k, b in enumerate(p.boxes, start=1):
+    for k, b in enumerate(view.boxes, start=1):
         edges.extend(edges_of_box(b, k, c.axis_of(k)))
-    adjacency: dict[Point, list[tuple[Point, Edge]]] = {}
+    adjacency: dict[Ranks, list[tuple[Ranks, Edge]]] = {}
     for e in edges:
         adjacency.setdefault(e.a, []).append((e.b, e))
         adjacency.setdefault(e.b, []).append((e.a, e))
-    return TrailGraph(
-        partition=p,
-        assignment=c,
-        vertices=tuple(sorted(adjacency)),
-        edges=tuple(edges),
-        adjacency=adjacency,
-    )
+    return TrailGraph(ranks=view, assignment=c, edges=tuple(edges), adjacency=adjacency)
 
 
 @dataclass(frozen=True)
@@ -179,14 +203,15 @@ def parity_audit(g: TrailGraph) -> ParityReport:
     past validation) or the graph was built wrongly; either way certification
     must not proceed.
     """
-    outer_corners = set(g.partition.outer.corners())
-    points = g.vertices  # already sorted; adjacency is keyed by exactly these
-    if not outer_corners.issubset(g.adjacency):
-        points = sorted(outer_corners.union(g.vertices))
+    outer_corners = set(g.ranks.outer.corners())
     return ParityReport(
         entries=tuple(
-            ParityEntry(point=v, degree=g.degree(v), is_outer_corner=v in outer_corners)
-            for v in points
+            ParityEntry(
+                point=g.ranks.point(v),
+                degree=len(g.adjacency.get(v, ())),
+                is_outer_corner=v in outer_corners,
+            )
+            for v in sorted(outer_corners.union(g.adjacency))
         )
     )
 
@@ -219,17 +244,25 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
     applied at each vertex the walk visits: the unused edge with the
     lexicographically smallest far endpoint, then smallest box index, then
     smallest edge_id — this makes the whole pipeline reproducible
-    byte-for-byte.  ``(box, edge_id)`` identifies an edge.
+    byte-for-byte.  ``(box, edge_id)`` identifies an edge.  The walk runs on
+    ranks; each step is written out in exact points.  ``start`` is read
+    with :func:`~boxcert.geometry.parse_point`, so a float start raises
+    ``ValueError`` like one that is not an outer corner.
     """
-    corners = set(g.partition.outer.corners())
+    view = g.ranks
+    corners = set(view.outer.corners())
     if start is None:
-        start = min(corners)
-    elif start not in corners:
-        raise ValueError(
-            f"start {format_point(start)} is not a corner of the outer box"
-        )
+        first = min(corners)
+        start = view.point(first)
+    else:
+        start = parse_point(start)
+        first = view.ranks_of(start)
+        if first not in corners:
+            raise ValueError(
+                f"start {format_point(start)} is not a corner of the outer box"
+            )
     used: set[tuple[int, int]] = set()
-    current = start
+    current, here = first, start
     steps: list[TrailStep] = []
     while True:
         options = [
@@ -241,13 +274,15 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
             break
         far, e = min(options, key=lambda fe: (fe[0], fe[1].box, fe[1].edge_id))
         used.add((e.box, e.edge_id))
-        steps.append(TrailStep(edge=e, src=current, dst=far))
-        current = far
+        there = view.point(far)
+        a, b = (here, there) if e.a == current else (there, here)
+        steps.append(TrailStep(edge=Edge(e.box, e.edge_id, a, b), src=here, dst=there))
+        current, here = far, there
     if not steps:
-        raise StuckAtEvenVertex(current, f"no edges at start {format_point(current)}")
-    if current == start or current not in corners:
-        raise StuckAtEvenVertex(current)
-    return Trail(start=start, steps=tuple(steps), end=current)
+        raise StuckAtEvenVertex(here, f"no edges at start {format_point(here)}")
+    if current == first or current not in corners:
+        raise StuckAtEvenVertex(here)
+    return Trail(start=start, steps=tuple(steps), end=here)
 
 
 @dataclass(frozen=True)

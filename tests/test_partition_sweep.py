@@ -102,6 +102,25 @@ def _grid(cols: int, rows: int) -> Partition:
     return Partition(2, Box((_F(0), _F(0)), (_F(cols), _F(rows))), tuple(boxes))
 
 
+def _prime_row(n: int = 200) -> Partition:
+    """``n`` strips cut at ``i + 1/p_i``, one distinct prime ``p_i`` per cut.
+
+    The outer box ends at the last cut, so the exact volumes have ``n``
+    distinct prime denominators between them.
+    """
+    primes: list[int] = []
+    m = 2
+    while len(primes) < n:
+        if all(m % q for q in primes if q * q <= m):
+            primes.append(m)
+        m += 1
+    cuts = [_F(0)] + [i + _F(1, q) for i, q in enumerate(primes, start=1)]
+    boxes = tuple(
+        Box((lo, _F(0)), (hi, _F(1))) for lo, hi in zip(cuts, cuts[1:])
+    )
+    return Partition(2, Box((_F(0), _F(0)), (cuts[-1], _F(1))), boxes)
+
+
 def _assert_agree(p: Partition) -> ValidationReport:
     expected = pairwise_validate(p)
     assert validate_partition(p) == expected, expected.summary()
@@ -140,6 +159,28 @@ def test_sweep_matches_oracle_on_degenerate_and_duplicated_boxes():
         assert {"degenerate", "interior-overlap"} <= kinds
     dup = _grid(3, 3)
     _assert_agree(_with_boxes(dup, dup.boxes + dup.boxes))
+    # one cut of the prime-denominator row nudged into its right neighbour
+    row = _prime_row()
+    boxes = list(row.boxes)
+    b = boxes[99]
+    boxes[99] = Box(b.lo, (b.hi[0] + _F(1, 1000003), b.hi[1]))
+    report = _assert_agree(_with_boxes(row, boxes))
+    assert [(d.kind, d.boxes) for d in report.defects] == [("interior-overlap", (100, 101))]
+
+
+def test_a_thousand_duplicates_list_a_hundred_overlaps_and_count_the_rest():
+    unit = Box((_F(0), _F(0)), (_F(1), _F(1)))
+    p = Partition(2, unit, (unit,) * 1000)
+    report = validate_partition(p)
+    # The oracle lists all 499,500 pairs in order, (1, 2) .. (1, 1000) first,
+    # so its first 100 are also the first 100 it lists for boxes 1..101.
+    first = pairwise_validate(_with_boxes(p, p.boxes[:101])).defects[:100]
+    assert report.defects == first
+    assert report.unlisted_overlaps == 1000 * 999 // 2 - 100 == 499_400
+    summary = report.summary()
+    assert summary.startswith("INVALID: 499500 defect(s)")
+    assert summary.endswith("… and 499400 more interior overlaps")
+    assert len(summary.encode()) < 16_000
 
 
 def test_sweep_matches_oracle_when_boxes_only_touch():
@@ -160,6 +201,12 @@ def test_sweep_matches_oracle_when_boxes_only_touch():
     outer = Box((_F(0),) * 3, (_F(2),) * 3)
     assert _assert_agree(Partition(3, outer, cubes)).ok
     assert not _assert_agree(Partition(3, outer, cubes[::2])).ok
+    # strips whose cuts have 200 distinct prime denominators: the integer
+    # volume is scaled by their product; a missing strip leaves a gap
+    row = _prime_row()
+    assert _assert_agree(row).ok
+    report = _assert_agree(_with_boxes(row, row.boxes[:77] + row.boxes[78:]))
+    assert [d.kind for d in report.defects] == ["volume-mismatch"]
 
 
 @pytest.fixture

@@ -29,6 +29,7 @@ from boxcert.trailgraph import (
     Trail,
     TrailStep,
     build_graph,
+    edges_of_box,
     extract_trail,
     project_to_axis,
 )
@@ -91,6 +92,23 @@ def test_certify_custom_start_corner():
     assert cert.trail.start == _pt(20, 20)
     assert cert.claimed_side.length == 20
     assert check_certificate(cert, p, g).ok
+
+
+def test_the_start_corner_is_read_as_exact_rationals():
+    # An int start is read exactly and still written as "0"; a float start
+    # is rejected like any float, and check reports it at the trail stage.
+    p, g = _strip()
+    cert = certify(p, g, start=(0, 0))
+    assert cert.trail.start == _pt(0, 0)
+    assert certificate_to_json(cert)["trail"]["start"] == ["0", "0"]
+    with pytest.raises(ValueError, match="floats are not accepted"):
+        certify(p, g, start=(0.0, 0.0))
+    floated = dataclasses.replace(
+        cert, trail=dataclasses.replace(cert.trail, start=(0.0, 0.0))
+    )
+    result = check_certificate(floated, p, g)
+    assert not result.ok
+    assert result.reasons[0].startswith("trail"), result.reasons
 
 
 def test_certify_rejects_invalid_partition():
@@ -188,15 +206,20 @@ def test_check_rejects_a_valid_but_non_canonical_trail():
     # This instance has a second non-repeating trail from the same start: take
     # the largest far endpoint at every vertex instead of the smallest.  Its
     # projection, reduction and claim are all consistent, but it is not the
-    # trail certify extracts, so the trail stage rejects it.
+    # trail certify extracts, so the trail stage rejects it.  The walk runs on
+    # its own incidence map of the boxes' exact edges.
     p, g = factory.hypothesis_instance(
         factory.random_guillotine(2, max_depth=3, seed=1084), seed=5084
     )
     cert = certify(p, g)
-    graph = build_graph(p, cert.assignment)
+    adjacency: dict = {}
+    for k, b in enumerate(p.boxes, start=1):
+        for e in edges_of_box(b, k, cert.assignment.axis_of(k)):
+            adjacency.setdefault(e.a, []).append((e.b, e))
+            adjacency.setdefault(e.b, []).append((e.a, e))
     used, current, steps = set(), cert.trail.start, []
     while True:
-        options = [(far, e) for far, e in graph.adjacency[current] if e not in used]
+        options = [(far, e) for far, e in adjacency[current] if e not in used]
         if not options:
             break
         far, e = max(options, key=lambda fe: (fe[0], fe[1].box, fe[1].edge_id))

@@ -16,7 +16,7 @@ from boxcert.factory import (
     random_guillotine,
     strip_partition,
 )
-from boxcert.geometry import Box, Partition, parse_point
+from boxcert.geometry import Box, Partition, parse_point, validate_partition
 from boxcert.trailgraph import (
     AxisAssignment,
     YSequence,
@@ -41,16 +41,27 @@ def _pt(*coords):
     return parse_point(coords)
 
 
-def _count_fraction_hashes(monkeypatch):
+def _count_fraction_calls(monkeypatch, *names):
+    """Count calls of the named ``Fraction`` methods; read as ``calls[0]``."""
     calls = [0]
-    fraction_hash = Fraction.__hash__
 
-    def counting(self):
-        calls[0] += 1
-        return fraction_hash(self)
+    def counting(method):
+        def counted(*args):
+            calls[0] += 1
+            return method(*args)
 
-    monkeypatch.setattr(Fraction, "__hash__", counting)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
     return calls
+
+
+def _unit_grid(n):
+    boxes = tuple(
+        Box(_pt(i, j), _pt(i + 1, j + 1)) for i in range(n) for j in range(n)
+    )
+    return Partition(2, Box(_pt(0, 0), _pt(n, n)), boxes)
 
 
 def test_assign_axes_prefers_smallest_axis():
@@ -162,6 +173,8 @@ def test_trail_start_must_be_an_outer_corner():
     g = build_graph(p, AxisAssignment((1, 1)))
     with pytest.raises(ValueError):
         extract_trail(g, start=_pt(15, 0))
+    with pytest.raises(ValueError):
+        extract_trail(g, start=_pt(0, 0, 0))  # a corner's coordinates, plus one
 
 
 def test_trail_gets_stuck_on_uncovered_partition():
@@ -254,28 +267,45 @@ def test_vertices_are_the_sorted_box_corners_under_any_assignment():
 
 
 def test_a_grid_graph_hashes_each_endpoint_a_bounded_number_of_times(monkeypatch):
-    # One incidence map, built in one pass over the edges: each edge hashes
-    # its two endpoints once (2 coordinates each, 4 * 3,200 = 12,800).
+    # The incidence map is keyed on rank tuples and the rank tables on
+    # (numerator, denominator), so building the graph hashes no Fraction.
     n = 40
-    boxes = tuple(
-        Box(_pt(i, j), _pt(i + 1, j + 1)) for i in range(n) for j in range(n)
-    )
-    p = Partition(2, Box(_pt(0, 0), _pt(n, n)), boxes)
+    p = _unit_grid(n)
     c = assign_axes(p, _member((1,), n))
-    calls = _count_fraction_hashes(monkeypatch)
+    calls = _count_fraction_calls(monkeypatch, "__hash__")
     g = build_graph(p, c)
     assert len(g.edges) == 2 * n * n
-    assert 0 < calls[0] <= 16_000
+    assert calls[0] == 0
+    hash(Fraction(1, 3))
+    assert calls[0] == 1  # the counter is live
+
+
+def test_grid_validation_graph_and_parity_make_few_fraction_operations(monkeypatch):
+    # Order tests run on integer ranks.  What is left is sorting each axis's
+    # 41 distinct values (once per rank view) and the outer volume.
+    n = 40
+    p = _unit_grid(n)
+    c = assign_axes(p, _member((1,), n))
+    calls = _count_fraction_calls(
+        monkeypatch,
+        "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__",
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    )
+    assert validate_partition(p).ok
+    assert parity_audit(build_graph(p, c)).ok
+    assert 0 < calls[0] < 2_000
 
 
 def test_a_row_trail_hashes_a_bounded_number_of_fractions_per_step(monkeypatch):
-    # The walk looks up the vertex it stands on and marks edges used by
-    # (box, edge_id), which hashes no Fraction.
+    # The walk stands on rank tuples and marks edges used by (box, edge_id),
+    # so it hashes no Fraction; steps only index the value tables.
     n = 400
     boxes = tuple(Box(_pt(i, 0), _pt(i + 1, 3)) for i in range(n))
     p = Partition(2, Box(_pt(0, 0), _pt(n, 3)), boxes)
     g = build_graph(p, assign_axes(p, _member((1,), n)))
-    calls = _count_fraction_hashes(monkeypatch)
+    calls = _count_fraction_calls(monkeypatch, "__hash__")
     t = extract_trail(g)
     assert len(t.steps) == n
-    assert 0 < calls[0] <= 3 * n
+    assert calls[0] == 0
+    hash(Fraction(1, 3))
+    assert calls[0] == 1  # the counter is live
