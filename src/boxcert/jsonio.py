@@ -5,6 +5,18 @@ integers); plain JSON integers are accepted on input.  Non-integer JSON
 numbers are rejected: a binary float almost never denotes the decimal the
 user wrote, and every consumer here needs exact values.
 
+A document repeats a few values many times (a coordinate in every box and
+trail step that touches it), so each loader reads its document's rational
+strings through one table, string to exact ``Fraction``, that lives for that
+one call: each distinct string is parsed once, and equal strings give the
+same ``Fraction`` object.  A malformed string never enters the table, so it
+is rejected wherever it occurs.  The lower-level parsers take the table as
+the keyword ``rats`` and start a fresh one when it is omitted.
+
+The location in an error message (``trail.steps[3].to[1]``) is formatted
+only when a value is rejected: a list element is read relative to its own
+position, and the list names the element when it passes the error up.
+
 ``canonical_json`` (sorted keys, no whitespace) defines the byte string that
 content digests are computed over; pretty output is for files and humans and
 hashes the same because digests are always recomputed from parsed data.
@@ -14,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from .closure import (
     Derivation,
@@ -39,21 +51,63 @@ def pretty_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-# --- rationals and points ---------------------------------------------------
+# --- locations, rationals and points ----------------------------------------
 
 
-def rat_from_json(obj: Any, where: str = "value") -> Fraction:
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise ValueError(
-            f"{where}: expected an integer or a \"p/q\" string, got {obj!r}"
+RatTable = dict[str, Fraction]  # one document's rational strings, each parsed once
+
+
+class _Malformed(ValueError):
+    """A rejected field: ``where`` names it and ``detail`` says what is wrong."""
+
+    def __init__(self, where: str, detail: str) -> None:
+        super().__init__(f"{where}: {detail}")
+        self.where, self.detail = where, detail
+
+    def under(self, prefix: str) -> "_Malformed":
+        """The same fault, named from the container at ``prefix``."""
+        return _Malformed(prefix + self.where, self.detail)
+
+
+def _at(where: str, i: Optional[int]) -> str:
+    return where if i is None else f"{where}[{i}]"
+
+
+def _rat(obj: Any, rats: RatTable, where: str, i: Optional[int] = None) -> Fraction:
+    """``obj`` as an exact rational; element ``i`` of ``where`` when i is given."""
+    if isinstance(obj, str):
+        value = rats.get(obj)
+        if value is None:
+            value = rats[obj] = parse_rat(obj)
+        return value
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise _Malformed(
+            _at(where, i), f"expected an integer or a \"p/q\" string, got {obj!r}"
         )
     return parse_rat(obj)
 
 
-def point_from_json(obj: Any, where: str = "point") -> Point:
+def rat_from_json(
+    obj: Any, where: str = "value", *, rats: Optional[RatTable] = None
+) -> Fraction:
+    return _rat(obj, {} if rats is None else rats, where)
+
+
+def rats_from_json(
+    obj: Any, where: str, *, rats: Optional[RatTable] = None
+) -> list[Fraction]:
+    """A JSON array of rationals; a bad element ``i`` is named ``where[i]``."""
+    rats = {} if rats is None else rats
+    return [_rat(c, rats, where, i) for i, c in enumerate(expect_list(obj, where))]
+
+
+def point_from_json(
+    obj: Any, where: str = "point", *, rats: Optional[RatTable] = None
+) -> Point:
     if not isinstance(obj, list) or not obj:
-        raise ValueError(f"{where}: expected a non-empty list of rationals")
-    return tuple(rat_from_json(c, f"{where}[{i}]") for i, c in enumerate(obj))
+        raise _Malformed(where, "expected a non-empty list of rationals")
+    rats = {} if rats is None else rats
+    return tuple([_rat(c, rats, where, i) for i, c in enumerate(obj)])
 
 
 def point_to_json(p: Point) -> list[str]:
@@ -62,25 +116,26 @@ def point_to_json(p: Point) -> list[str]:
 
 def expect_dict(obj: Any, where: str) -> dict:
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+        raise _Malformed(where, f"expected an object, got {type(obj).__name__}")
     return obj
 
 
 def expect_list(obj: Any, where: str) -> list:
     if not isinstance(obj, list):
-        raise ValueError(f"{where}: expected an array, got {type(obj).__name__}")
+        raise _Malformed(where, f"expected an array, got {type(obj).__name__}")
     return obj
 
 
-def expect_int(obj: Any, where: str) -> int:
+def expect_int(obj: Any, where: str, i: Optional[int] = None) -> int:
+    """``obj`` as a JSON integer; element ``i`` of ``where`` when i is given."""
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ValueError(f"{where}: expected an integer, got {obj!r}")
+        raise _Malformed(_at(where, i), f"expected an integer, got {obj!r}")
     return obj
 
 
 def get_key(obj: dict, key: str, where: str) -> Any:
     if key not in obj:
-        raise ValueError(f"{where}: missing key {key!r}")
+        raise _Malformed(where, f"missing key {key!r}")
     return obj[key]
 
 
@@ -91,12 +146,17 @@ def box_to_json(b: Box) -> dict:
     return {"lo": point_to_json(b.lo), "hi": point_to_json(b.hi)}
 
 
-def box_from_json(obj: Any, where: str = "box") -> Box:
-    d = expect_dict(obj, where)
-    return Box(
-        point_from_json(get_key(d, "lo", where), f"{where}.lo"),
-        point_from_json(get_key(d, "hi", where), f"{where}.hi"),
-    )
+def box_from_json(
+    obj: Any, where: str = "box", *, rats: Optional[RatTable] = None
+) -> Box:
+    rats = {} if rats is None else rats
+    try:
+        d = expect_dict(obj, "")
+        lo = point_from_json(get_key(d, "lo", ""), ".lo", rats=rats)
+        hi = point_from_json(get_key(d, "hi", ""), ".hi", rats=rats)
+    except _Malformed as exc:
+        raise exc.under(where) from None
+    return Box(lo, hi)
 
 
 def partition_to_json(p: Partition) -> dict:
@@ -110,11 +170,16 @@ def partition_to_json(p: Partition) -> dict:
 def partition_from_json(obj: Any) -> Partition:
     d = expect_dict(obj, "partition")
     dim = expect_int(get_key(d, "dim", "partition"), "partition.dim")
-    outer = box_from_json(get_key(d, "outer", "partition"), "partition.outer")
-    boxes = [
-        box_from_json(b, f"partition.boxes[{i}]")
-        for i, b in enumerate(expect_list(get_key(d, "boxes", "partition"), "partition.boxes"))
-    ]
+    rats: RatTable = {}
+    outer = box_from_json(
+        get_key(d, "outer", "partition"), "partition.outer", rats=rats
+    )
+    boxes = []
+    for i, b in enumerate(expect_list(get_key(d, "boxes", "partition"), "partition.boxes")):
+        try:
+            boxes.append(box_from_json(b, "", rats=rats))
+        except _Malformed as exc:
+            raise exc.under(f"partition.boxes[{i}]") from None
     return Partition(dim=dim, outer=outer, boxes=tuple(boxes))
 
 
@@ -162,7 +227,9 @@ def derivation_to_json(d: Derivation) -> list[dict]:
     return table
 
 
-def derivation_from_json(obj: Any, where: str = "derivation") -> Derivation:
+def derivation_from_json(
+    obj: Any, where: str = "derivation", *, rats: Optional[RatTable] = None
+) -> Derivation:
     """Parse and *check* a derivation table; the last entry is the root.
 
     One forward pass: arities must match the op, every argument must index
@@ -178,50 +245,54 @@ def derivation_from_json(obj: Any, where: str = "derivation") -> Derivation:
     """
     table = expect_list(obj, where)
     if not table:
-        raise ValueError(f"{where}: empty derivation table")
+        raise _Malformed(where, "empty derivation table")
+    rats = {} if rats is None else rats
     nodes: list[Derivation] = []
     values: list[Fraction] = []
     seen: set[tuple] = set()
     unused: set[int] = set()  # entries no later entry has taken as an argument
     for n, entry in enumerate(table):
-        at = f"{where}[{n}]"
-        d = expect_dict(entry, at)
-        op = get_key(d, "op", at)
-        args = expect_list(get_key(d, "args", at), f"{at}.args")
-        claimed = rat_from_json(get_key(d, "value", at), f"{at}.value")
-        arity = _ARITY.get(op) if isinstance(op, str) else None
-        if arity is None:
-            raise ValueError(f"{at}.op: unknown operation {op!r}")
-        if len(args) != arity:
-            raise ValueError(f"{at}: op {op!r} takes {arity} arguments, got {len(args)}")
-        for i, a in enumerate(args):
-            if not 0 <= expect_int(a, f"{at}.args[{i}]") < n:
-                raise ValueError(f"{at}.args[{i}]: {a} is not an earlier entry")
-        key = (op, claimed) if op == "leaf" else (op, *args)
-        if key in seen:
-            raise ValueError(f"{at}: duplicates an earlier entry")
-        seen.add(key)
-        unused.difference_update(args)
-        unused.add(n)
-        if op == "leaf":
-            if claimed <= 0:
-                raise ValueError(f"{at}: leaf value must be positive")
-            node: Derivation = Leaf(claimed)
-            value = claimed
-        else:
-            cls, fn = _OPS[op]
-            node = cls(*(nodes[a] for a in args))
-            value = fn(*(values[a] for a in args))
-            if value != claimed:
-                raise ValueError(
-                    f"{at}: value annotation {format_rat(claimed)} does not "
-                    f"match recomputed {format_rat(value)}"
-                )
+        try:  # read relative to the entry; its location is named on failure
+            d = expect_dict(entry, "")
+            op = get_key(d, "op", "")
+            args = expect_list(get_key(d, "args", ""), ".args")
+            claimed = _rat(get_key(d, "value", ""), rats, ".value")
+            arity = _ARITY.get(op) if isinstance(op, str) else None
+            if arity is None:
+                raise _Malformed(".op", f"unknown operation {op!r}")
+            if len(args) != arity:
+                raise _Malformed("", f"op {op!r} takes {arity} arguments, got {len(args)}")
+            for i, a in enumerate(args):
+                if not 0 <= expect_int(a, ".args", i) < n:
+                    raise _Malformed(f".args[{i}]", f"{a} is not an earlier entry")
+            key = (op, claimed) if op == "leaf" else (op, *args)
+            if key in seen:
+                raise _Malformed("", "duplicates an earlier entry")
+            seen.add(key)
+            unused.difference_update(args)
+            unused.add(n)
+            if op == "leaf":
+                if claimed <= 0:
+                    raise _Malformed("", "leaf value must be positive")
+                node: Derivation = Leaf(claimed)
+                value = claimed
+            else:
+                cls, fn = _OPS[op]
+                node = cls(*(nodes[a] for a in args))
+                value = fn(*(values[a] for a in args))
+                if value != claimed:
+                    raise _Malformed(
+                        "",
+                        f"value annotation {format_rat(claimed)} does not "
+                        f"match recomputed {format_rat(value)}",
+                    )
+        except _Malformed as exc:
+            raise exc.under(f"{where}[{n}]") from None
         nodes.append(node)
         values.append(value)
     unused.discard(len(table) - 1)
     if unused:
-        raise ValueError(f"{where}[{min(unused)}]: no later entry uses it")
+        raise _Malformed(f"{where}[{min(unused)}]", "no later entry uses it")
     return nodes[-1]
 
 
@@ -244,23 +315,23 @@ def trail_to_json(t: Trail) -> dict:
     }
 
 
-def trail_from_json(obj: Any) -> Trail:
+def trail_from_json(obj: Any, *, rats: Optional[RatTable] = None) -> Trail:
+    rats = {} if rats is None else rats
     d = expect_dict(obj, "trail")
-    start = point_from_json(get_key(d, "start", "trail"), "trail.start")
-    end = point_from_json(get_key(d, "end", "trail"), "trail.end")
+    start = point_from_json(get_key(d, "start", "trail"), "trail.start", rats=rats)
+    end = point_from_json(get_key(d, "end", "trail"), "trail.end", rats=rats)
     steps: list[TrailStep] = []
     for i, s in enumerate(expect_list(get_key(d, "steps", "trail"), "trail.steps")):
-        where = f"trail.steps[{i}]"
-        sd = expect_dict(s, where)
-        src = point_from_json(get_key(sd, "from", where), f"{where}.from")
-        dst = point_from_json(get_key(sd, "to", where), f"{where}.to")
-        edge = Edge(
-            box=expect_int(get_key(sd, "box", where), f"{where}.box"),
-            edge_id=expect_int(get_key(sd, "edge", where), f"{where}.edge"),
-            a=min(src, dst),
-            b=max(src, dst),
-        )
-        steps.append(TrailStep(edge=edge, src=src, dst=dst))
+        try:  # read relative to the step; its location is named on failure
+            sd = expect_dict(s, "")
+            src = point_from_json(get_key(sd, "from", ""), ".from", rats=rats)
+            dst = point_from_json(get_key(sd, "to", ""), ".to", rats=rats)
+            box = expect_int(get_key(sd, "box", ""), ".box")
+            edge_id = expect_int(get_key(sd, "edge", ""), ".edge")
+        except _Malformed as exc:
+            raise exc.under(f"trail.steps[{i}]") from None
+        a, b = (dst, src) if dst < src else (src, dst)
+        steps.append(TrailStep(edge=Edge(box, edge_id, a, b), src=src, dst=dst))
     return Trail(start=start, steps=tuple(steps), end=end)
 
 
@@ -272,30 +343,33 @@ def ysequence_to_json(y: YSequence) -> dict:
     }
 
 
-def ysequence_from_json(obj: Any) -> YSequence:
+def ysequence_from_json(
+    obj: Any, *, rats: Optional[RatTable] = None
+) -> YSequence:
+    rats = {} if rats is None else rats
     d = expect_dict(obj, "y")
-    points = [
-        rat_from_json(v, f"y.points[{i}]")
-        for i, v in enumerate(expect_list(get_key(d, "points", "y"), "y.points"))
-    ]
+    points = rats_from_json(get_key(d, "points", "y"), "y.points", rats=rats)
     return YSequence(
         axis=expect_int(get_key(d, "axis", "y"), "y.axis"),
-        length=rat_from_json(get_key(d, "length", "y"), "y.length"),
+        length=_rat(get_key(d, "length", "y"), rats, "y.length"),
         points=tuple(points),
     )
 
 
-def reduction_from_json(obj: Any) -> ReductionCertificate:
+def reduction_from_json(
+    obj: Any, *, rats: Optional[RatTable] = None
+) -> ReductionCertificate:
     """Rebuild a reduction certificate: its result and derivation.
 
     The wire carries no rewrite log (it is a function of the sequence), so the
     parsed certificate has ``steps=()``.
     """
+    rats = {} if rats is None else rats
     d = expect_dict(obj, "reduction")
     return ReductionCertificate(
         steps=(),
-        result=rat_from_json(get_key(d, "result", "reduction"), "reduction.result"),
+        result=_rat(get_key(d, "result", "reduction"), rats, "reduction.result"),
         derivation=derivation_from_json(
-            get_key(d, "derivation", "reduction"), "reduction.derivation"
+            get_key(d, "derivation", "reduction"), "reduction.derivation", rats=rats
         ),
     )

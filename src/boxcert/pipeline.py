@@ -259,38 +259,43 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: Any) -> Certificate:
+    """Parse a certificate; each distinct rational string in it is parsed once."""
+    rats: jsonio.RatTable = {}
     d = jsonio.expect_dict(obj, "certificate")
     digest = jsonio.get_key(d, "partition_sha256", "certificate")
     if not isinstance(digest, str):
         raise ValueError("certificate.partition_sha256: expected a string")
     gens = GeneratorSet(
         frozenset(
-            jsonio.rat_from_json(v, f"certificate.gens[{i}]")
-            for i, v in enumerate(
-                jsonio.expect_list(jsonio.get_key(d, "gens", "certificate"), "certificate.gens")
+            jsonio.rats_from_json(
+                jsonio.get_key(d, "gens", "certificate"), "certificate.gens", rats=rats
             )
         )
     )
     axes = tuple(
-        jsonio.expect_int(a, f"certificate.assignment[{i}]")
+        jsonio.expect_int(a, "certificate.assignment", i)
         for i, a in enumerate(
             jsonio.expect_list(
                 jsonio.get_key(d, "assignment", "certificate"), "certificate.assignment"
             )
         )
     )
-    y = jsonio.ysequence_from_json(jsonio.get_key(d, "y", "certificate"))
+    y = jsonio.ysequence_from_json(jsonio.get_key(d, "y", "certificate"), rats=rats)
     claim_obj = jsonio.expect_dict(
         jsonio.get_key(d, "claimed_side", "certificate"), "certificate.claimed_side"
     )
     return Certificate(
         partition_sha256=digest,
         gens=gens,
-        bound=jsonio.rat_from_json(jsonio.get_key(d, "bound", "certificate"), "certificate.bound"),
+        bound=jsonio.rat_from_json(
+            jsonio.get_key(d, "bound", "certificate"), "certificate.bound", rats=rats
+        ),
         assignment=AxisAssignment(axes),
-        trail=jsonio.trail_from_json(jsonio.get_key(d, "trail", "certificate")),
+        trail=jsonio.trail_from_json(jsonio.get_key(d, "trail", "certificate"), rats=rats),
         y=y,
-        reduction=jsonio.reduction_from_json(jsonio.get_key(d, "reduction", "certificate")),
+        reduction=jsonio.reduction_from_json(
+            jsonio.get_key(d, "reduction", "certificate"), rats=rats
+        ),
         claimed_side=ClaimedSide(
             axis=jsonio.expect_int(
                 jsonio.get_key(claim_obj, "axis", "certificate.claimed_side"),
@@ -299,6 +304,7 @@ def certificate_from_json(obj: Any) -> Certificate:
             length=jsonio.rat_from_json(
                 jsonio.get_key(claim_obj, "length", "certificate.claimed_side"),
                 "certificate.claimed_side.length",
+                rats=rats,
             ),
         ),
     )

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from boxcert import factory, jsonio
 from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
-from boxcert.pipeline import certificate_to_json, certify
+from boxcert.geometry import Box, Partition
+from boxcert.pipeline import certificate_from_json, certificate_to_json, certify
 from boxcert.trailgraph import (
     AxisAssignment,
     assign_axes,
@@ -196,3 +198,221 @@ def test_reduction_round_trip():
     assert enc["derivation"][-1]["op"] == "triple"
     back = jsonio.reduction_from_json(enc)
     assert back == dataclasses.replace(cert.reduction, steps=())
+
+
+# --- malformed documents: the exact messages -------------------------------
+
+_PINWHEEL_CERT = json.dumps(
+    certificate_to_json(
+        certify(factory.pinwheel_partition(17, 10, 7), GeneratorSet.of(17, 10, 7))
+    )
+)
+_STRIP_PARTITION = json.dumps(jsonio.partition_to_json(factory.strip_partition(15, 5)))
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(doc):
+        *head, last = path
+        for k in head:
+            doc = doc[k]
+        doc[last] = value
+
+    return edit
+
+
+def _delete(*path):
+    def edit(doc):
+        *head, last = path
+        for k in head:
+            doc = doc[k]
+        del doc[last]
+
+    return edit
+
+
+def _both(*edits):
+    def edit(doc):
+        for e in edits:
+            e(doc)
+
+    return edit
+
+
+_RAT = 'expected an integer or a "p/q" string'
+MALFORMED = {
+    "box coordinate": (
+        "partition",
+        _set("boxes", 1, "lo", 1, None),
+        f"partition.boxes[1].lo[1]: {_RAT}, got None",
+    ),
+    "true after the int 1": (
+        "partition",
+        _both(_set("boxes", 0, "lo", 0, 0), _set("outer", "lo", 1, 1), _set("boxes", 1, "hi", 0, True)),
+        f"partition.boxes[1].hi[0]: {_RAT}, got True",
+    ),
+    "true after the string 1": (
+        "partition",
+        _both(_set("outer", "lo", 0, "1"), _set("boxes", 0, "hi", 1, True)),
+        f"partition.boxes[0].hi[1]: {_RAT}, got True",
+    ),
+    "float": (
+        "partition",
+        _set("boxes", 0, "hi", 0, 15.0),
+        f"partition.boxes[0].hi[0]: {_RAT}, got 15.0",
+    ),
+    "zero denominator twice": (
+        "partition",
+        _both(_set("boxes", 0, "hi", 0, "3/0"), _set("boxes", 1, "lo", 0, "3/0")),
+        "not a rational: '3/0'",
+    ),
+    "step endpoint coordinate": (
+        "certificate",
+        _set("trail", "steps", 3, "to", 1, [0]),
+        f"trail.steps[3].to[1]: {_RAT}, got [0]",
+    ),
+    "empty step endpoint": (
+        "certificate",
+        _set("trail", "steps", 0, "from", []),
+        "trail.steps[0].from: expected a non-empty list of rationals",
+    ),
+    "missing step key": (
+        "certificate",
+        _delete("trail", "steps", 2, "box"),
+        "trail.steps[2]: missing key 'box'",
+    ),
+    "bool box": (
+        "certificate",
+        _set("trail", "steps", 1, "box", True),
+        "trail.steps[1].box: expected an integer, got True",
+    ),
+    "step not an object": (
+        "certificate",
+        _set("trail", "steps", 4, []),
+        "trail.steps[4]: expected an object, got list",
+    ),
+    "y point": (
+        "certificate",
+        _set("y", "points", 2, {"p": 3}),
+        f"y.points[2]: {_RAT}, got {{'p': 3}}",
+    ),
+    "derivation value": (
+        "certificate",
+        _set("reduction", "derivation", 2, "value", False),
+        f"reduction.derivation[2].value: {_RAT}, got False",
+    ),
+    "derivation argument": (
+        "certificate",
+        _set("reduction", "derivation", 3, "args", 1, "1"),
+        "reduction.derivation[3].args[1]: expected an integer, got '1'",
+    ),
+    "derivation op": (
+        "certificate",
+        _set("reduction", "derivation", 1, "op", "halve"),
+        "reduction.derivation[1].op: unknown operation 'halve'",
+    ),
+    "gens entry": (
+        "certificate",
+        _set("gens", 1, 10.5),
+        f"certificate.gens[1]: {_RAT}, got 10.5",
+    ),
+    "assignment entry": (
+        "certificate",
+        _set("assignment", 3, "1"),
+        "certificate.assignment[3]: expected an integer, got '1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_raise_the_pinned_message(name):
+    kind, edit, message = MALFORMED[name]
+    doc = json.loads(_PINWHEEL_CERT if kind == "certificate" else _STRIP_PARTITION)
+    edit(doc)
+    parse = certificate_from_json if kind == "certificate" else jsonio.partition_from_json
+    with pytest.raises(ValueError) as caught:
+        parse(doc)
+    assert str(caught.value) == message
+
+
+def test_equal_values_written_differently_parse_equal():
+    doc = json.loads(_STRIP_PARTITION)
+    doc["boxes"][0]["lo"] = ["2/4", "1/2"]
+    lo = jsonio.partition_from_json(doc).boxes[0].lo
+    assert lo == (Fraction(1, 2), Fraction(1, 2))
+    assert jsonio.point_from_json(["1/2", "2/4", "0.5"]) == (Fraction(1, 2),) * 3
+
+
+# --- each distinct rational string is parsed once per document --------------
+
+
+def _count_parse_rat(monkeypatch):
+    calls = [0]
+    parse = jsonio.parse_rat
+
+    def counted(value):
+        calls[0] += 1
+        return parse(value)
+
+    monkeypatch.setattr(jsonio, "parse_rat", counted)
+    return calls
+
+
+def _rational_strings(doc, skip=frozenset()):
+    """Every string in a JSON document that is a value, not a key."""
+    stack, found = [doc], set()
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            stack += x.values()
+        elif isinstance(x, list):
+            stack += x
+        elif isinstance(x, str) and x not in skip:
+            found.add(x)
+    return found
+
+
+def test_a_grid_partition_parses_each_coordinate_string_once(monkeypatch):
+    n = 40
+    boxes = tuple(
+        Box((_F(i), _F(j)), (_F(i + 1), _F(j + 1))) for i in range(n) for j in range(n)
+    )
+    doc = json.loads(
+        jsonio.canonical_json(
+            jsonio.partition_to_json(Partition(2, Box((_F(0), _F(0)), (_F(n), _F(n))), boxes))
+        )
+    )
+    assert len(_rational_strings(doc)) == n + 1
+    calls = _count_parse_rat(monkeypatch)
+    p = jsonio.partition_from_json(doc)
+    assert len(p.boxes) == n * n
+    assert 0 < calls[0] <= n + 1
+
+
+def test_a_row_certificate_parses_each_rational_string_once(monkeypatch):
+    rng = random.Random(300)
+    xs = [0]
+    for _ in range(300):
+        xs.append(xs[-1] + rng.randint(2, 9))
+    height = _F("5/3")
+    strips = tuple(Box((_F(a), _F(0)), (_F(b), height)) for a, b in zip(xs, xs[1:]))
+    p = Partition(2, Box((_F(0), _F(0)), (_F(xs[-1]), height)), strips)
+    doc = json.loads(
+        jsonio.canonical_json(certificate_to_json(certify(p, GeneratorSet.of(*range(2, 10)))))
+    )
+    distinct = _rational_strings(doc, skip={doc["partition_sha256"], "leaf", "sum", "triple"})
+    calls = _count_parse_rat(monkeypatch)
+    cert = certificate_from_json(doc)
+    assert len(cert.trail.steps) == 300
+    assert 0 < calls[0] <= len(distinct)
+
+
+def test_equal_strings_in_one_document_share_one_fraction():
+    cert = certificate_from_json(json.loads(_PINWHEEL_CERT))
+    assert cert.bound is cert.claimed_side.length  # both "20"
+    assert cert.y.length is cert.bound
+    assert cert.trail.steps[0].dst[1] is cert.trail.steps[1].src[1]  # "17"
+    p = jsonio.partition_from_json(json.loads(_STRIP_PARTITION))
+    assert p.boxes[0].hi[1] is p.outer.hi[1]  # "20"
+    assert p.boxes[1].lo[0] is p.boxes[0].hi[0]  # "15"

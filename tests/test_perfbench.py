@@ -2,7 +2,9 @@
 
 The traced run wraps module globals by name and reads certificate fields for
 its exact counts, so a refactor that renames a traced function or drops a
-field breaks it; a tiny traced run catches that.
+field breaks it; a tiny traced run catches that.  A parser that rejected a
+mutation the checker should see would shrink the reject operation; the run's
+parse-reject count catches that.
 """
 
 from __future__ import annotations
@@ -27,3 +29,6 @@ def test_tiny_traced_benchmark_run_is_correct(workload):
     assert done.returncode == 0, done.stderr[-2000:]
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, result
+    # Every mutation kind must parse and reach check_certificate, so that
+    # reject_p50_s times the whole check of a bad certificate.
+    assert "rejected at parse 0 of" in done.stdout, done.stdout[-2000:]
