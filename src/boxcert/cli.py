@@ -288,6 +288,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
             raise _CliError(f"{args.cert}: {exc}") from exc
         if cert.partition_sha256 != jsonio.partition_digest(p):
             raise _CliError(f"{args.cert}: certificate does not match {args.file}")
+        result = pipeline.check_certificate(cert, p, cert.gens)
+        if not result.ok:
+            raise _CliError(
+                "\n".join(f"{args.cert}: REJECTED: {r}" for r in result.reasons),
+                EXIT_INVALID,
+            )
     try:
         spec = RenderSpec(
             scale=args.scale, show_trail=not args.no_trail, show_labels=args.labels

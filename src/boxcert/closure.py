@@ -22,6 +22,11 @@ When the pass takes an element, every grid value at or below it is decided,
 so the pass spots that pair as it goes and sets every larger multiple of d
 in one step.  The bitmask stays complete up to the bound.
 
+A derivation node computes its ``value`` once, when it is built, from its
+children's values through :func:`op_sum` or :func:`op_triple`; no caller can
+supply it.  So a derivation is evaluated exactly once, whoever builds it, and
+the kernel :func:`verify_derivation` checks the leaves and the root value.
+
 Derivations are built only on demand:
 :meth:`BoundedClosure.derivation_for` walks down from the requested value,
 choosing each element's producing rule by a fixed search the first time it
@@ -117,6 +122,10 @@ class Sum:
 
     left: "Derivation"
     right: "Derivation"
+    value: Fraction = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", op_sum(self.left.value, self.right.value))
 
 
 @dataclass(frozen=True)
@@ -126,6 +135,11 @@ class Triple:
     first: "Derivation"
     second: "Derivation"
     third: "Derivation"
+    value: Fraction = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        value = op_triple(self.first.value, self.second.value, self.third.value)
+        object.__setattr__(self, "value", value)
 
 
 Derivation = Union[Leaf, Sum, Triple]
@@ -162,23 +176,16 @@ def topological(d: Derivation) -> list[Derivation]:
 
 
 def verify_derivation(d: Derivation, gens: GeneratorSet) -> Fraction:
-    """Re-evaluate a derivation bottom-up and return its value.
+    """Check that every leaf of ``d`` is one of ``gens``; return ``d.value``.
 
-    Every leaf must be one of ``gens`` (else :class:`LeafNotGenerator`), and
-    every internal node is recomputed with exact arithmetic, so a returned
-    value really is in the closure of ``gens``.
+    Each node computed its value exactly from its children's when it was
+    built, so with every leaf a generator (else :class:`LeafNotGenerator`)
+    the returned value really is in the closure of ``gens``.
     """
-    values: dict[int, Fraction] = {}
     for node in topological(d):
-        if isinstance(node, Leaf):
-            if node.value not in gens:
-                raise LeafNotGenerator(node.value)
-            values[id(node)] = node.value
-        else:
-            values[id(node)] = (op_sum if isinstance(node, Sum) else op_triple)(
-                *(values[id(k)] for k in children(node))
-            )
-    return values[id(d)]
+        if isinstance(node, Leaf) and node.value not in gens:
+            raise LeafNotGenerator(node.value)
+    return d.value
 
 
 # --- the closure engine -----------------------------------------------------

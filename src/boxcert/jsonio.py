@@ -34,8 +34,6 @@ from .closure import (
     Sum,
     Triple,
     children,
-    op_sum,
-    op_triple,
     topological,
 )
 from .geometry import Box, Partition, Point, parse_rat, format_rat
@@ -192,8 +190,8 @@ def partition_digest(p: Partition) -> str:
 # --- derivations ------------------------------------------------------------
 
 
-# Internal ops by wire name: node class and operation.
-_OPS = {"sum": (Sum, op_sum), "triple": (Triple, op_triple)}
+# Internal node classes by wire name.
+_OPS = {"sum": Sum, "triple": Triple}
 _ARITY = {"leaf": 0, "sum": 2, "triple": 3}
 
 
@@ -207,23 +205,20 @@ def derivation_to_json(d: Derivation) -> list[dict]:
     distinct sub-derivations, not with the size of the tree.
     """
     table: list[dict] = []
-    values: list[Fraction] = []
     entry_of: dict[int, int] = {}  # id(node) -> table index
     shared: dict[tuple, int] = {}  # (op, leaf value or arg indices) -> table index
     for node in topological(d):
         if isinstance(node, Leaf):
-            op, args, value = "leaf", [], node.value
-            key: tuple = (op, value)
+            op, args = "leaf", []
+            key: tuple = (op, node.value)
         else:
             op = "sum" if isinstance(node, Sum) else "triple"
             args = [entry_of[id(k)] for k in children(node)]
-            value = _OPS[op][1](*(values[i] for i in args))
             key = (op, *args)
         entry = shared.setdefault(key, len(table))
         entry_of[id(node)] = entry
         if entry == len(table):
-            table.append({"op": op, "value": format_rat(value), "args": args})
-            values.append(value)
+            table.append({"op": op, "value": format_rat(node.value), "args": args})
     return table
 
 
@@ -234,21 +229,20 @@ def derivation_from_json(
 
     One forward pass: arities must match the op, every argument must index
     an earlier entry, and each entry's "value" annotation must equal the
-    value recomputed from its arguments.  No entry may repeat another (the
-    same leaf value, or the same op over the same entries, the sharing key
-    of :func:`derivation_to_json`), and every entry but the root must be an
-    argument of a later one, so every entry is part of the derivation.  A
-    table that breaks any of these is rejected here, before any semantic
-    checking.  The annotations keep the arithmetic in proportion to the
-    input: every value computed is also written out, so n chained doublings
-    cannot derive an n-bit value from O(n) bytes.
+    value its node computes when it is built from its arguments.  No entry
+    may repeat another (the same leaf value, or the same op over the same
+    entries, the sharing key of :func:`derivation_to_json`), and every entry
+    but the root must be an argument of a later one, so every entry is part
+    of the derivation.  A table that breaks any of these is rejected here,
+    before any semantic checking.  The annotations keep the arithmetic in
+    proportion to the input: every value computed is also written out, so n
+    chained doublings cannot derive an n-bit value from O(n) bytes.
     """
     table = expect_list(obj, where)
     if not table:
         raise _Malformed(where, "empty derivation table")
     rats = {} if rats is None else rats
     nodes: list[Derivation] = []
-    values: list[Fraction] = []
     seen: set[tuple] = set()
     unused: set[int] = set()  # entries no later entry has taken as an argument
     for n, entry in enumerate(table):
@@ -275,21 +269,17 @@ def derivation_from_json(
                 if claimed <= 0:
                     raise _Malformed("", "leaf value must be positive")
                 node: Derivation = Leaf(claimed)
-                value = claimed
             else:
-                cls, fn = _OPS[op]
-                node = cls(*(nodes[a] for a in args))
-                value = fn(*(values[a] for a in args))
-                if value != claimed:
+                node = _OPS[op](*(nodes[a] for a in args))
+                if node.value != claimed:
                     raise _Malformed(
                         "",
                         f"value annotation {format_rat(claimed)} does not "
-                        f"match recomputed {format_rat(value)}",
+                        f"match recomputed {format_rat(node.value)}",
                     )
         except _Malformed as exc:
             raise exc.under(f"{where}[{n}]") from None
         nodes.append(node)
-        values.append(value)
     unused.discard(len(table) - 1)
     if unused:
         raise _Malformed(f"{where}[{min(unused)}]", "no later entry uses it")

@@ -173,13 +173,13 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     """Independently re-check a certificate against the partition.
 
     The soundness kernel is :func:`~boxcert.reduction.replay` (every leaf of
-    the derivation is a generator, every node is recomputed exactly, and the
-    value is the recorded result) plus "the claimed length is the outer
-    extent".  It runs before any partition work.  Everything else is an
-    audit by recomputation: :func:`certify`'s own stages are re-run from the
-    recorded trail start and each recorded field must equal the recomputed
-    one, so only the certificate :func:`certify` would write is accepted.
-    The derivation is verified, not rebuilt.
+    the derivation is a generator, and the root's value, which each node
+    computed exactly when it was built, is the recorded result) plus "the
+    claimed length is the outer extent".  It runs before any partition work.
+    Everything else is an audit by recomputation: :func:`certify`'s own
+    stages are re-run from the recorded trail start and each recorded field
+    must equal the recomputed one, so only the certificate :func:`certify`
+    would write is accepted.  The derivation is verified, not rebuilt.
 
     Stages, in order (the first failure is reported with its stage tag):
     ``digest``, ``gens``, the kernel (``reduction``, ``claim``), then the

@@ -13,7 +13,12 @@ keeping every step length in X:
    zigzag; at the first index where a step out-grows its predecessor, three
    consecutive steps merge into ``op_triple`` of their lengths, which equals
    the distance between the outer endpoints because the middle step is the
-   strict minimum of the three.  Both facts are asserted at runtime.
+   strict minimum of the three.
+
+Step lengths are read from the derivation nodes, which compute their values
+when built.  Runtime checks: each step's derivation derives that step, a
+triple's middle step is the strict minimum, every merged node derives the
+span between its outer endpoints, and the reduction ends at [0, L].
 
 Applied to exhaustion this leaves the two-point sequence [0, L] and a
 derivation of L from X.  The rewrite order is fixed, so the recorded
@@ -34,8 +39,6 @@ from .closure import (
     GeneratorSet,
     Sum,
     Triple,
-    op_sum,
-    op_triple,
     verify_derivation,
 )
 from .errors import (
@@ -80,10 +83,6 @@ class ReductionCertificate:
     derivation: Derivation
 
 
-def _step_lengths(pts: list[Fraction]) -> list[Fraction]:
-    return [abs(b - a) for a, b in zip(pts, pts[1:])]
-
-
 def _first_between(pts: list[Fraction]) -> Optional[int]:
     """Smallest 0-based interior q with pts[q] inside [pts[q-1], pts[q+1]]."""
     for q in range(1, len(pts) - 1):
@@ -93,14 +92,14 @@ def _first_between(pts: list[Fraction]) -> Optional[int]:
     return None
 
 
-def _growth_index(steps: list[Fraction]) -> Optional[int]:
+def _growth_index(derivs: list[Derivation]) -> Optional[int]:
     """Smallest 1-based sequence index i > 2 with step i longer than step i-1.
 
-    ``steps[t]`` is the length between positions t+1 and t+2 (1-based), so
-    the comparison for index i reads ``steps[i-1] > steps[i-2]``.
+    ``derivs[t]`` derives the length between positions t+1 and t+2 (1-based),
+    so the comparison for index i reads ``derivs[i-1] > derivs[i-2]``.
     """
-    for i in range(3, len(steps) + 1):
-        if steps[i - 1] > steps[i - 2]:
+    for i in range(3, len(derivs) + 1):
+        if derivs[i - 1].value > derivs[i - 2].value:
             return i
     return None
 
@@ -112,23 +111,29 @@ def reduce_sequence(
 
     ``leaf_derivation`` supplies a derivation for each original step length
     (a bare Leaf when the length is a generator, a closure derivation
-    otherwise).  First the input's loops are erased in one left-to-right
-    pass, each at the earliest repeated position; merges never repeat a
-    position, so none is left for later.  Then sums are tried before
-    triples, each at the smallest admissible index — so the log and the
-    final derivation are deterministic functions of the input.
+    otherwise); one whose value is not its step length raises
+    :class:`~boxcert.errors.SoundnessError`.  First the input's loops are
+    erased in one left-to-right pass, each at the earliest repeated position;
+    merges never repeat a position, so none is left for later.  Then sums
+    are tried before triples, each at the smallest admissible index — so the
+    log and the final derivation are deterministic functions of the input.
     """
     pts = list(y.points)
-    derivs: list[Derivation] = [
-        leaf_derivation(le) for le in _step_lengths(pts)
-    ]
+    derivs: list[Derivation] = []
+    for step in y.step_lengths():
+        d = leaf_derivation(step)
+        if d.value != step:
+            raise SoundnessError(
+                f"step {format_rat(step)} derived as {format_rat(d.value)}"
+            )
+        derivs.append(d)
     log: list[RewriteStep] = []
     first_at: dict[Fraction, int] = {}
     j = 0
     while j < len(pts):
         i = first_at.setdefault(pts[j], j)
         if i < j:
-            lengths = tuple(_step_lengths(pts[i : j + 1]))
+            lengths = tuple(d.value for d in derivs[i:j])
             log.append(RewriteStep("loop", i + 1, j + 1, lengths, None))
             for v in pts[i + 1 : j]:
                 del first_at[v]
@@ -136,49 +141,34 @@ def reduce_sequence(
             del derivs[i:j]
         j = i + 1
     while len(pts) > 2:
+        # Merge the steps derivs[lo:hi], which run from pts[lo] to pts[hi].
         q = _first_between(pts)
         if q is not None:
-            l1 = abs(pts[q] - pts[q - 1])
-            l2 = abs(pts[q + 1] - pts[q])
-            merged = abs(pts[q + 1] - pts[q - 1])
-            if merged != op_sum(l1, l2):
+            kind, at, lo, hi = "sum", q + 1, q - 1, q + 1
+            node: Derivation = Sum(*derivs[lo:hi])
+        else:
+            i = _growth_index(derivs)
+            if i is None:
+                raise ZigzagIndexMissing(tuple(pts))
+            kind, at, lo, hi = "triple", i, i - 3, i
+            l1, l2, l3 = (d.value for d in derivs[lo:hi])
+            if not (l2 < l1 and l2 < l3):
                 raise SoundnessError(
-                    f"sum merge at position {q + 1} is not length-preserving: "
-                    f"{format_rat(l1)}+{format_rat(l2)} != {format_rat(merged)}"
+                    f"triple merge middle {format_rat(l2)} is not the strict "
+                    f"minimum of ({format_rat(l1)}, {format_rat(l2)}, "
+                    f"{format_rat(l3)}); points={tuple(pts)}"
                 )
-            log.append(
-                RewriteStep(
-                    kind="sum", i=q + 1, j=None, lengths=(l1, l2), merged=merged
-                )
-            )
-            derivs[q - 1 : q + 1] = [Sum(derivs[q - 1], derivs[q])]
-            del pts[q]
-            continue
-        steps = _step_lengths(pts)
-        i = _growth_index(steps)
-        if i is None:
-            raise ZigzagIndexMissing(tuple(pts))
-        l1, l2, l3 = steps[i - 3], steps[i - 2], steps[i - 1]
-        if not (l2 < l1 and l2 < l3):
+            node = Triple(*derivs[lo:hi])
+        geometric = abs(pts[hi] - pts[lo])
+        if node.value != geometric:
             raise SoundnessError(
-                f"triple merge middle {format_rat(l2)} is not the strict minimum "
-                f"of ({format_rat(l1)}, {format_rat(l2)}, {format_rat(l3)}); "
-                f"points={tuple(pts)}"
+                f"{kind} merge at position {at} derives {format_rat(node.value)}, not "
+                f"the geometric span {format_rat(geometric)}; points={tuple(pts)}"
             )
-        merged = op_triple(l1, l2, l3)
-        geometric = abs(pts[i] - pts[i - 3])
-        if merged != geometric:
-            raise SoundnessError(
-                f"triple merge value {format_rat(merged)} disagrees with the "
-                f"geometric span {format_rat(geometric)}; points={tuple(pts)}"
-            )
-        log.append(
-            RewriteStep(
-                kind="triple", i=i, j=None, lengths=(l1, l2, l3), merged=merged
-            )
-        )
-        derivs[i - 3 : i] = [Triple(derivs[i - 3], derivs[i - 2], derivs[i - 1])]
-        del pts[i - 2 : i]
+        lengths = tuple(d.value for d in derivs[lo:hi])
+        log.append(RewriteStep(kind, at, None, lengths, node.value))
+        derivs[lo:hi] = [node]
+        del pts[lo + 1 : hi]
     if pts != [Fraction(0), y.length]:
         raise SoundnessError(f"reduction ended at {tuple(pts)} instead of [0, L]")
     return ReductionCertificate(

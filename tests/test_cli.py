@@ -374,6 +374,24 @@ def test_render_mismatched_certificate_exit_one(capsys, strip_file, pinwheel_fil
     assert "does not match" in err
 
 
+def test_render_rejects_a_certificate_that_check_rejects(capsys, pinwheel_file, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
+    doc = json.loads(cert_path.read_text())
+    assert doc["trail"]["steps"][0]["to"][0] == "0"
+    doc["trail"]["steps"][0]["to"][0] = "1"  # a forged trail, same partition
+    cert_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "check", cert_path, "--partition", pinwheel_file, "--gens", "17,10,7"
+    )
+    assert code == 2
+    assert "trail: recomputed trail from the recorded start differs" in out
+    code, out, err = run_cli(capsys, "render", pinwheel_file, "--cert", cert_path)
+    assert code == 2
+    assert out == ""
+    assert "trail: recomputed trail from the recorded start differs" in err
+
+
 def test_selftest_passes_and_is_deterministic():
     cmd = [sys.executable, "-m", "boxcert.cli", "selftest"]
     a = subprocess.run(cmd, capture_output=True, text=True)

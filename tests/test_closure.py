@@ -8,6 +8,7 @@ is then required to agree with it exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import warnings
@@ -78,6 +79,19 @@ def test_derivation_evaluation_and_verification():
     assert verify_derivation(d, g) == 20
     with pytest.raises(LeafNotGenerator):
         verify_derivation(d, GeneratorSet.of(17, 10))
+    # A node's value is computed from its children when it is built ...
+    assert Sum(Leaf(_F(1)), Leaf(_F(2))).value == 3
+    assert d.value == 20
+    # ... and never supplied by the caller, nor kept across a replace.
+    with pytest.raises(TypeError):
+        Sum(Leaf(_F(1)), Leaf(_F(2)), value=_F(4))
+    assert dataclasses.replace(d, third=Leaf(_F(10))).value == 13
+    with pytest.raises(ValueError):
+        Sum(Leaf(_F(0)), Leaf(_F(1)))
+    # The value is not part of a node's identity, which is its structure.
+    again = Triple(Leaf(_F(10)), Leaf(_F(7)), Leaf(_F(17)))
+    assert again == d and hash(again) == hash(d)
+    assert Sum(Leaf(_F(1)), Leaf(_F(2))) != Sum(Leaf(_F(2)), Leaf(_F(1)))
 
 
 def test_deep_derivation_chain_evaluates_iteratively():

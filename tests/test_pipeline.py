@@ -6,13 +6,23 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from boxcert import factory, jsonio, pipeline, reduction
-from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
+from boxcert.closure import (
+    GeneratorSet,
+    Leaf,
+    Sum,
+    Triple,
+    bounded_closure,
+    op_sum,
+    op_triple,
+    topological,
+)
 from boxcert.errors import HypothesisViolated
 from boxcert.geometry import Box, Partition, parse_point
 from boxcert.pipeline import (
@@ -287,6 +297,65 @@ def test_check_does_not_rerun_the_reduction(monkeypatch):
     monkeypatch.setattr(reduction, "reduce_sequence", forbidden)
     result = check_certificate(cert, p, g)
     assert result.ok, result.reasons
+
+
+def _count_op_calls(fn):
+    """``fn()`` and the number of op_sum/op_triple calls it made.
+
+    Calls are told apart by code object, so a reference held anywhere (a
+    table of operations, say) is counted too.
+    """
+    codes = {op_sum.__code__, op_triple.__code__}
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls[0]
+
+
+def _row300():
+    rng = random.Random(300)
+    xs = [0]
+    for _ in range(300):
+        xs.append(xs[-1] + rng.randint(2, 9))
+    height = _F("5/3")
+    strips = tuple(Box((_F(a), _F(0)), (_F(b), height)) for a, b in zip(xs, xs[1:]))
+    p = Partition(2, Box((_F(0), _F(0)), (_F(xs[-1]), height)), strips)
+    return p, GeneratorSet.of(*range(2, 10))
+
+
+def test_certify_evaluates_each_node_it_builds_once():
+    p, g = _row300()
+
+    def certify_and_write():
+        cert = certify(p, g)
+        certificate_to_json(cert)
+        return cert
+
+    cert, calls = _count_op_calls(certify_and_write)
+    # Every step is a generator, so each internal node is one reducer merge.
+    internal = [n for n in topological(cert.reduction.derivation) if not isinstance(n, Leaf)]
+    merges = [s for s in cert.reduction.steps if s.kind != "loop"]
+    assert len(internal) == len(merges) > 250
+    assert calls == len(internal)
+
+
+def test_check_evaluates_each_table_entry_once():
+    p, g = _row300()
+    doc = json.loads(jsonio.canonical_json(certificate_to_json(certify(p, g))))
+    entries = [e for e in doc["reduction"]["derivation"] if e["op"] != "leaf"]
+    result, calls = _count_op_calls(
+        lambda: check_certificate(certificate_from_json(doc), p, g)
+    )
+    assert result.ok, result.reasons
+    assert calls == len(entries) > 250
 
 
 def test_check_runs_the_kernel_before_any_partition_work(monkeypatch):

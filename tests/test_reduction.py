@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
-from boxcert.errors import ReplayMismatch
+from boxcert.errors import ReplayMismatch, SoundnessError
 from boxcert.reduction import reduce_sequence, replay
 from walks import GenerationFailed, random_y_sequence
 from boxcert.trailgraph import YSequence
@@ -130,6 +130,15 @@ def test_rational_lengths_reduce_exactly():
     cert = reduce_sequence(_seq("3/2", 0, 1, "1/2", "3/2"), _leaf)
     assert cert.result == Fraction(3, 2)
     assert cert.steps[0].kind == "triple"
+
+
+@pytest.mark.parametrize("points", [(0, 20), (0, 15, 20), (0, 5, 2, 9)])
+def test_a_step_derivation_must_derive_its_step(points):
+    # Step lengths are read from the derivations, so one that derives
+    # something else must stop the reduction, merges or not.
+    y = _seq(points[-1], *points)
+    with pytest.raises(SoundnessError):
+        reduce_sequence(y, lambda le: Leaf(le + 1))
 
 
 def test_replay_accepts_untampered_log():
