@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
@@ -96,8 +97,10 @@ class Box:
     hi: Point
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", tuple(self.lo))
-        object.__setattr__(self, "hi", tuple(self.hi))
+        if type(self.lo) is not tuple:
+            object.__setattr__(self, "lo", tuple(self.lo))
+        if type(self.hi) is not tuple:
+            object.__setattr__(self, "hi", tuple(self.hi))
         if len(self.lo) != len(self.hi):
             raise ValueError(
                 f"lo has {len(self.lo)} coordinates but hi has {len(self.hi)}"
@@ -340,6 +343,21 @@ def _sweep(
         heapq.heappush(active, (b.hi[axis], k, b))
 
 
+def _meeting_pairs(solid: Sequence[tuple[int, Box]], axis: int) -> int:
+    """How many pairs of ``solid`` boxes have open intervals on ``axis`` that
+    meet: the number of heap entries :func:`_sweep` would yield, counted
+    without sweeping.
+
+    Every box has ``lo < hi``, so a pair misses exactly when one box's ``hi``
+    is at or below the other's ``lo``, and at most one of the two orders
+    does; each box ``b`` misses the boxes among the sorted ``hi`` values up
+    to ``bisect_right(his, b.lo)``.
+    """
+    his = sorted(b.hi[axis] for _, b in solid)
+    n = len(his)
+    return n * (n - 1) // 2 - sum(bisect_right(his, b.lo[axis]) for _, b in solid)
+
+
 def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
     """Check that the constituent boxes exactly tile the outer box.
 
@@ -351,7 +369,8 @@ def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
     * constituent interiors are pairwise disjoint.  A sort-and-sweep along
       one axis (sweep-and-prune) finds the candidate pairs, those whose open
       intervals on that axis meet; the sweep axis is the one with the fewest
-      such pairs.  Each candidate pair then gets the exact
+      such pairs, counted per axis by :func:`_meeting_pairs` with one sort
+      and a binary search per box.  Each candidate pair then gets the exact
       :func:`interiors_disjoint` test.  The first :data:`LISTED_OVERLAPS`
       overlapping pairs, in order of the box pair, are reported with their
       common interior; the rest are only counted;
@@ -377,10 +396,7 @@ def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
     solid = [
         (k, b) for k, b in enumerate(view.boxes, start=1) if not b.is_degenerate()
     ]
-    axis = min(
-        range(p.dim),
-        key=lambda j: sum(len(active) for _, _, active in _sweep(solid, j)),
-    )
+    axis = min(range(p.dim), key=lambda j: _meeting_pairs(solid, j))
     overlapping = 0
 
     def overlaps() -> Iterator[tuple[int, int, Box, Box]]:

@@ -20,6 +20,9 @@ position, and the list names the element when it passes the error up.
 ``canonical_json`` (sorted keys, no whitespace) defines the byte string that
 content digests are computed over; pretty output is for files and humans and
 hashes the same because digests are always recomputed from parsed data.
+``partition_digest`` writes the canonical bytes of a partition itself, in one
+string, formatting each coordinate object once; it must equal
+``canonical_json(partition_to_json(p))``, and the tests hold it to that.
 """
 from __future__ import annotations
 
@@ -182,9 +185,33 @@ def partition_from_json(obj: Any) -> Partition:
 
 
 def partition_digest(p: Partition) -> str:
-    """sha256 over the canonical JSON form of the partition."""
-    data = canonical_json(partition_to_json(p)).encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
+    """sha256 over ``canonical_json(partition_to_json(p))``, written directly.
+
+    A partition repeats a few coordinates many times, and a loaded one shares
+    one ``Fraction`` per distinct string, so each coordinate object is
+    formatted once, through a memo keyed on its ``id``; ``p`` keeps every key
+    alive for the call, so no id is reused.  :func:`format_rat` writes only
+    digits, ``-`` and ``/``, which JSON does not escape.
+    """
+    text: dict[int, str] = {}
+
+    def point(coords: Point) -> str:
+        out = []
+        for c in coords:
+            s = text.get(id(c))
+            if s is None:
+                s = text[id(c)] = f'"{format_rat(c)}"'
+            out.append(s)
+        return ",".join(out)
+
+    def box(b: Box) -> str:
+        return f'{{"hi":[{point(b.hi)}],"lo":[{point(b.lo)}]}}'
+
+    data = (
+        f'{{"boxes":[{",".join(map(box, p.boxes))}],'
+        f'"dim":{p.dim},"outer":{box(p.outer)}}}'
+    )
+    return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
 # --- derivations ------------------------------------------------------------

@@ -85,7 +85,9 @@ def _construct(
     from ``start`` (the smallest outer corner when None) and its projection.
     Each stage is looked up as a global of this module at call time, so a
     tracer that wraps those globals sees certify's and check's calls alike.
-    Validation and the graph share one rank view of the partition.
+    Validation, axis assignment, the graph and the step check share one rank
+    view of the partition; the step check subtracts the values of each
+    distinct rank pair on the projection axis once.
     """
     ranks = rank_partition(p)
     report = validate_partition(ranks)
@@ -93,7 +95,7 @@ def _construct(
         raise PartitionInvalid(report)
     bound = max(p.outer.extents())
     closure = bounded_closure(g, bound)
-    assignment = assign_axes(p, closure.__contains__)
+    assignment = assign_axes(ranks, closure.__contains__)
     graph = build_graph(ranks, assignment)
     parity = parity_audit(graph)
     if not parity.ok:
@@ -104,11 +106,14 @@ def _construct(
         )
     trail = extract_trail(graph, start)
     y = project_to_axis(trail, p.outer)
-    axis_extents = {
-        p.boxes[k - 1].extent(y.axis)
-        for k in range(1, len(p.boxes) + 1)
-        if assignment.axis_of(k) == y.axis
+    j = y.axis - 1
+    spans = {
+        (b.lo[j], b.hi[j])
+        for b, axis in zip(ranks.boxes, assignment.axes)
+        if axis == y.axis
     }
+    values = ranks.values[j]
+    axis_extents = {values[hi] - values[lo] for lo, hi in spans}
     for step in y.step_lengths():
         if step not in axis_extents:
             raise SoundnessError(

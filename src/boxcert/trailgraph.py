@@ -10,11 +10,12 @@ the two corners differ yields a sequence of positions whose nonzero step
 lengths are all tracked side lengths.  That sequence is what the reducer
 collapses into a single derived length.
 
-Only axis assignment reads lengths.  The graph, the parity audit and the walk
-depend on the order of coordinates alone, so they run on the partition's
-:class:`~boxcert.geometry.RankView`: vertices are tuples of integer ranks,
-and exact points come back from the view's value tables only where a result
-is read (``TrailGraph.vertices``, parity reports, trail steps).
+Every stage here runs on the partition's :class:`~boxcert.geometry.RankView`.
+The graph, the parity audit and the walk depend on the order of coordinates
+alone: vertices are tuples of integer ranks, and exact points come back from
+the view's value tables only where a result is read (``TrailGraph.vertices``,
+parity reports, trail steps).  Axis assignment is the one stage that reads
+lengths, and it computes one per distinct ``(axis, lo rank, hi rank)``.
 """
 from __future__ import annotations
 
@@ -53,23 +54,34 @@ class AxisAssignment:
         return len(self.axes)
 
 
-def assign_axes(p: Partition, member: Callable[[Fraction], bool]) -> AxisAssignment:
+def assign_axes(
+    p: Union[Partition, RankView], member: Callable[[Fraction], bool]
+) -> AxisAssignment:
     """Choose, per box, the smallest axis whose extent satisfies ``member``.
 
+    Takes the partition or its :class:`~boxcert.geometry.RankView`.
     ``member`` decides membership in the tracked set (usually a bounded
-    closure).  A box with no qualifying side falsifies the premise of the
-    whole construction, reported as :class:`HypothesisViolated` with the
-    smallest offending box index.
+    closure).  Boxes repeat a few extents many times, so each distinct
+    ``(axis, lo rank, hi rank)`` is subtracted from the view's value table and
+    given to ``member`` once.  A box with no qualifying side falsifies the
+    premise of the whole construction, reported as :class:`HypothesisViolated`
+    with the smallest offending box index.
     """
+    view = p if isinstance(p, RankView) else rank_partition(p)
+    verdicts: dict[tuple[int, int, int], bool] = {}
     axes: list[int] = []
-    for k, b in enumerate(p.boxes, start=1):
-        for j in range(1, p.dim + 1):
-            if member(b.extent(j)):
+    for k, b in enumerate(view.boxes, start=1):
+        for j, (values, lo, hi) in enumerate(zip(view.values, b.lo, b.hi), start=1):
+            key = (j, lo, hi)
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = member(values[hi] - values[lo])
+            if ok:
                 axes.append(j)
                 break
         else:
             raise HypothesisViolated(
-                k, tuple(format_rat(e) for e in b.extents())
+                k, tuple(format_rat(e) for e in view.partition.boxes[k - 1].extents())
             )
     return AxisAssignment(tuple(axes))
 
@@ -128,7 +140,10 @@ class TrailGraph:
         return tuple(self.ranks.point(v) for v in sorted(self.adjacency))
 
     def degree(self, v: Point) -> int:
-        return len(self.adjacency.get(self.ranks.ranks_of(v), ()))
+        """Edges at the exact point ``v``, read with
+        :func:`~boxcert.geometry.parse_point`, so a float raises ``ValueError``;
+        0 for a point that is no vertex."""
+        return len(self.adjacency.get(self.ranks.ranks_of(parse_point(v)), ()))
 
 
 def build_graph(p: Union[Partition, RankView], c: AxisAssignment) -> TrailGraph:
@@ -335,7 +350,7 @@ def project_to_axis(t: Trail, outer: Box) -> YSequence:
         raise SoundnessError("trail starts and ends at the same corner")
     j = differing[0]
     lo = outer.lo[j - 1]
-    length = outer.extent(j)
+    length = outer.hi[j - 1] - lo
     positions: list[Fraction] = []
     for v in t.points():
         pos = v[j - 1] - lo

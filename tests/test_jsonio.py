@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -61,6 +62,69 @@ def test_partition_digests_are_frozen():
     )
     # any geometric change moves the digest
     assert jsonio.partition_digest(factory.strip_partition(15, 6)) != STRIP_DIGEST
+
+
+def _composed_digest(p: Partition) -> str:
+    """The digest's definition, composed from the wire format: the oracle."""
+    data = jsonio.canonical_json(jsonio.partition_to_json(p)).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digest_cases():
+    for seed in range(12):
+        for dim in (2, 3):
+            yield factory.random_guillotine(dim, 5, seed=seed)
+    yield factory.lift_product(factory.strip_partition("3/2", "5/2"), 4, 3)
+    yield factory.lift_product(factory.pinwheel_partition(17, 10, 7), "7/3", 4)
+    # built in code: equal values are distinct Fraction objects
+    yield Partition(
+        2,
+        Box((_F("1/3"), _F(0)), (_F("2/3"), _F(5))),
+        (
+            Box((_F("1/3"), _F(0)), (Fraction(1, 2), _F(5))),
+            Box((Fraction(2, 4), _F(0)), (Fraction(4, 6), Fraction(10, 2))),
+        ),
+    )
+    # negative, int and huge coordinates
+    big = Fraction(10**31 + 7, 3)
+    yield Partition(
+        2,
+        Box((-3, _F("-7/2")), (big, 4)),
+        (Box((-3, _F("-7/2")), (_F(-1), 4)), Box((-1, Fraction(-7, 2)), (big, 4))),
+    )
+
+
+def test_partition_digest_matches_the_composed_canonical_json():
+    for p in _digest_cases():
+        assert jsonio.partition_digest(p) == _composed_digest(p)
+        text = jsonio.canonical_json(jsonio.partition_to_json(p))
+        loaded = jsonio.partition_from_json(json.loads(text))
+        assert jsonio.partition_digest(loaded) == _composed_digest(p)
+
+
+def test_a_grid_partition_digest_formats_each_coordinate_once(monkeypatch):
+    # A loaded partition shares one Fraction per distinct string, and the
+    # digest formats each coordinate object once.
+    n = 40
+    boxes = tuple(
+        Box((_F(i), _F(j)), (_F(i + 1), _F(j + 1))) for i in range(n) for j in range(n)
+    )
+    p = Partition(2, Box((_F(0), _F(0)), (_F(n), _F(n))), boxes)
+    loaded = jsonio.partition_from_json(
+        json.loads(jsonio.canonical_json(jsonio.partition_to_json(p)))
+    )
+    calls = [0]
+    fmt = jsonio.format_rat
+
+    def counted(value):
+        calls[0] += 1
+        return fmt(value)
+
+    monkeypatch.setattr(jsonio, "format_rat", counted)
+    digest = jsonio.partition_digest(loaded)
+    assert 0 < calls[0] <= n + 1
+    monkeypatch.undo()
+    assert digest == _composed_digest(p)
 
 
 def test_partition_parsing_rejects_floats():

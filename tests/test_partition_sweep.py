@@ -209,6 +209,33 @@ def test_sweep_matches_oracle_when_boxes_only_touch():
     assert [d.kind for d in report.defects] == ["volume-mismatch"]
 
 
+def _random_solid(rng: random.Random, dim: int, n: int) -> list[tuple[int, Box]]:
+    """``n`` nondegenerate boxes on a small rank grid, so that many touch,
+    nest or repeat; about one box in ten is a copy of an earlier one."""
+    boxes: list[Box] = []
+    for _ in range(n):
+        if boxes and rng.random() < 0.1:
+            boxes.append(rng.choice(boxes))
+            continue
+        lo, hi = [], []
+        for _ in range(dim):
+            a, b = rng.sample(range(8), 2)
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+        boxes.append(Box(tuple(lo), tuple(hi)))
+    return list(enumerate(boxes, start=1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_meeting_pairs_counts_what_the_sweep_yields(dim):
+    rng = random.Random(dim)
+    for n in (0, 1, 2, 5, 40, 150):
+        solid = _random_solid(rng, dim, n)
+        for j in range(dim):
+            swept = sum(len(active) for _, _, active in geometry._sweep(solid, j))
+            assert geometry._meeting_pairs(solid, j) == swept
+
+
 @pytest.fixture
 def pair_tests(monkeypatch) -> list[int]:
     """Count calls of ``geometry.interiors_disjoint``; read as ``pair_tests[0]``."""

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from boxcert import jsonio, pipeline
 from boxcert.closure import GeneratorSet, bounded_closure
 from boxcert.errors import HypothesisViolated, StuckAtEvenVertex
 from boxcert.factory import (
@@ -16,7 +18,13 @@ from boxcert.factory import (
     random_guillotine,
     strip_partition,
 )
-from boxcert.geometry import Box, Partition, parse_point, validate_partition
+from boxcert.geometry import (
+    Box,
+    Partition,
+    parse_point,
+    rank_partition,
+    validate_partition,
+)
 from boxcert.trailgraph import (
     AxisAssignment,
     YSequence,
@@ -85,6 +93,71 @@ def test_assign_axes_reports_first_bad_box():
     assert info.value.box_index == 1
 
 
+def _row_with_two_bad_strips():
+    # strips 3 and 7 are 3 wide and every strip is 5/3 high: neither side is
+    # in the closure of {2}, and both share the full-height rank pair
+    widths = [2, 2, 3, 2, 2, 2, 3, 2]
+    xs = [0]
+    for w in widths:
+        xs.append(xs[-1] + w)
+    h = _F("5/3")
+    boxes = tuple(Box(_pt(a, 0), _pt(b, h)) for a, b in zip(xs, xs[1:]))
+    return Partition(2, Box(_pt(0, 0), _pt(xs[-1], h)), boxes)
+
+
+def test_assign_axes_names_the_smallest_bad_box_from_partition_or_view():
+    p = _row_with_two_bad_strips()
+    for given in (p, rank_partition(p)):
+        with pytest.raises(HypothesisViolated) as info:
+            assign_axes(given, _member((2,), 20))
+        assert info.value.box_index == 3
+        assert info.value.extents == ("3", "5/3")
+        assert str(info.value) == (
+            "box k=3 has no side in the closure; extents ('3', '5/3')"
+        )
+
+
+def _loaded_unit_grid(n):
+    return jsonio.partition_from_json(
+        json.loads(jsonio.canonical_json(jsonio.partition_to_json(_unit_grid(n))))
+    )
+
+
+def test_assign_axes_asks_member_once_per_distinct_extent():
+    n = 40
+    p = _loaded_unit_grid(n)
+    distinct = {(j, b.lo[j], b.hi[j]) for b in p.boxes for j in range(p.dim)}
+    asked = []
+    member = _member((1,), n)
+
+    def counted(value):
+        asked.append(value)
+        return member(value)
+
+    for given in (p, rank_partition(p)):
+        asked.clear()
+        assert assign_axes(given, counted).axes == (1,) * (n * n)
+        assert 0 < len(asked) <= len(distinct)  # 2 * n; n * n at one per box
+
+
+def test_assign_axes_and_construct_make_no_box_extent_call(monkeypatch):
+    n = 40
+    p = _loaded_unit_grid(n)
+    calls = [0]
+    extent = Box.extent
+
+    def counted(self, axis):
+        calls[0] += 1
+        return extent(self, axis)
+
+    monkeypatch.setattr(Box, "extent", counted)
+    assign_axes(p, _member((1,), n))
+    pipeline._construct(p, GeneratorSet.of(1), None)
+    assert calls[0] == 0
+    assert p.outer.extent(1) == n
+    assert calls[0] == 1  # the counter is live
+
+
 def test_edges_of_box_bit_layout():
     p = pinwheel_partition(17, 10, 7)
     edges = edges_of_box(p.box(1), 1, 2)  # the 3 x 17 box, assigned axis 2
@@ -107,6 +180,18 @@ def test_strip_graph_degrees_and_parity():
     report = parity_audit(g)
     assert report.ok
     assert report.violations() == ()
+
+
+def test_degree_reads_the_point_as_exact_rationals():
+    g = build_graph(strip_partition(15, 5), AxisAssignment((1, 1)))
+    assert g.degree(("0", "0")) == 1
+    assert g.degree(("15", 0)) == 2
+    assert g.degree(("7", "0")) == 0  # not a vertex
+    assert g.degree(("0", "0", "0")) == 0  # wrong dimension
+    with pytest.raises(ValueError):
+        g.degree((0.0, 0.0))
+    with pytest.raises(ValueError):
+        g.degree(("zero", "0"))
 
 
 def test_build_graph_rejects_wrong_assignment_length():
