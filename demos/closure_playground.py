@@ -63,10 +63,11 @@ print("is 19 a member?", fmt(d) if d else None)
 print("is 12 a member?", membership(g, 12))
 print()
 
-# The saturation engine works on a scaled integer bitmask.  The slow
-# reference implementation applies one operation at a time until nothing
-# changes.  They agree -- the acceptance suite checks this on random sets,
-# but seeing it once by hand is nicer.
+# The saturation engine keeps the closure's finite description on the
+# scaled integer grid: a bitmask below the conductor, then every multiple
+# of the generators' gcd.  The slow reference implementation applies one
+# operation at a time until nothing changes.  They agree -- the acceptance
+# suite checks this on random sets, but seeing it once by hand is nicer.
 fancy = set(bounded_closure(g, 20).elements)
 plain = set(brute_force_closure(g, 20))
 print(f"saturation == brute force on {g}: {fancy == plain}")

@@ -10,17 +10,16 @@ their operands lies above all of them, so the part of X below a bound is
 finite and computable: it lives on the grid ``(1/Q) * Z`` where Q is the lcm
 of the generator denominators.
 
-:func:`bounded_closure` therefore finds that set in one ascending pass over
-the grid and keeps it as one integer bitmask, so membership is a single bit
-test.  The pass stops at the conductor: the point from which every multiple
-of d is an element, where d is the gcd of the scaled generators and every
-element is a multiple of d.  It exists because X is closed under ``+e`` for
+On that grid X is a finite set below a conductor c, and every multiple of d
+from c on, where d is the gcd of the scaled generators and every element is
+a multiple of d.  The conductor exists because X is closed under ``+e`` for
 the smallest generator e, so any e/d consecutive multiples of d go on
 forever.  The triple moves it down to the first pair of elements a, a + d:
 ``x + (a + d) - a = x + d`` is an element for every element x >= a + d.
-When the pass takes an element, every grid value at or below it is decided,
-so the pass spots that pair as it goes and sets every larger multiple of d
-in one step.  The bitmask stays complete up to the bound.
+:func:`bounded_closure` finds that pair in one ascending pass over the grid
+and keeps the finite description: ``d``, ``c`` and a bitmask of the elements
+below ``c``.  Membership is a bit test below ``c`` and arithmetic from ``c``
+on, so the conductor sets the cost, not the bound.
 
 A derivation node computes its ``value`` once, when it is built, from its
 children's values through :func:`op_sum` or :func:`op_triple`; no caller can
@@ -40,6 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, isfinite, lcm
 from typing import Iterable, Optional, Union
 
@@ -193,10 +193,11 @@ def verify_derivation(d: Derivation, gens: GeneratorSet) -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class BoundedClosure:
-    """All closure elements of ``gens`` that are <= ``bound``, as a bitmask.
+    """All closure elements of ``gens`` that are <= ``bound``, on the grid.
 
-    Bit ``v`` of ``bits`` is set iff ``v / q`` is an element; ``limit`` is the
-    bound on that grid.  Producing rules are found only for the values a
+    ``v / q`` is an element iff ``v <= limit`` (the bound on the grid) and
+    either ``v < c`` and bit ``v`` of ``bits`` is set, or ``v >= c`` and d
+    divides ``v``.  Producing rules are found only for the values a
     derivation walks through, and kept for later calls on the same instance.
     """
 
@@ -204,8 +205,16 @@ class BoundedClosure:
     bound: Fraction
     q: int
     limit: int
+    d: int
+    c: int
     bits: int = field(repr=False)
     _rules: dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
+
+    def _has(self, v: int) -> bool:
+        """Whether ``v / q`` is an element, for ``v >= 0``."""
+        if v < self.c:
+            return bool(self.bits >> v & 1)
+        return v <= self.limit and v % self.d == 0
 
     def _scaled(self, value: object) -> Optional[int]:
         """``value * q`` if that is a member's grid index, else None."""
@@ -214,7 +223,7 @@ class BoundedClosure:
         if not isinstance(value, (int, Fraction)):
             return None
         v, rest = divmod(value.numerator * self.q, value.denominator)
-        if rest or not 0 < v <= self.limit or not self.bits >> v & 1:
+        if rest or v <= 0 or not self._has(v):
             return None
         return v
 
@@ -226,14 +235,18 @@ class BoundedClosure:
         return frozenset(self.sorted_elements())
 
     def sorted_elements(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.q) for v in _bits(self.bits))
+        above = range(self.c, self.limit + 1, self.d)
+        return tuple(Fraction(v, self.q) for v in chain(_bits(self.bits), above))
 
     def _best_split(self, s: int) -> Optional[int]:
         """The largest element x <= s/2 whose partner s - x is an element."""
-        low = self.bits & ((2 << (s // 2)) - 1)
+        half = s // 2
+        if half >= self.c:  # s is a multiple of d: so are x and s - x >= c
+            return half - half % self.d
+        low = self.bits & ((2 << half) - 1)
         while low:
             x = low.bit_length() - 1
-            if self.bits >> (s - x) & 1:
+            if self._has(s - x):
                 return x
             low ^= 1 << x
         return None
@@ -256,18 +269,15 @@ class BoundedClosure:
         elif (x := self._best_split(e)) is not None:
             rule = ("sum", x, e - x)
         else:
-            below = self.bits & ((1 << e) - 1)
-            while below:
-                a = (below & -below).bit_length() - 1
+            below = chain(_bits(self.bits & ((1 << e) - 1)), range(self.c, e, self.d))
+            for a in below:
                 b = self._best_split(e + a)
                 if b is not None and b > a:
                     rule = ("triple", a, b, e + a - b)
                     break
-                below &= below - 1
             else:
                 raise SoundnessError(
-                    f"no producing rule found for closure element {e} (scaled); "
-                    f"elements={_bits(self.bits)}"
+                    f"no producing rule found for closure element {e} (scaled)"
                 )
         self._rules[e] = rule
         return rule
@@ -303,26 +313,18 @@ class BoundedClosure:
         return memo[top]
 
 
-def _scaled_setup(gens: GeneratorSet, bound: Fraction) -> tuple[list[int], int, int]:
-    """Common-denominator scaling: generators and bound as exact integers."""
-    usable = [g for g in gens.sorted_values if g <= bound]
-    if not usable:
-        return [], 1, 0
-    q = lcm(*(g.denominator for g in usable))
-    scaled_bound = (bound.numerator * q) // bound.denominator  # floor, exact
-    return [int(g * q) for g in usable], q, scaled_bound
-
-
-def _saturate_bits(gen_bits: list[int], limit: int) -> int:
-    """The closure on the scaled integer grid, as a bitmask (bit v: value v).
+def _saturate_bits(gen_bits: list[int], limit: int) -> tuple[int, int, int]:
+    """The closure on the scaled integer grid as ``(d, c, bits)``.
 
     A new value lies above all of its operands: ``x + y`` exceeds both, and
     ``b + c - a`` with ``a <= b <= c`` exceeds ``c`` unless ``a = b``, which
     gives back ``c``.  So one ascending pass is complete: when member ``c``
     is taken, add ``c + (b - a)`` for every taken ``b <= c`` and every
     ``a < b`` that is taken or 0 (a sum is the triple with ``a = 0``).
-    ``rev`` has bit ``limit - a`` for each such ``a``; ``diffs`` has bit
-    ``b - a`` for each such pair.
+    ``rev`` has bit ``c - a`` for each such ``a``; ``diffs`` has bit
+    ``b - a`` for each such pair.  ``2c`` is added with ``c``, so the next
+    member is at most ``2c``, and a generator joins the mask once it is
+    within ``2c``: nothing the pass holds is much wider than ``2c`` bits.
 
     The pass stops at the conductor.  Every member is a multiple of ``d``,
     the gcd of the generators.  When ``c`` is taken, every bit at or below
@@ -330,31 +332,25 @@ def _saturate_bits(gen_bits: list[int], limit: int) -> int:
     lies above its operands.  If ``c`` is also ``d`` above the member taken
     before it (or ``c = d``, above the virtual 0), the pair ``(c - d, c)``
     gives ``x + d`` for every member ``x >= c``, so every multiple of ``d``
-    above ``c`` is a member.  They are set in one step, and the mask is then
-    complete up to ``limit``.
+    from ``c`` on is a member.  ``bits`` keeps the members below ``c`` and
+    at most ``limit``.  Without generators, ``c = limit + 1``: no members.
     """
-    gen_bits = [v for v in gen_bits if v <= limit]
-    d = gcd(*gen_bits)  # 0 if there are none, and then the mask stays empty
-    full = (1 << (limit + 1)) - 2  # bits 1..limit
-    mask = 0
-    for v in gen_bits:
-        mask |= 1 << v
-    rev = 1 << limit
-    diffs = 0
-    c = 0
-    while rest := mask >> (c + 1):
+    waiting = sorted(gen_bits, reverse=True)  # each at most limit
+    if not waiting:
+        return 1, limit + 1, 0
+    d = gcd(*waiting)
+    mask, rev, diffs, c = 1 << waiting.pop(), 1, 0, 0
+    while True:
+        rest = mask >> (c + 1)
         step = (rest & -rest).bit_length()
         c += step
         if step == d:
-            fill, span = 1 << (c + d), d  # bits c+d, c+2d, ..., c+span
-            while span < limit - c:
-                fill |= fill << span
-                span *= 2
-            return mask | (fill & full)
-        rev |= 1 << (limit - c)
-        diffs |= rev >> (limit - c)
-        mask |= (diffs << c) & full
-    return mask
+            return d, c, mask & ((1 << min(c, limit + 1)) - 1)
+        while waiting and waiting[-1] <= 2 * c:
+            mask |= 1 << waiting.pop()
+        rev = (rev << step) | 1
+        diffs |= rev
+        mask |= diffs << c
 
 
 def _bits(mask: int) -> list[int]:
@@ -374,8 +370,11 @@ def bounded_closure(gens: GeneratorSet, bound: RatLike) -> BoundedClosure:
     are ignored; if none survive, the closure is empty.
     """
     bound_f = parse_rat(bound)
-    scaled_gens, q, limit = _scaled_setup(gens, bound_f)
-    return BoundedClosure(gens, bound_f, q, limit, _saturate_bits(scaled_gens, limit))
+    usable = [g for g in gens.sorted_values if g <= bound_f]
+    q = lcm(*(g.denominator for g in usable))
+    limit = (bound_f.numerator * q) // bound_f.denominator  # floor, exact
+    d, c, bits = _saturate_bits([int(g * q) for g in usable], limit)
+    return BoundedClosure(gens, bound_f, q, limit, d, c, bits)
 
 
 def membership(gens: GeneratorSet, value: RatLike) -> Optional[Derivation]:
@@ -384,15 +383,12 @@ def membership(gens: GeneratorSet, value: RatLike) -> Optional[Derivation]:
     The closure is built up to the value itself.  Both operations give a
     result at least as large as each operand, so elements above the value
     never help derive it and a larger bound could not change the answer.
-    Nothing lies below the smallest generator, so such a value needs no closure.
     """
     if len(gens) == 0:
         raise ValueError("membership queries need a nonempty generator set")
     value_f = parse_rat(value)
     if value_f <= 0:
         raise ValueError(f"value must be positive, got {format_rat(value_f)}")
-    if value_f < min(gens.gens):
-        return None
     return bounded_closure(gens, value_f).derivation_for(value_f)
 
 

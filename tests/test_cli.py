@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -390,6 +391,36 @@ def test_render_rejects_a_certificate_that_check_rejects(capsys, pinwheel_file, 
     assert code == 2
     assert out == ""
     assert "trail: recomputed trail from the recorded start differs" in err
+
+
+def test_render_rejects_forged_gens_at_the_cost_of_the_conductor(
+    capsys, pinwheel_file, tmp_path
+):
+    # render --cert checks against the certificate's own gens.  Two more with
+    # denominators near 3000 put the grid bound near 1.8 * 10**8 but the
+    # closure's conductor at 6002, so the forgery is rejected as before.
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
+    doc = json.loads(cert_path.read_text())
+    doc["gens"] += ["1/3001", "1/3011"]
+    cert_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "render", pinwheel_file, "--cert", cert_path)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (
+        f"{cert_path}: REJECTED: assignment: recomputed axis assignment differs"
+    )
+
+
+def test_python_dash_m_boxcert_runs_the_cli():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "boxcert", "selftest"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "selftest: 4/4 passed" in done.stdout
 
 
 def test_selftest_passes_and_is_deterministic():

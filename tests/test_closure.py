@@ -13,10 +13,13 @@ import random
 import sys
 import warnings
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from boxcert import closure
 from boxcert.closure import (
+    BoundedClosure,
     GeneratorSet,
     Leaf,
     Sum,
@@ -152,6 +155,21 @@ def test_bounded_matches_oracle_on_fixtures():
         assert frozenset(bc.elements) == brute_force_closure(gens, bound)
 
 
+def _oracle_conductor(bc: BoundedClosure) -> tuple[int, int]:
+    """``(d, c)`` on the grid of ``bc``, from the oracle's element set.
+
+    c is the oracle's first member that is d above the member before it (or
+    above 0); ``(1, limit + 1)`` when no generator is within the bound.
+    """
+    usable = GeneratorSet.from_values(g for g in bc.gens if g <= bc.bound)
+    if not usable:
+        return 1, bc.limit + 1
+    d = gcd(*(int(g * bc.q) for g in usable))
+    oracle = brute_force_closure(usable, Fraction(bc.c, bc.q))
+    members = sorted(int(v * bc.q) for v in oracle)
+    return d, next(b for a, b in zip([0, *members], members) if b - a == d)
+
+
 @pytest.mark.parametrize(
     "gens",
     [
@@ -168,6 +186,7 @@ def test_conductor_cut_off_matches_oracle_at_every_bound(gens):
     for bound in range(1, 81):
         bc = bounded_closure(gens, bound)
         assert frozenset(bc.elements) == brute_force_closure(gens, bound), bound
+        assert _oracle_conductor(bc) == (bc.d, bc.c), bound
 
 
 def _lines_run(fn, *args) -> int:
@@ -195,21 +214,89 @@ def _lines_run(fn, *args) -> int:
 )
 def test_the_pass_stops_at_the_conductor(gens):
     # A step count, not a timer: the pass takes the members up to the first
-    # two that are d apart and fills the rest in O(log bound) steps, so
-    # about 60-90 lines run at 10**4.  Without the cut-off it is thousands.
+    # two that are d apart and stops, so 10-40 lines run at 10**4, whatever
+    # the bound.  Without the cut-off it is thousands.
     assert _lines_run(_saturate_bits, gens, 10**4) < 200
 
 
 def test_closure_closed_forms_at_scale():
+    # The same few bits below c at every bound; from c on, every multiple of
+    # d up to the bound.
     n = 10**6
-    assert bounded_closure(GeneratorSet.of(1), n).bits == (1 << (n + 1)) - 2
-    three_five = bounded_closure(GeneratorSet.of(3, 5), n)
-    assert three_five.bits == (1 << 3) | ((1 << (n + 1)) - (1 << 5))
-    # (4**k - 1) // 3 has bits 0, 2, ..., 2k - 2; drop bits 0 and 2.
-    four_six = bounded_closure(GeneratorSet.of(4, 6), n)
-    assert four_six.bits == ((1 << (n + 2)) - 1) // 3 - 0b101
-    evens = bounded_closure(GeneratorSet.of(2), 1001)
-    assert evens.sorted_elements() == tuple(_F(v) for v in range(2, 1001, 2))
+    for gens, d, c, bits, member in [
+        ((1,), 1, 1, 0, lambda v: v >= 1),
+        # 6 = 3 + 3 is the first member 1 above another (5); 7 = 5 + 5 - 3.
+        ((3, 5), 1, 6, 0b101000, lambda v: v == 3 or v >= 5),
+        ((4, 6), 2, 6, 1 << 4, lambda v: v >= 4 and v % 2 == 0),
+        ((2,), 2, 2, 0, lambda v: v >= 2 and v % 2 == 0),
+    ]:
+        small = bounded_closure(GeneratorSet.of(*gens), 1001)
+        assert small.sorted_elements() == tuple(_F(v) for v in range(1002) if member(v))
+        bc = bounded_closure(GeneratorSet.of(*gens), n)
+        assert (bc.d, bc.c, bc.bits) == (small.d, small.c, small.bits) == (d, c, bits)
+        for v in [*range(-2, 40), n - 2, n - 1, n, n + 1, n + 2]:
+            assert (v in bc) == (0 < v <= n and member(v)), (gens, v)
+
+
+def test_membership_far_above_the_conductor_builds_a_few_bits(monkeypatch):
+    built = []
+    real = closure.bounded_closure
+
+    def spy(gens, bound):
+        built.append(real(gens, bound))
+        return built[-1]
+
+    monkeypatch.setattr(closure, "bounded_closure", spy)
+    gens = GeneratorSet.of(1)
+    assert verify_derivation(membership(gens, 10**8), gens) == 10**8
+    assert len(built) == 1 and built[0].bits.bit_length() <= 8
+    assert (built[0].d, built[0].c, built[0].bits) == (1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "gens, bound, conductor",
+    [
+        # Scaled {10009, 10007}: the triple adds 2 from 10009 on, so the odd
+        # 20013 meets 20014 = 2 * 10007.  The grid bound is about 2 * 10**9.
+        (("1/10007", "1/10009"), 20, 20014),
+        # Scaled {3011, 3001, 7q, 10q, 17q}: 6001 = 3011 + 299 * 10 and
+        # 6002 = 2 * 3001.  These are render --cert's forged certificate gens.
+        ((7, 10, 17, "1/3001", "1/3011"), 20, 6002),
+    ],
+    ids=["1over10007_1over10009", "pinwheel_gens_with_1over3001_1over3011"],
+)
+def test_the_mask_is_as_wide_as_the_conductor_not_the_bound(gens, bound, conductor):
+    bc = bounded_closure(GeneratorSet.of(*gens), bound)
+    assert bc.bits.bit_length() <= 2 * conductor + 1
+    assert (bc.d, bc.c) == (1, conductor)
+    assert bc.limit > 1000 * conductor
+
+
+def test_best_split_cuts_no_slice_wider_than_the_conductor():
+    # Scaled {3011, 3001}, q = 3001 * 3011: the bound 1 is 9,036,011 on the
+    # grid and the conductor 6002.  A size, not a timer: the widest slice of
+    # the mask that a split search holds while deriving 1.
+    gens = GeneratorSet.of("1/3001", "1/3011")
+    bc = bounded_closure(gens, 1)
+    code = BoundedClosure._best_split.__code__
+    widest = 0
+
+    def trace(frame, _event, _arg):
+        nonlocal widest
+        if frame.f_code is not code:
+            return None
+        widest = max(widest, frame.f_locals.get("low", 0).bit_length())
+        assert widest <= 6002 + 1, widest  # stop at the first wide slice
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        d = bc.derivation_for(1)
+    finally:
+        sys.settrace(outer)
+    assert verify_derivation(d, gens) == 1
+    assert 0 < widest <= bc.c + 1 == 6002 + 1
 
 
 def test_bounded_matches_oracle_on_random_sets():
@@ -221,6 +308,7 @@ def test_bounded_matches_oracle_on_random_sets():
         bound = Fraction(rng.randint(6, 120), rng.randint(1, 6))
         bc = bounded_closure(gens, bound)
         assert frozenset(bc.elements) == brute_force_closure(gens, bound)
+        assert _oracle_conductor(bc) == (bc.d, bc.c), (gens, bound)
 
 
 def test_every_element_gets_a_verifiable_derivation():
@@ -292,6 +380,7 @@ def test_membership_agrees_with_the_element_set_and_never_raises():
         gens = GeneratorSet.from_values(vals)
         bound = Fraction(rng.randint(1, 40), rng.randint(1, 5))
         bc = bounded_closure(gens, bound)
+        assert _oracle_conductor(bc) == (bc.d, bc.c), (gens, bound)
         probes = list(odd_values)
         probes += [rng.randint(-3, 50) for _ in range(10)]
         probes += [Fraction(rng.randint(-5, 300), rng.randint(1, 60)) for _ in range(30)]

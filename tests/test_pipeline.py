@@ -375,6 +375,39 @@ def test_check_runs_the_kernel_before_any_partition_work(monkeypatch):
         assert result.reasons[0].split(":")[0] in ("claim", "reduction"), result.reasons
 
 
+def _leaf_only(value):
+    """A reduction whose derivation is the single leaf ``value``."""
+    return {"result": value, "derivation": [{"op": "leaf", "value": value, "args": []}]}
+
+
+@pytest.mark.parametrize(
+    "reduction, claim, reason",
+    [
+        # A valid derivation of another element, the result moved to match.
+        (_leaf_only("7"), {}, "claim: derived result does not match the claimed length"),
+        # Derivation, result and claimed length agree on 17, which is no
+        # outer extent; the audit's last comparison would catch it later.
+        (
+            _leaf_only("17"),
+            {"length": "17"},
+            "claim: claimed length is not the outer extent",
+        ),
+        (None, {"axis": 3}, "claim: axis 3 out of range"),
+    ],
+    ids=["result_moved", "claim_moved", "axis_out_of_range"],
+)
+def test_check_kernel_rejects_self_consistent_forgeries(reduction, claim, reason):
+    # Each forgery parses and breaks exactly one kernel fact.
+    p, g = _pinwheel()
+    enc = certificate_to_json(certify(p, g))
+    if reduction is not None:
+        enc["reduction"] = reduction
+    enc["claimed_side"].update(claim)
+    result = check_certificate(certificate_from_json(enc), p, g)
+    assert not result.ok
+    assert result.reasons[0] == reason
+
+
 def test_check_rejects_unreachable_and_duplicate_table_entries():
     # Prepend a leaf no entry uses and append a copy of the root: every value
     # still checks out, but the table is not the derivation certify writes.
