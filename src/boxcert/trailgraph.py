@@ -12,15 +12,19 @@ collapses into a single derived length.
 
 Every stage here runs on the partition's :class:`~boxcert.geometry.RankView`.
 The graph, the parity audit and the walk depend on the order of coordinates
-alone: vertices are tuples of integer ranks, and exact points come back from
-the view's value tables only where a result is read (``TrailGraph.vertices``,
-parity reports, trail steps).  Axis assignment is the one stage that reads
+alone, so the graph is plain tuples of integer ranks: a vertex is a rank
+tuple, an edge is ``(box, edge_id, a, b)``.  :class:`Edge` objects and exact
+points come back from the view's value tables only where a result is read:
+``TrailGraph.vertices``, the per-vertex parity entries (built on first
+access) and the trail's steps.  Axis assignment is the one stage that reads
 lengths, and it computes one per distinct ``(axis, lo rank, hi rank)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
+from itertools import product
 from typing import Callable, Mapping, Optional, Union
 
 from .errors import HypothesisViolated, SoundnessError, StuckAtEvenVertex
@@ -94,8 +98,8 @@ class Edge:
     t of ``edge_id`` says whether the t-th *other* axis (ascending) sits at
     the box's hi face.  ``a``/``b`` are the endpoints with the lower/higher
     coordinate on the assigned axis, so ``a < b`` lexicographically.  They
-    are in the coordinates of the box the edge came from: ranks inside a
-    :class:`TrailGraph`, exact points in a :class:`Trail`.
+    are in the coordinates of the box the edge came from: exact points in a
+    :class:`Trail`, ranks for :func:`edges_of_box` of a rank box.
     """
 
     box: int
@@ -104,35 +108,51 @@ class Edge:
     b: Point
 
 
+@cache
+def _edge_layout(dim: int, axis: int) -> tuple[tuple[int, int, int], ...]:
+    """``(edge_id, lo index, hi index)`` for each edge parallel to 1-based
+    ``axis``, in edge_id order.
+
+    The indices point into a box's corners as listed by
+    ``itertools.product(*zip(lo, hi))``, where 0-based axis ``j`` is bit
+    ``dim - 1 - j`` of the index (set at the hi face).
+    """
+    bit = [1 << (dim - j) for j in range(1, dim + 1)]
+    others = [bit[j - 1] for j in range(1, dim + 1) if j != axis]
+    layout = []
+    for edge_id in range(1 << len(others)):
+        lo = sum(b for t, b in enumerate(others) if edge_id >> t & 1)
+        layout.append((edge_id, lo, lo | bit[axis - 1]))
+    return tuple(layout)
+
+
 def edges_of_box(b: Box, k: int, axis: int) -> tuple[Edge, ...]:
     """All edges of box ``k`` parallel to 1-based ``axis``, in edge_id order."""
-    others = [j for j in range(1, b.dim + 1) if j != axis]
-    out: list[Edge] = []
-    for bits in range(1 << len(others)):
-        coords: list[Optional[Fraction]] = [None] * b.dim
-        for t, j in enumerate(others):
-            coords[j - 1] = b.hi[j - 1] if bits >> t & 1 else b.lo[j - 1]
-        lo_end = list(coords)
-        hi_end = list(coords)
-        lo_end[axis - 1] = b.lo[axis - 1]
-        hi_end[axis - 1] = b.hi[axis - 1]
-        out.append(Edge(box=k, edge_id=bits, a=tuple(lo_end), b=tuple(hi_end)))
-    return tuple(out)
+    corners = tuple(product(*zip(b.lo, b.hi)))
+    return tuple(
+        Edge(k, edge_id, corners[lo], corners[hi])
+        for edge_id, lo, hi in _edge_layout(b.dim, axis)
+    )
+
+
+#: An edge of a :class:`TrailGraph`: ``(box, edge_id, a, b)`` as in :class:`Edge`.
+RankEdge = tuple[int, int, Ranks, Ranks]
 
 
 @dataclass(frozen=True, eq=False)
 class TrailGraph:
     """Multigraph of assigned-axis edges over all constituent-box vertices.
 
-    ``edges`` and ``adjacency`` are in the ranks of ``ranks``; ``vertices``
-    and :meth:`degree` speak exact points.
+    ``edges`` holds ``(box, edge_id, a, b)`` tuples in box and edge_id order,
+    with ``a``/``b`` as in :class:`Edge`; ``adjacency`` maps each vertex to
+    ``(far endpoint, box, edge_id)`` tuples in edge order.  Both are in the
+    ranks of ``ranks``; ``vertices`` and :meth:`degree` speak exact points.
     """
 
     ranks: RankView
     assignment: AxisAssignment
-    edges: tuple[Edge, ...]
-    #: vertex -> [(far endpoint, edge), ...] in edge order, unsorted
-    adjacency: Mapping[Ranks, list[tuple[Ranks, Edge]]]
+    edges: tuple[RankEdge, ...]
+    adjacency: Mapping[Ranks, list[tuple[Ranks, int, int]]]
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -150,7 +170,8 @@ def build_graph(p: Union[Partition, RankView], c: AxisAssignment) -> TrailGraph:
     """Assemble the multigraph; deterministic given the assignment.
 
     Takes the partition or its :class:`~boxcert.geometry.RankView`.  Box k
-    contributes its ``2^(n-1)`` edges parallel to axis ``c.axis_of(k)``.
+    contributes its ``2^(n-1)`` edges parallel to axis ``c.axis_of(k)``,
+    paired off from its corners by the one layout :func:`edges_of_box` uses.
     Vertices are the edges' endpoints (deduplicated as rank tuples): these
     edges reach all ``2^n`` corners of their box, so the vertices are exactly
     the corners of all constituent boxes.  T-junction contacts (a vertex of
@@ -161,13 +182,19 @@ def build_graph(p: Union[Partition, RankView], c: AxisAssignment) -> TrailGraph:
         raise ValueError(
             f"assignment covers {len(c)} boxes, partition has {len(view.boxes)}"
         )
-    edges: list[Edge] = []
-    for k, b in enumerate(view.boxes, start=1):
-        edges.extend(edges_of_box(b, k, c.axis_of(k)))
-    adjacency: dict[Ranks, list[tuple[Ranks, Edge]]] = {}
-    for e in edges:
-        adjacency.setdefault(e.a, []).append((e.b, e))
-        adjacency.setdefault(e.b, []).append((e.a, e))
+    dim = view.outer.dim
+    layouts = {j: _edge_layout(dim, j) for j in range(1, dim + 1)}
+    if not layouts.keys() >= set(c.axes):
+        raise ValueError(f"assignment names an axis outside 1..{dim}")
+    edges: list[RankEdge] = []
+    adjacency: dict[Ranks, list[tuple[Ranks, int, int]]] = {}
+    for k, (b, axis) in enumerate(zip(view.boxes, c.axes), start=1):
+        corners = tuple(product(*zip(b.lo, b.hi)))
+        for edge_id, lo, hi in layouts[axis]:
+            a, z = corners[lo], corners[hi]
+            edges.append((k, edge_id, a, z))
+            adjacency.setdefault(a, []).append((z, k, edge_id))
+            adjacency.setdefault(z, []).append((a, k, edge_id))
     return TrailGraph(ranks=view, assignment=c, edges=tuple(edges), adjacency=adjacency)
 
 
@@ -184,18 +211,33 @@ class ParityEntry:
         return self.degree % 2 == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityReport:
-    """Degree of every vertex, with the forced parity condition per vertex."""
+    """Whether the forced degree parities hold, with the condition per vertex.
 
-    entries: tuple[ParityEntry, ...]
+    ``ok`` is decided by :func:`parity_audit`; ``entries`` lists every vertex
+    and outer corner in exact points, in increasing order, and is built from
+    ``graph`` on first access.
+    """
 
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+    graph: TrailGraph
+    ok: bool
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @cached_property
+    def entries(self) -> tuple[ParityEntry, ...]:
+        g = self.graph
+        outer_corners = set(g.ranks.outer.corners())
+        return tuple(
+            ParityEntry(
+                point=g.ranks.point(v),
+                degree=len(g.adjacency.get(v, ())),
+                is_outer_corner=v in outer_corners,
+            )
+            for v in sorted(outer_corners.union(g.adjacency))
+        )
 
     def violations(self) -> tuple[ParityEntry, ...]:
         return tuple(e for e in self.entries if not e.ok)
@@ -214,21 +256,19 @@ class ParityReport:
 def parity_audit(g: TrailGraph) -> ParityReport:
     """Check the forced degree parities: outer corners 1, everything else even.
 
+    One pass over the adjacency, on ranks: the parities hold exactly when
+    every outer corner has degree 1 and no other vertex has odd degree, that
+    is, when the odd-degree vertices are as many as the outer corners.
     A violation means the partition was not actually valid (something slipped
     past validation) or the graph was built wrongly; either way certification
     must not proceed.
     """
     outer_corners = set(g.ranks.outer.corners())
-    return ParityReport(
-        entries=tuple(
-            ParityEntry(
-                point=g.ranks.point(v),
-                degree=len(g.adjacency.get(v, ())),
-                is_outer_corner=v in outer_corners,
-            )
-            for v in sorted(outer_corners.union(g.adjacency))
-        )
-    )
+    adjacency = g.adjacency
+    ok = all(len(adjacency.get(v, ())) == 1 for v in outer_corners) and sum(
+        len(incident) & 1 for incident in adjacency.values()
+    ) == len(outer_corners)
+    return ParityReport(graph=g, ok=ok)
 
 
 @dataclass(frozen=True)
@@ -258,11 +298,12 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
     odd number of used incidences, so an unused edge remains).  Tie-break,
     applied at each vertex the walk visits: the unused edge with the
     lexicographically smallest far endpoint, then smallest box index, then
-    smallest edge_id — this makes the whole pipeline reproducible
-    byte-for-byte.  ``(box, edge_id)`` identifies an edge.  The walk runs on
-    ranks; each step is written out in exact points.  ``start`` is read
-    with :func:`~boxcert.geometry.parse_point`, so a float start raises
-    ``ValueError`` like one that is not an outer corner.
+    smallest edge_id, which is the plain order of the adjacency's
+    ``(far, box, edge_id)`` tuples — this makes the whole pipeline
+    reproducible byte-for-byte.  ``(box, edge_id)`` identifies an edge.  The
+    walk runs on ranks; each step is written out as an :class:`Edge` in exact
+    points.  ``start`` is read with :func:`~boxcert.geometry.parse_point`, so
+    a float start raises ``ValueError`` like one that is not an outer corner.
     """
     view = g.ranks
     corners = set(view.outer.corners())
@@ -276,22 +317,22 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
             raise ValueError(
                 f"start {format_point(start)} is not a corner of the outer box"
             )
+    adjacency = g.adjacency
     used: set[tuple[int, int]] = set()
     current, here = first, start
     steps: list[TrailStep] = []
     while True:
-        options = [
-            (far, e)
-            for far, e in g.adjacency.get(current, ())
-            if (e.box, e.edge_id) not in used
-        ]
-        if not options:
+        taken = min(
+            (e for e in adjacency.get(current, ()) if e[1:] not in used), default=None
+        )
+        if taken is None:
             break
-        far, e = min(options, key=lambda fe: (fe[0], fe[1].box, fe[1].edge_id))
-        used.add((e.box, e.edge_id))
+        far, box, edge_id = taken
+        used.add((box, edge_id))
         there = view.point(far)
-        a, b = (here, there) if e.a == current else (there, here)
-        steps.append(TrailStep(edge=Edge(e.box, e.edge_id, a, b), src=here, dst=there))
+        # the ends differ only on the edge's axis, so rank order is axis order
+        a, b = (here, there) if current < far else (there, here)
+        steps.append(TrailStep(edge=Edge(box, edge_id, a, b), src=here, dst=there))
         current, here = far, there
     if not steps:
         raise StuckAtEvenVertex(here, f"no edges at start {format_point(here)}")

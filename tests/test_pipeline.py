@@ -380,27 +380,75 @@ def _leaf_only(value):
     return {"result": value, "derivation": [{"op": "leaf", "value": value, "args": []}]}
 
 
+def _leaf_in_place_of(n):
+    """Forge a reduction: derivation entry ``n`` becomes a leaf of its own
+    value, the entries only it used are dropped, and the entries above it are
+    re-indexed.  Every value, the root's included, stays as it was."""
+
+    def forge(reduction):
+        table = [dict(e) for e in reduction["derivation"]]
+        table[n] = {"op": "leaf", "value": table[n]["value"], "args": []}
+        kept = {len(table) - 1}
+        for i in range(len(table) - 1, -1, -1):
+            if i in kept:
+                kept.update(table[i]["args"])
+        index = {old: new for new, old in enumerate(sorted(kept))}
+        derivation = [
+            dict(table[i], args=[index[a] for a in table[i]["args"]])
+            for i in sorted(kept)
+        ]
+        return dict(reduction, derivation=derivation)
+
+    return forge
+
+
+def _pinwheel_46_77():
+    # 46/77 has no sum split in the closure of {3/5, 4/7, 6/11}: the derivation
+    # of the claimed 232/385 holds it as a triple, an internal entry.
+    return (
+        factory.pinwheel_partition("3/5", "3/5", "46/77"),
+        GeneratorSet.of("3/5", "4/7", "6/11"),
+    )
+
+
 @pytest.mark.parametrize(
-    "reduction, claim, reason",
+    "instance, reduction, claim, reason",
     [
         # A valid derivation of another element, the result moved to match.
-        (_leaf_only("7"), {}, "claim: derived result does not match the claimed length"),
+        (
+            _pinwheel,
+            _leaf_only("7"),
+            {},
+            "claim: derived result does not match the claimed length",
+        ),
         # Derivation, result and claimed length agree on 17, which is no
         # outer extent; the audit's last comparison would catch it later.
         (
+            _pinwheel,
             _leaf_only("17"),
             {"length": "17"},
             "claim: claimed length is not the outer extent",
         ),
-        (None, {"axis": 3}, "claim: axis 3 out of range"),
+        (_pinwheel, None, {"axis": 3}, "claim: axis 3 out of range"),
+        # The triple 46/77 (entry 3) turned into a leaf: root value, result
+        # and claim still agree on 232/385, but 46/77 is no generator.
+        (
+            _pinwheel_46_77,
+            _leaf_in_place_of(3),
+            {},
+            "reduction: leaf 46/77 is not a generator",
+        ),
     ],
-    ids=["result_moved", "claim_moved", "axis_out_of_range"],
+    ids=["result_moved", "claim_moved", "axis_out_of_range", "non_generator_leaf"],
 )
-def test_check_kernel_rejects_self_consistent_forgeries(reduction, claim, reason):
+def test_check_kernel_rejects_self_consistent_forgeries(instance, reduction, claim, reason):
     # Each forgery parses and breaks exactly one kernel fact.
-    p, g = _pinwheel()
+    p, g = instance()
     enc = certificate_to_json(certify(p, g))
-    if reduction is not None:
+    if callable(reduction):
+        enc["reduction"] = reduction(enc["reduction"])
+        assert enc["reduction"]["derivation"][-1]["value"] == enc["reduction"]["result"]
+    elif reduction is not None:
         enc["reduction"] = reduction
     enc["claimed_side"].update(claim)
     result = check_certificate(certificate_from_json(enc), p, g)

@@ -27,6 +27,10 @@ from boxcert.geometry import (
 )
 from boxcert.trailgraph import (
     AxisAssignment,
+    Edge,
+    ParityEntry,
+    Trail,
+    TrailStep,
     YSequence,
     assign_axes,
     build_graph,
@@ -62,6 +66,19 @@ def _count_fraction_calls(monkeypatch, *names):
 
     for name in names:
         monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+    return calls
+
+
+def _count_inits(monkeypatch, cls):
+    """Count constructions of ``cls``; read as ``calls[0]``."""
+    calls = [0]
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
     return calls
 
 
@@ -165,9 +182,15 @@ def test_edges_of_box_bit_layout():
         (0, _pt(0, 0), _pt(0, 17)),
         (1, _pt(3, 0), _pt(3, 17)),
     ]
-    # in 3D each box contributes 2^(3-1) = 4 parallel edges
+    # in 3D each box contributes 2^(3-1) = 4 parallel edges; bit 0 of the
+    # edge_id is axis 1, bit 1 is axis 3
     q = lift_product(p, 20, 3)
-    assert len(edges_of_box(q.box(1), 1, 2)) == 4
+    assert [(e.edge_id, e.a, e.b) for e in edges_of_box(q.box(1), 1, 2)] == [
+        (0, _pt(0, 0, 0), _pt(0, 17, 0)),
+        (1, _pt(3, 0, 0), _pt(3, 17, 0)),
+        (2, _pt(0, 0, 20), _pt(0, 17, 20)),
+        (3, _pt(3, 0, 20), _pt(3, 17, 20)),
+    ]
 
 
 def test_strip_graph_degrees_and_parity():
@@ -198,6 +221,9 @@ def test_build_graph_rejects_wrong_assignment_length():
     p = strip_partition(15, 5)
     with pytest.raises(ValueError):
         build_graph(p, AxisAssignment((1,)))
+    for axes in [(1, 0), (3, 1)]:
+        with pytest.raises(ValueError):
+            build_graph(p, AxisAssignment(axes))
 
 
 def test_parity_holds_for_any_assignment_on_valid_partition():
@@ -216,10 +242,67 @@ def test_parity_audit_catches_uncovered_area():
     p = Partition(2, outer, (Box(_pt(0, 0), _pt(2, 4)),))
     report = parity_audit(build_graph(p, AxisAssignment((2,))))
     assert not report.ok
-    bad_points = {e.point for e in report.violations()}
-    assert _pt(2, 0) in bad_points  # odd degree off-corner
-    assert _pt(4, 0) in bad_points  # corner without its edge
-    assert "degree" in report.table()
+    assert report.entries == (
+        ParityEntry(_pt(0, 0), 1, True),
+        ParityEntry(_pt(0, 4), 1, True),
+        ParityEntry(_pt(2, 0), 1, False),  # odd degree off-corner
+        ParityEntry(_pt(2, 4), 1, False),
+        ParityEntry(_pt(4, 0), 0, True),  # corner without its edge
+        ParityEntry(_pt(4, 4), 0, True),
+    )
+    assert report.violations() == report.entries[2:]
+    assert report.table().splitlines() == [
+        "vertex  degree  outer-corner  ok",
+        "(0, 0)  1  yes  ok",
+        "(0, 4)  1  yes  ok",
+        "(2, 0)  1  no  VIOLATION",
+        "(2, 4)  1  no  VIOLATION",
+        "(4, 0)  0  yes  VIOLATION",
+        "(4, 4)  0  yes  VIOLATION",
+    ]
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [
+        # every outer corner has degree 1; the inner box's corners are odd
+        ((0, 0, 4, 4), (1, 1, 2, 2)),
+        # three copies of the outer box: the corners are odd, but degree 3
+        ((0, 0, 4, 4),) * 3,
+    ],
+    ids=["odd_inner_vertices", "corners_of_degree_3"],
+)
+def test_parity_audit_needs_both_halves_of_the_condition(boxes):
+    outer = Box(_pt(0, 0), _pt(4, 4))
+    p = Partition(2, outer, tuple(Box(_pt(*c[:2]), _pt(*c[2:])) for c in boxes))
+    report = parity_audit(build_graph(p, AxisAssignment((1,) * len(boxes))))
+    assert not report.ok
+    assert report.violations()
+
+
+def test_a_clean_parity_audit_builds_its_entries_only_when_read(monkeypatch):
+    n = 40
+    p = _unit_grid(n)
+    g = build_graph(p, assign_axes(p, _member((1,), n)))
+    calls = _count_inits(monkeypatch, ParityEntry)
+    report = parity_audit(g)
+    assert report.ok and report
+    assert calls[0] == 0
+    assert report.violations() == ()
+    assert calls[0] == len(report.entries) == (n + 1) ** 2
+    report.table()
+    assert calls[0] == (n + 1) ** 2  # the entries are built once
+
+
+def test_certify_builds_an_edge_only_for_each_trail_step(monkeypatch):
+    n = 40
+    p = _unit_grid(n)
+    calls = _count_inits(monkeypatch, Edge)
+    cert = pipeline.certify(p, GeneratorSet.of(1))
+    assert len(cert.trail.steps) == n
+    assert calls[0] <= len(cert.trail.steps)
+    Edge(1, 0, _pt(0, 0), _pt(1, 0))
+    assert calls[0] == n + 1  # the counter is live
 
 
 def test_strip_trail_golden():
@@ -332,9 +415,33 @@ def test_parity_holds_on_random_instances():
         assert report.ok, f"seed {seed}: {report.table()}"
 
 
+def _reference_trail(p, axes):
+    """The greedy walk of :func:`extract_trail`, on :class:`Edge` objects in
+    exact points: from the smallest outer corner, the unused edge with the
+    smallest (far endpoint, box, edge_id) at each vertex."""
+    adjacency: dict = {}
+    for k, (b, axis) in enumerate(zip(p.boxes, axes), start=1):
+        for e in edges_of_box(b, k, axis):
+            adjacency.setdefault(e.a, []).append((e.b, e))
+            adjacency.setdefault(e.b, []).append((e.a, e))
+    start = current = min(p.outer.corners())
+    used, steps = set(), []
+    while True:
+        options = [(far, e) for far, e in adjacency.get(current, ()) if e not in used]
+        if not options:
+            break
+        far, e = min(options, key=lambda fe: (fe[0], fe[1].box, fe[1].edge_id))
+        used.add(e)
+        steps.append(TrailStep(edge=e, src=current, dst=far))
+        current = far
+    return Trail(start=start, steps=tuple(steps), end=current)
+
+
 def test_vertices_are_the_sorted_box_corners_under_any_assignment():
     # The vertex set is read off the edges' endpoints; the parallel edges of
-    # each box reach all of its corners whatever axis it is assigned.
+    # each box reach all of its corners whatever axis it is assigned.  The
+    # rank-tuple graph holds the edges of edges_of_box, in the same order,
+    # and walks them as the reference walk over Edge objects does.
     for seed in range(12):
         n = 2 if seed % 2 == 0 else 3
         p = random_guillotine(n, 3, seed=seed)
@@ -349,6 +456,13 @@ def test_vertices_are_the_sorted_box_corners_under_any_assignment():
             g = build_graph(p, AxisAssignment(axes))
             assert set(g.vertices) == corners
             assert list(g.vertices) == sorted(corners)
+            expected: dict = {}
+            for k, (b, axis) in enumerate(zip(g.ranks.boxes, axes), start=1):
+                for e in edges_of_box(b, k, axis):
+                    expected.setdefault(e.a, []).append((e.b, k, e.edge_id))
+                    expected.setdefault(e.b, []).append((e.a, k, e.edge_id))
+            assert g.adjacency == expected
+            assert extract_trail(g) == _reference_trail(p, axes)
 
 
 def test_a_grid_graph_hashes_each_endpoint_a_bounded_number_of_times(monkeypatch):
