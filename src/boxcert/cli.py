@@ -143,51 +143,50 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _certify_one(
-    path: str, gens: GeneratorSet, start: Optional[Point]
-) -> tuple[int, str, str, Optional[pipeline.Certificate]]:
-    """Certify one file; returns (code, stdout text, stderr text, cert)."""
+    path: str, gens: GeneratorSet, start: Optional[Point], prefix: str, out: Optional[str]
+) -> int:
+    """Certify one file, write its lines and its ``out`` file; returns its exit code."""
     try:
         p = _load_partition(path)
     except _CliError as exc:
-        return exc.code, "", f"{exc}\n", None
+        sys.stderr.write(f"{exc}\n")
+        return exc.code
     try:
         cert = pipeline.certify(p, gens, start=start)
     except pipeline.PartitionInvalid as exc:
-        return EXIT_INVALID, "", f"{path}: {exc.report.summary()}\n", None
+        sys.stderr.write(f"{path}: {exc.report.summary()}\n")
+        return EXIT_INVALID
     except HypothesisViolated as exc:
-        return EXIT_HYPOTHESIS, "", f"{path}: hypothesis violated: {exc}\n", None
+        sys.stderr.write(f"{path}: hypothesis violated: {exc}\n")
+        return EXIT_HYPOTHESIS
     except SoundnessError as exc:
         stage = type(exc).__name__
-        return EXIT_INTERNAL, "", f"{path}: internal invariant [{stage}]: {exc}\n", None
+        sys.stderr.write(f"{path}: internal invariant [{stage}]: {exc}\n")
+        return EXIT_INTERNAL
     except ValueError as exc:
-        return EXIT_PARSE, "", f"{path}: {exc}\n", None
+        sys.stderr.write(f"{path}: {exc}\n")
+        return EXIT_PARSE
     side = cert.claimed_side
-    summary = (
-        f"side of length {format_rat(side.length)} along axis {side.axis} "
-        f"∈ closure({cert.gens})"
+    sys.stdout.write(
+        f"{prefix}side of length {format_rat(side.length)} along axis {side.axis} "
+        f"∈ closure({cert.gens})\n"
     )
-    return EXIT_OK, summary + "\n", "", cert
+    if out:
+        _write_text(out, jsonio.pretty_json(pipeline.certificate_to_json(cert)))
+    return EXIT_OK
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     gens = _parse_gens_arg(args.gens)
     start = _parse_point_arg(args.start_corner) if args.start_corner else None
-    files = sorted(args.files)
-    if args.out and len(files) != 1:
+    if args.out and len(args.files) != 1:
         raise _CliError("--out requires exactly one input file")
-    results = [_certify_one(path, gens, start) for path in files]
-
     exit_code = EXIT_OK
-    for path, (code, out, err, cert) in zip(files, results):
-        if out:
-            prefix = f"{path}: " if len(files) > 1 else ""
-            sys.stdout.write(prefix + out)
-        if err:
-            sys.stderr.write(err)
-        if code != EXIT_OK and exit_code == EXIT_OK:
+    for path in sorted(args.files):
+        prefix = f"{path}: " if len(args.files) > 1 else ""
+        code = _certify_one(path, gens, start, prefix, args.out)
+        if exit_code == EXIT_OK:
             exit_code = code
-        if cert is not None and args.out:
-            _write_text(args.out, jsonio.pretty_json(pipeline.certificate_to_json(cert)))
     return exit_code
 
 

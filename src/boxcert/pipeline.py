@@ -174,14 +174,36 @@ class CheckResult:
         return self.ok
 
 
+def _kernel(cert: Certificate, p: Partition, g: GeneratorSet) -> Optional[tuple[str, str]]:
+    """The soundness kernel: the first failing ``(stage, detail)``, or None.
+
+    The derivation uses only generators of ``g`` and evaluates to the
+    recorded result (:func:`~boxcert.reduction.replay`, looked up as a global
+    of this module), the result is the claimed length, and the claimed length
+    is the outer extent on an axis of ``p``.  Nothing else is read.
+    """
+    try:
+        value = replay(cert.reduction, g)
+    except ReplayMismatch as exc:
+        return "reduction", exc.reason
+    claim = cert.claimed_side
+    if not 1 <= claim.axis <= p.dim:
+        return "claim", f"axis {claim.axis} out of range"
+    if value != claim.length:
+        return "claim", "derived result does not match the claimed length"
+    if p.outer.extent(claim.axis) != claim.length:
+        return "claim", "claimed length is not the outer extent"
+    return None
+
+
 def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> CheckResult:
     """Independently re-check a certificate against the partition.
 
-    The soundness kernel is :func:`~boxcert.reduction.replay` (every leaf of
-    the derivation is a generator, and the root's value, which each node
-    computed exactly when it was built, is the recorded result) plus "the
-    claimed length is the outer extent".  It runs before any partition work.
-    Everything else is an audit by recomputation: :func:`certify`'s own
+    The soundness kernel is :func:`_kernel`: :func:`~boxcert.reduction.replay`
+    (every leaf of the derivation is a generator, and the root's value, which
+    each node computed exactly when it was built, is the recorded result) plus
+    "the claimed length is the outer extent".  It runs before any partition
+    work.  Everything else is an audit by recomputation: :func:`certify`'s own
     stages are re-run from the recorded trail start and each recorded field
     must equal the recomputed one, so only the certificate :func:`certify`
     would write is accepted.  The derivation is verified, not rebuilt.
@@ -207,17 +229,9 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
             return fail(
                 "gens", f"certificate gens {cert.gens} differ from supplied {g}"
             )
-        try:
-            value = replay(cert.reduction, g)
-        except ReplayMismatch as exc:
-            return fail("reduction", exc.reason)
-        claim = cert.claimed_side
-        if not 1 <= claim.axis <= p.dim:
-            return fail("claim", f"axis {claim.axis} out of range")
-        if value != claim.length:
-            return fail("claim", "derived result does not match the claimed length")
-        if p.outer.extent(claim.axis) != claim.length:
-            return fail("claim", "claimed length is not the outer extent")
+        failure = _kernel(cert, p, g)
+        if failure is not None:
+            return fail(*failure)
         try:
             bound, _, assignment, trail, y = _construct(p, g, cert.trail.start)
         except PartitionInvalid as exc:
@@ -234,7 +248,7 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
             return fail("trail", "recomputed trail from the recorded start differs")
         if cert.y != y:
             return fail("projection", "recomputed position sequence differs")
-        if claim != ClaimedSide(axis=y.axis, length=y.length):
+        if cert.claimed_side != ClaimedSide(axis=y.axis, length=y.length):
             return fail("claim", "claimed side does not match the projection")
     except Exception as exc:  # malformed data must reject, not raise
         return fail("error", f"{type(exc).__name__}: {exc}")

@@ -15,18 +15,30 @@ keeping every step length in X:
    the distance between the outer endpoints because the middle step is the
    strict minimum of the three.
 
+Sums go first, each at the smallest admissible index, then triples.  After
+the loops, two left-to-right passes apply them in that order: the first with
+sums only, the second with sums and triples.  A pass keeps a stack of
+settled points and, at the next point x, tries a sum at x, then (second
+pass) a triple ending at x; otherwise x is settled.  A settled point is not
+between its neighbours, and stays so: a merge keeps the direction of the
+step leaving the top, since a sum extends it and a triple spans the way its
+first step points.  In the second pass no settled point ends a step longer
+than the one before it either.  Everything after x is unchanged input, and
+after the first pass that input holds no point between its neighbours, so
+the second pass tries a sum only after a merge.  Thus the smallest sum index
+is at x or later, and so is the smallest growth index: the log is the one
+that rescanning from the start after every merge would write.  A pass
+settles each point at most once, and each merge deletes one.
+
 Step lengths are read from the derivation nodes, which compute their values
 when built.  Runtime checks: each step's derivation derives that step, a
 triple's middle step is the strict minimum, every merged node derives the
-span between its outer endpoints, and the reduction ends at [0, L].
-
-Applied to exhaustion this leaves the two-point sequence [0, L] and a
-derivation of L from X.  The rewrite order is fixed, so the recorded
-:class:`RewriteStep` log is a function of the sequence alone, and
-certificates do not carry it.  The checker does not re-run the rewrites
-either: :func:`replay` is its kernel, which verifies the derivation with
-:func:`~boxcert.closure.verify_derivation` and compares its value with the
-recorded result.
+span between its outer endpoints, and the reduction ends at [0, L], with a
+derivation of L from X.  The :class:`RewriteStep` log is a function of the
+sequence alone, so certificates do not carry it.  The checker does not re-run
+the rewrites either: :func:`replay` is its kernel, which verifies the
+derivation with :func:`~boxcert.closure.verify_derivation` and compares its
+value with the recorded result.
 """
 from __future__ import annotations
 
@@ -34,19 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .closure import (
-    Derivation,
-    GeneratorSet,
-    Sum,
-    Triple,
-    verify_derivation,
-)
-from .errors import (
-    LeafNotGenerator,
-    ReplayMismatch,
-    SoundnessError,
-    ZigzagIndexMissing,
-)
+from .closure import Derivation, GeneratorSet, Sum, Triple, verify_derivation
+from .errors import LeafNotGenerator, ReplayMismatch, SoundnessError, ZigzagIndexMissing
 from .geometry import format_rat
 from .trailgraph import YSequence
 
@@ -83,25 +84,51 @@ class ReductionCertificate:
     derivation: Derivation
 
 
-def _first_between(pts: list[Fraction]) -> Optional[int]:
-    """Smallest 0-based interior q with pts[q] inside [pts[q-1], pts[q+1]]."""
-    for q in range(1, len(pts) - 1):
-        lo, hi = sorted((pts[q - 1], pts[q + 1]))
-        if lo <= pts[q] <= hi:
-            return q
-    return None
+def _between(a: Fraction, b: Fraction, c: Fraction) -> bool:
+    return a <= b <= c or c <= b <= a
 
 
-def _growth_index(derivs: list[Derivation]) -> Optional[int]:
-    """Smallest 1-based sequence index i > 2 with step i longer than step i-1.
+def _merge_pass(
+    pts: list[Fraction], derivs: list[Derivation], log: list[RewriteStep], triples: bool
+) -> tuple[list[Fraction], list[Derivation]]:
+    """One stack pass of sums, and of triples when ``triples`` is set.
 
-    ``derivs[t]`` derives the length between positions t+1 and t+2 (1-based),
-    so the comparison for index i reads ``derivs[i-1] > derivs[i-2]``.
+    ``sp``/``sd`` hold the settled points and steps; ``x = pts[k]`` is the
+    next point and ``dx`` derives the step from ``sp[-1]`` to it.
     """
-    for i in range(3, len(derivs) + 1):
-        if derivs[i - 1].value > derivs[i - 2].value:
-            return i
-    return None
+    sp, sd, k, dx, try_sum = pts[:1], [], 1, derivs[0], not triples
+    while True:
+        x = pts[k]
+        # Merge ``parts``: pop ``drop`` points; the merged step ends at pts[hi].
+        if try_sum and k + 1 < len(pts) and _between(sp[-1], x, pts[k + 1]):
+            kind, at, drop, hi, parts = "sum", len(sp) + 1, 0, k + 1, (dx, derivs[k])
+        elif triples and len(sp) > 2 and dx.value > sd[-1].value:
+            kind, at, drop, hi, parts = "triple", len(sp), 2, k, (sd[-2], sd[-1], dx)
+        else:
+            sp.append(x)
+            sd.append(dx)
+            if k + 1 == len(pts):
+                return sp, sd
+            k, dx, try_sum = k + 1, derivs[k], not triples
+            continue
+        lengths = tuple(d.value for d in parts)
+        if kind == "triple" and not lengths[1] < min(lengths[0], lengths[2]):
+            raise SoundnessError(
+                f"triple merge middle {format_rat(lengths[1])} is not the strict "
+                f"minimum of ({', '.join(map(format_rat, lengths))}); "
+                f"points={tuple(sp + pts[k:])}"
+            )
+        node = (Sum if kind == "sum" else Triple)(*parts)
+        geometric = abs(pts[hi] - sp[-1 - drop])
+        if node.value != geometric:
+            raise SoundnessError(
+                f"{kind} merge at position {at} derives {format_rat(node.value)}, not "
+                f"the geometric span {format_rat(geometric)}; "
+                f"points={tuple(sp + pts[k:])}"
+            )
+        log.append(RewriteStep(kind, at, None, lengths, node.value))
+        del sp[len(sp) - drop :], sd[len(sd) - drop :]
+        k, dx, try_sum = hi, node, True
 
 
 def reduce_sequence(
@@ -112,11 +139,8 @@ def reduce_sequence(
     ``leaf_derivation`` supplies a derivation for each original step length
     (a bare Leaf when the length is a generator, a closure derivation
     otherwise); one whose value is not its step length raises
-    :class:`~boxcert.errors.SoundnessError`.  First the input's loops are
-    erased in one left-to-right pass, each at the earliest repeated position;
-    merges never repeat a position, so none is left for later.  Then sums
-    are tried before triples, each at the smallest admissible index — so the
-    log and the final derivation are deterministic functions of the input.
+    :class:`~boxcert.errors.SoundnessError`.  Loops are erased first, each at
+    the earliest repeated position, then the two merge passes run.
     """
     pts = list(y.points)
     derivs: list[Derivation] = []
@@ -140,40 +164,13 @@ def reduce_sequence(
             del pts[i + 1 : j + 1]
             del derivs[i:j]
         j = i + 1
-    while len(pts) > 2:
-        # Merge the steps derivs[lo:hi], which run from pts[lo] to pts[hi].
-        q = _first_between(pts)
-        if q is not None:
-            kind, at, lo, hi = "sum", q + 1, q - 1, q + 1
-            node: Derivation = Sum(*derivs[lo:hi])
-        else:
-            i = _growth_index(derivs)
-            if i is None:
-                raise ZigzagIndexMissing(tuple(pts))
-            kind, at, lo, hi = "triple", i, i - 3, i
-            l1, l2, l3 = (d.value for d in derivs[lo:hi])
-            if not (l2 < l1 and l2 < l3):
-                raise SoundnessError(
-                    f"triple merge middle {format_rat(l2)} is not the strict "
-                    f"minimum of ({format_rat(l1)}, {format_rat(l2)}, "
-                    f"{format_rat(l3)}); points={tuple(pts)}"
-                )
-            node = Triple(*derivs[lo:hi])
-        geometric = abs(pts[hi] - pts[lo])
-        if node.value != geometric:
-            raise SoundnessError(
-                f"{kind} merge at position {at} derives {format_rat(node.value)}, not "
-                f"the geometric span {format_rat(geometric)}; points={tuple(pts)}"
-            )
-        lengths = tuple(d.value for d in derivs[lo:hi])
-        log.append(RewriteStep(kind, at, None, lengths, node.value))
-        derivs[lo:hi] = [node]
-        del pts[lo + 1 : hi]
+    for triples in (False, True):
+        pts, derivs = _merge_pass(pts, derivs, log, triples)
+    if len(pts) > 2:
+        raise ZigzagIndexMissing(tuple(pts))
     if pts != [Fraction(0), y.length]:
         raise SoundnessError(f"reduction ended at {tuple(pts)} instead of [0, L]")
-    return ReductionCertificate(
-        steps=tuple(log), result=y.length, derivation=derivs[0]
-    )
+    return ReductionCertificate(steps=tuple(log), result=y.length, derivation=derivs[0])
 
 
 def replay(cert: ReductionCertificate, gens: GeneratorSet) -> Fraction:

@@ -32,7 +32,7 @@ from boxcert.geometry import format_rat, parse_rat
 from boxcert.reduction import reduce_sequence, replay
 from boxcert.svg import render_svg
 from boxcert.trailgraph import assign_axes, build_graph, parity_audit
-from walks import GenerationFailed, random_y_sequence
+from walks import sampled_walks
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -261,44 +261,31 @@ def test_closure_back_ends_agree_exactly():
 
 
 def test_random_walk_reductions_replay_cleanly():
-    rng = random.Random(606)
     failures: list[str] = []
-    made = triples = 0
-    attempt = 0
-    while made < 500 and attempt < 2500:
-        attempt += 1
-        pool = sorted(
-            {
-                Fraction(rng.randint(1, 12), rng.choice((1, 1, 2, 3)))
-                for _ in range(rng.randint(1, 4))
-            }
-        )
-        target = sum(rng.choice(pool) for _ in range(rng.randint(1, 6)))
-        try:
-            y = random_y_sequence(target, pool, seed=9000 + attempt)
-        except GenerationFailed:
-            continue  # unreachable target: a sampler miss, not a reducer bug
-        made += 1
+    walks = sampled_walks(606, 500, 2500)
+    made = len(walks)
+    triples = 0
+    for n, (seed, pool, y) in enumerate(walks, start=1):
         gens = GeneratorSet.from_values(pool)
         try:
             cert = reduce_sequence(y, Leaf)
             value = replay(cert, gens)
         except Exception as exc:
-            failures.append(f"seq #{made} (seed {9000 + attempt}): {exc!r}")
+            failures.append(f"seq #{n} (seed {seed}): {exc!r}")
             continue
         if value != y.length:
-            failures.append(f"seq #{made}: replayed {value}, wanted {y.length}")
+            failures.append(f"seq #{n}: replayed {value}, wanted {y.length}")
         for st in cert.steps:
             if st.kind != "triple":
                 continue
             triples += 1
             l1, l2, l3 = st.lengths
             if not (l2 < l1 and l2 < l3):
-                failures.append(f"seq #{made}: middle {l2} not the strict minimum")
+                failures.append(f"seq #{n}: middle {l2} not the strict minimum")
             if st.merged != l1 + l3 - l2:
-                failures.append(f"seq #{made}: merged {st.merged} != {l1 + l3 - l2}")
+                failures.append(f"seq #{n}: merged {st.merged} != {l1 + l3 - l2}")
     if made < 500:
-        failures.append(f"only {made} sequences generated in {attempt} attempts")
+        failures.append(f"only {made} sequences generated in 2500 attempts")
     if triples == 0:
         failures.append("fuzz never exercised a triple merge")
     _gate(

@@ -442,7 +442,9 @@ def _pinwheel_46_77():
     ids=["result_moved", "claim_moved", "axis_out_of_range", "non_generator_leaf"],
 )
 def test_check_kernel_rejects_self_consistent_forgeries(instance, reduction, claim, reason):
-    # Each forgery parses and breaks exactly one kernel fact.
+    # Each forgery parses and breaks exactly one kernel fact.  The kernel alone
+    # must give the same first reason, so the audit after it cannot mask a
+    # missing kernel line.
     p, g = instance()
     enc = certificate_to_json(certify(p, g))
     if callable(reduction):
@@ -451,9 +453,11 @@ def test_check_kernel_rejects_self_consistent_forgeries(instance, reduction, cla
     elif reduction is not None:
         enc["reduction"] = reduction
     enc["claimed_side"].update(claim)
-    result = check_certificate(certificate_from_json(enc), p, g)
+    forged = certificate_from_json(enc)
+    result = check_certificate(forged, p, g)
     assert not result.ok
     assert result.reasons[0] == reason
+    assert pipeline._kernel(forged, p, g) == tuple(reason.split(": ", 1))
 
 
 def test_check_rejects_unreachable_and_duplicate_table_entries():

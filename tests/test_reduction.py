@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
 from boxcert.errors import ReplayMismatch, SoundnessError
+from boxcert.jsonio import derivation_to_json
 from boxcert.reduction import reduce_sequence, replay
-from walks import GenerationFailed, random_y_sequence
+from restart_reducer import reduce_sequence as restart_reduce
+from walks import GenerationFailed, random_y_sequence, sampled_walks
 from boxcert.trailgraph import YSequence
 
 
@@ -24,6 +27,14 @@ def _seq(length, *points) -> YSequence:
 
 def _leaf(value: Fraction) -> Leaf:
     return Leaf(value)
+
+
+def _zigzag(n) -> YSequence:
+    # 0, 2N, 1, 2N-1, ... with N = n // 2, then 2N+1: n points whose steps
+    # shrink until the last one, so the triples cascade back from the end.
+    top = n // 2 * 2
+    pts = [i // 2 if i % 2 == 0 else top - i // 2 for i in range(n - 1)]
+    return _seq(top + 1, *pts, top + 1)
 
 
 def test_two_point_sequence_needs_no_rewrites():
@@ -90,20 +101,31 @@ def test_nested_repeats_erase_the_inner_loop_first():
 
 def test_a_long_row_hashes_each_position_a_bounded_number_of_times(monkeypatch):
     # Loops are erased in one pass: a position is hashed when it is first
-    # seen and at most once more when a detour deletes it.
-    n = 1001
-    y = _seq(n - 1, *range(n))
-    calls = [0]
-    fraction_hash = Fraction.__hash__
+    # seen and at most once more when a detour deletes it.  Merges run in two
+    # passes over a stack of settled points: a point is compared a bounded
+    # number of times when it arrives and after each merge that ends at it.
+    calls = {"hash": 0, "order": 0}
 
-    def counting(self):
-        calls[0] += 1
-        return fraction_hash(self)
+    def counting(kind, method):
+        def counted(*args):
+            calls[kind] += 1
+            return method(*args)
 
-    monkeypatch.setattr(Fraction, "__hash__", counting)
-    cert = reduce_sequence(y, _leaf)
-    assert [s.kind for s in cert.steps] == ["sum"] * (n - 2)
-    assert 0 < calls[0] <= 2 * n
+        return counted
+
+    monkeypatch.setattr(Fraction, "__hash__", counting("hash", Fraction.__hash__))
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counting("order", getattr(Fraction, name)))
+    for y, kinds, per_point in [
+        (_seq(1000, *range(1001)), ["sum"] * 999, 5),
+        (_zigzag(2000), ["triple"] * 999, 20),
+    ]:
+        n = len(y.points)
+        calls.update(hash=0, order=0)
+        cert = reduce_sequence(y, _leaf)
+        assert [s.kind for s in cert.steps] == kinds
+        assert 0 < calls["hash"] <= 2 * n
+        assert 0 < calls["order"] <= per_point * n
 
 
 def test_pinwheel_projection_reduces_to_triple():
@@ -214,3 +236,50 @@ def test_fuzz_reduce_and_replay():
                 assert st.merged == l1 - l2 + l3
         done += 1
     assert done > 150  # the walk budget should rarely be exhausted
+
+
+# ------------------------------------------------ against the restart reducer
+
+
+def _assert_same_reduction(y: YSequence) -> None:
+    # Tables, not nodes: == on two deep derivations recurses once per level.
+    cert, oracle = reduce_sequence(y, _leaf), restart_reduce(y, _leaf)
+    assert cert.steps == oracle.steps
+    assert derivation_to_json(cert.derivation) == derivation_to_json(oracle.derivation)
+
+
+def test_one_pass_matches_the_restart_reducer_on_random_walks():
+    made = seed = 0
+    while made < 2000:
+        seed += 1
+        rng = random.Random(seed)
+        pool = sorted(
+            {
+                Fraction(rng.randint(1, 12), rng.choice((1, 2, 3)))
+                for _ in range(rng.randint(1, 4))
+            }
+        )
+        target = sum(rng.choice(pool) for _ in range(rng.randint(1, 12)))
+        max_steps = rng.choice((16, 64, 256, 1024))
+        try:
+            y = random_y_sequence(target, pool, seed, max_steps=max_steps, retries=1)
+        except GenerationFailed:
+            continue
+        _assert_same_reduction(y)
+        made += 1
+
+
+def test_one_pass_matches_the_restart_reducer_on_gate_six_walks():
+    walks = sampled_walks(606, 500, 2500)
+    assert len(walks) == 500
+    for _, _, y in walks:
+        _assert_same_reduction(y)
+
+
+@pytest.mark.parametrize(
+    "y",
+    [_zigzag(500), _zigzag(1000), _zigzag(2000), _seq(9999, *range(10**4))],
+    ids=["zigzag500", "zigzag1000", "zigzag2000", "row10000"],
+)
+def test_one_pass_matches_the_restart_reducer_on_long_inputs(y):
+    _assert_same_reduction(y)

@@ -57,3 +57,33 @@ def random_y_sequence(
         f"no walk from 0 to {format_rat(target)} with steps "
         f"{{{', '.join(format_rat(s) for s in pool)}}} found (seed {seed})"
     )
+
+
+def sampled_walks(
+    seed: int, count: int, attempts: int
+) -> list[tuple[int, list[Fraction], YSequence]]:
+    """Up to ``count`` walks over random step pools, from at most ``attempts`` draws.
+
+    Draw ``a`` picks a pool of one to four lengths (numerators 1..12 over 1, 2
+    or 3) and a target that is a sum of one to six of them, then walks with
+    seed ``9000 + a``; a draw whose walk fails is skipped.  Returns
+    ``(walk seed, pool, walk)`` triples.
+    """
+    rng = random.Random(seed)
+    walks: list[tuple[int, list[Fraction], YSequence]] = []
+    for attempt in range(1, attempts + 1):
+        if len(walks) == count:
+            break
+        pool = sorted(
+            {
+                Fraction(rng.randint(1, 12), rng.choice((1, 1, 2, 3)))
+                for _ in range(rng.randint(1, 4))
+            }
+        )
+        target = sum(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+        try:
+            y = random_y_sequence(target, pool, seed=9000 + attempt)
+        except GenerationFailed:
+            continue  # unreachable target: a sampler miss, not a reducer bug
+        walks.append((9000 + attempt, pool, y))
+    return walks
