@@ -41,7 +41,7 @@ bound = max(p.outer.extents())
 cl = bounded_closure(gens, bound)
 assignment = assign_axes(p, lambda v: v in cl)
 for k, b in enumerate(p.boxes, start=1):
-    a = assignment.axis_of(k)
+    a = assignment[k - 1]
     print(f"piece {k}: {b}  -> axis {a} (extent {b.extent(a)})")
 print()
 

@@ -81,12 +81,10 @@ from .reduction import (
 )
 from .svg import RenderSpec, render_svg
 from .trailgraph import (
-    AxisAssignment,
     Edge,
     ParityReport,
     Trail,
     TrailGraph,
-    TrailStep,
     YSequence,
     assign_axes,
     build_graph,
@@ -98,7 +96,6 @@ from .trailgraph import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisAssignment",
     "BoundedClosure",
     "Box",
     "Certificate",
@@ -127,7 +124,6 @@ __all__ = [
     "Sum",
     "Trail",
     "TrailGraph",
-    "TrailStep",
     "Triple",
     "ValidationReport",
     "YSequence",

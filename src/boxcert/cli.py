@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_rat_arg(text: str, what: str) -> Fraction:
     try:
         return parse_rat(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _CliError(f"bad {what} {text!r}: {exc}") from exc
 
 
@@ -105,6 +105,13 @@ def _load_json_file(path: str) -> object:
 def _load_partition(path: str) -> Partition:
     try:
         return jsonio.partition_from_json(_load_json_file(path))
+    except ValueError as exc:
+        raise _CliError(f"{path}: {exc}") from exc
+
+
+def _load_certificate(path: str) -> pipeline.Certificate:
+    try:
+        return pipeline.certificate_from_json(_load_json_file(path))
     except ValueError as exc:
         raise _CliError(f"{path}: {exc}") from exc
 
@@ -194,11 +201,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cert_obj = _load_json_file(args.cert)
-    try:
-        cert = pipeline.certificate_from_json(cert_obj)
-    except ValueError as exc:
-        raise _CliError(f"{args.cert}: {exc}") from exc
+    cert = _load_certificate(args.cert)
     p = _load_partition(args.partition)
     gens = _parse_gens_arg(args.gens)
     result = pipeline.check_certificate(cert, p, gens)
@@ -281,10 +284,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     p = _load_partition(args.file)
     cert = None
     if args.cert:
-        try:
-            cert = pipeline.certificate_from_json(_load_json_file(args.cert))
-        except ValueError as exc:
-            raise _CliError(f"{args.cert}: {exc}") from exc
+        cert = _load_certificate(args.cert)
         if cert.partition_sha256 != jsonio.partition_digest(p):
             raise _CliError(f"{args.cert}: certificate does not match {args.file}")
         result = pipeline.check_certificate(cert, p, cert.gens)

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, isfinite, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import LeafNotGenerator, SoundnessError
 from .geometry import RatLike, format_rat, parse_rat
@@ -238,18 +238,32 @@ class BoundedClosure:
         above = range(self.c, self.limit + 1, self.d)
         return tuple(Fraction(v, self.q) for v in chain(_bits(self.bits), above))
 
+    @cached_property
+    def _reversed(self) -> int:
+        """The members below ``c`` read backwards: bit ``c - 1 - v`` for ``v``."""
+        return int(format(self.bits, f"0{self.c}b")[::-1], 2)
+
     def _best_split(self, s: int) -> Optional[int]:
-        """The largest element x <= s/2 whose partner s - x is an element."""
+        """The largest element x <= s/2 whose partner s - x is an element.
+
+        ``s`` is an element or a sum of two.  Below the conductor, the x
+        whose partner also lies below it are the larger ones, all found by
+        one AND of ``bits`` with the reversed mask.  A partner at or above
+        ``c`` is a multiple of ``d``, as ``s`` and ``x`` are, so for the
+        largest remaining x only its size is left to check.
+        """
         half = s // 2
         if half >= self.c:  # s is a multiple of d: so are x and s - x >= c
             return half - half % self.d
-        low = self.bits & ((2 << half) - 1)
-        while low:
-            x = low.bit_length() - 1
-            if self._has(s - x):
-                return x
-            low ^= 1 << x
-        return None
+        k = max(s - self.c + 1, 0)  # s - x < c exactly when x >= k
+        if half >= k:  # bit i: x = k + i, and its partner's bit reversed
+            partners = self._reversed >> (k + self.c - 1 - s)
+            pairs = (self.bits >> k) & partners & ((2 << (half - k)) - 1)
+            if pairs:
+                return pairs.bit_length() - 1 + k
+        low = self.bits & ((1 << min(half + 1, k)) - 1)
+        x = low.bit_length() - 1
+        return x if low and s - x <= self.limit else None
 
     def _rule(self, e: int) -> tuple:
         """One well-founded producing rule for element ``e`` (scaled).
@@ -353,13 +367,12 @@ def _saturate_bits(gen_bits: list[int], limit: int) -> tuple[int, int, int]:
         mask |= diffs << c
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first, found as they are read."""
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return out
 
 
 def bounded_closure(gens: GeneratorSet, bound: RatLike) -> BoundedClosure:

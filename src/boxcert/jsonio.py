@@ -41,7 +41,7 @@ from .closure import (
 )
 from .geometry import Box, Partition, Point, parse_rat, format_rat
 from .reduction import ReductionCertificate
-from .trailgraph import Edge, Trail, TrailStep, YSequence
+from .trailgraph import Edge, Trail, YSequence
 
 
 def canonical_json(payload: Any) -> str:
@@ -322,8 +322,8 @@ def trail_to_json(t: Trail) -> dict:
         "end": point_to_json(t.end),
         "steps": [
             {
-                "box": s.edge.box,
-                "edge": s.edge.edge_id,
+                "box": s.box,
+                "edge": s.edge_id,
                 "from": point_to_json(s.src),
                 "to": point_to_json(s.dst),
             }
@@ -337,7 +337,7 @@ def trail_from_json(obj: Any, *, rats: Optional[RatTable] = None) -> Trail:
     d = expect_dict(obj, "trail")
     start = point_from_json(get_key(d, "start", "trail"), "trail.start", rats=rats)
     end = point_from_json(get_key(d, "end", "trail"), "trail.end", rats=rats)
-    steps: list[TrailStep] = []
+    steps: list[Edge] = []
     for i, s in enumerate(expect_list(get_key(d, "steps", "trail"), "trail.steps")):
         try:  # read relative to the step; its location is named on failure
             sd = expect_dict(s, "")
@@ -347,8 +347,7 @@ def trail_from_json(obj: Any, *, rats: Optional[RatTable] = None) -> Trail:
             edge_id = expect_int(get_key(sd, "edge", ""), ".edge")
         except _Malformed as exc:
             raise exc.under(f"trail.steps[{i}]") from None
-        a, b = (dst, src) if dst < src else (src, dst)
-        steps.append(TrailStep(edge=Edge(box, edge_id, a, b), src=src, dst=dst))
+        steps.append(Edge(box, edge_id, src, dst))
     return Trail(start=start, steps=tuple(steps), end=end)
 
 

@@ -29,7 +29,6 @@ from .geometry import (
 )
 from .reduction import ReductionCertificate, reduce_sequence, replay
 from .trailgraph import (
-    AxisAssignment,
     YSequence,
     assign_axes,
     build_graph,
@@ -69,7 +68,7 @@ class Certificate:
     partition_sha256: str
     gens: GeneratorSet
     bound: Fraction
-    assignment: AxisAssignment
+    assignment: tuple[int, ...]
     trail: Trail
     y: YSequence
     reduction: ReductionCertificate
@@ -78,7 +77,7 @@ class Certificate:
 
 def _construct(
     p: Partition, g: GeneratorSet, start: Optional[Point]
-) -> tuple[Fraction, BoundedClosure, AxisAssignment, Trail, YSequence]:
+) -> tuple[Fraction, BoundedClosure, tuple[int, ...], Trail, YSequence]:
     """The stages certify and check share, from validation to projection.
 
     Returns the closure bound, the closure, the axis assignment, the trail
@@ -109,7 +108,7 @@ def _construct(
     j = y.axis - 1
     spans = {
         (b.lo[j], b.hi[j])
-        for b, axis in zip(ranks.boxes, assignment.axes)
+        for b, axis in zip(ranks.boxes, assignment)
         if axis == y.axis
     }
     values = ranks.values[j]
@@ -263,7 +262,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "partition_sha256": cert.partition_sha256,
         "gens": [format_rat(v) for v in cert.gens.sorted_values],
         "bound": format_rat(cert.bound),
-        "assignment": list(cert.assignment.axes),
+        "assignment": list(cert.assignment),
         "trail": jsonio.trail_to_json(cert.trail),
         "y": jsonio.ysequence_to_json(cert.y),
         "reduction": {
@@ -309,7 +308,7 @@ def certificate_from_json(obj: Any) -> Certificate:
         bound=jsonio.rat_from_json(
             jsonio.get_key(d, "bound", "certificate"), "certificate.bound", rats=rats
         ),
-        assignment=AxisAssignment(axes),
+        assignment=axes,
         trail=jsonio.trail_from_json(jsonio.get_key(d, "trail", "certificate"), rats=rats),
         y=y,
         reduction=jsonio.reduction_from_json(

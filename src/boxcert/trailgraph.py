@@ -13,11 +13,13 @@ collapses into a single derived length.
 Every stage here runs on the partition's :class:`~boxcert.geometry.RankView`.
 The graph, the parity audit and the walk depend on the order of coordinates
 alone, so the graph is plain tuples of integer ranks: a vertex is a rank
-tuple, an edge is ``(box, edge_id, a, b)``.  :class:`Edge` objects and exact
-points come back from the view's value tables only where a result is read:
+tuple, an edge is ``(box, edge_id, lower end, upper end)``.  Exact points come
+back from the view's value tables only where a result is read:
 ``TrailGraph.vertices``, the per-vertex parity entries (built on first
-access) and the trail's steps.  Axis assignment is the one stage that reads
-lengths, and it computes one per distinct ``(axis, lo rank, hi rank)``.
+access) and the trail, whose steps are :class:`Edge` records in the
+direction walked.  Axis assignment is the one stage that reads lengths, and
+it computes one per distinct ``(axis, lo rank, hi rank)``; the assignment is
+the tuple of chosen 1-based axes, one per box.
 """
 from __future__ import annotations
 
@@ -43,25 +45,12 @@ from .geometry import (
 Ranks = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AxisAssignment:
-    """For each constituent box (1-based), the chosen 1-based axis."""
-
-    axes: tuple[int, ...]
-
-    def axis_of(self, k: int) -> int:
-        if not 1 <= k <= len(self.axes):
-            raise ValueError(f"box index {k} out of range 1..{len(self.axes)}")
-        return self.axes[k - 1]
-
-    def __len__(self) -> int:
-        return len(self.axes)
-
-
 def assign_axes(
     p: Union[Partition, RankView], member: Callable[[Fraction], bool]
-) -> AxisAssignment:
+) -> tuple[int, ...]:
     """Choose, per box, the smallest axis whose extent satisfies ``member``.
+
+    Returns the chosen 1-based axis of each box, in box order.
 
     Takes the partition or its :class:`~boxcert.geometry.RankView`.
     ``member`` decides membership in the tracked set (usually a bounded
@@ -87,25 +76,26 @@ def assign_axes(
             raise HypothesisViolated(
                 k, tuple(format_rat(e) for e in view.partition.boxes[k - 1].extents())
             )
-    return AxisAssignment(tuple(axes))
+    return tuple(axes)
 
 
 @dataclass(frozen=True)
 class Edge:
-    """One box edge parallel to the box's assigned axis.
+    """One box edge parallel to the box's assigned axis, walked ``src`` to ``dst``.
 
     ``edge_id`` enumerates the ``2^(n-1)`` parallel edges of box ``box``: bit
     t of ``edge_id`` says whether the t-th *other* axis (ascending) sits at
-    the box's hi face.  ``a``/``b`` are the endpoints with the lower/higher
-    coordinate on the assigned axis, so ``a < b`` lexicographically.  They
-    are in the coordinates of the box the edge came from: exact points in a
-    :class:`Trail`, ranks for :func:`edges_of_box` of a rank box.
+    the box's hi face.  :func:`edges_of_box` lists each edge from its lower
+    end, the one with the lower coordinate on the assigned axis; a step of a
+    :class:`Trail` is an edge in the direction walked.  The ends are in the
+    coordinates of the box the edge came from: exact points in a trail,
+    ranks for :func:`edges_of_box` of a rank box.
     """
 
     box: int
     edge_id: int
-    a: Point
-    b: Point
+    src: Point
+    dst: Point
 
 
 @cache
@@ -127,7 +117,8 @@ def _edge_layout(dim: int, axis: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def edges_of_box(b: Box, k: int, axis: int) -> tuple[Edge, ...]:
-    """All edges of box ``k`` parallel to 1-based ``axis``, in edge_id order."""
+    """All edges of box ``k`` parallel to 1-based ``axis``, in edge_id order,
+    each from its lower end."""
     corners = tuple(product(*zip(b.lo, b.hi)))
     return tuple(
         Edge(k, edge_id, corners[lo], corners[hi])
@@ -135,7 +126,7 @@ def edges_of_box(b: Box, k: int, axis: int) -> tuple[Edge, ...]:
     )
 
 
-#: An edge of a :class:`TrailGraph`: ``(box, edge_id, a, b)`` as in :class:`Edge`.
+#: An edge of a :class:`TrailGraph`: ``(box, edge_id, lower end, upper end)``.
 RankEdge = tuple[int, int, Ranks, Ranks]
 
 
@@ -143,14 +134,16 @@ RankEdge = tuple[int, int, Ranks, Ranks]
 class TrailGraph:
     """Multigraph of assigned-axis edges over all constituent-box vertices.
 
-    ``edges`` holds ``(box, edge_id, a, b)`` tuples in box and edge_id order,
-    with ``a``/``b`` as in :class:`Edge`; ``adjacency`` maps each vertex to
+    ``assignment`` is the 1-based axis of each box.  ``edges`` holds
+    ``(box, edge_id, lower end, upper end)`` tuples in box and edge_id order,
+    the lower end being the one with the lower coordinate on the box's axis,
+    as :func:`edges_of_box` lists them; ``adjacency`` maps each vertex to
     ``(far endpoint, box, edge_id)`` tuples in edge order.  Both are in the
     ranks of ``ranks``; ``vertices`` and :meth:`degree` speak exact points.
     """
 
     ranks: RankView
-    assignment: AxisAssignment
+    assignment: tuple[int, ...]
     edges: tuple[RankEdge, ...]
     adjacency: Mapping[Ranks, list[tuple[Ranks, int, int]]]
 
@@ -166,11 +159,11 @@ class TrailGraph:
         return len(self.adjacency.get(self.ranks.ranks_of(parse_point(v)), ()))
 
 
-def build_graph(p: Union[Partition, RankView], c: AxisAssignment) -> TrailGraph:
+def build_graph(p: Union[Partition, RankView], c: tuple[int, ...]) -> TrailGraph:
     """Assemble the multigraph; deterministic given the assignment.
 
     Takes the partition or its :class:`~boxcert.geometry.RankView`.  Box k
-    contributes its ``2^(n-1)`` edges parallel to axis ``c.axis_of(k)``,
+    contributes its ``2^(n-1)`` edges parallel to axis ``c[k - 1]``,
     paired off from its corners by the one layout :func:`edges_of_box` uses.
     Vertices are the edges' endpoints (deduplicated as rank tuples): these
     edges reach all ``2^n`` corners of their box, so the vertices are exactly
@@ -184,11 +177,11 @@ def build_graph(p: Union[Partition, RankView], c: AxisAssignment) -> TrailGraph:
         )
     dim = view.outer.dim
     layouts = {j: _edge_layout(dim, j) for j in range(1, dim + 1)}
-    if not layouts.keys() >= set(c.axes):
+    if not layouts.keys() >= set(c):
         raise ValueError(f"assignment names an axis outside 1..{dim}")
     edges: list[RankEdge] = []
     adjacency: dict[Ranks, list[tuple[Ranks, int, int]]] = {}
-    for k, (b, axis) in enumerate(zip(view.boxes, c.axes), start=1):
+    for k, (b, axis) in enumerate(zip(view.boxes, c), start=1):
         corners = tuple(product(*zip(b.lo, b.hi)))
         for edge_id, lo, hi in layouts[axis]:
             a, z = corners[lo], corners[hi]
@@ -272,18 +265,11 @@ def parity_audit(g: TrailGraph) -> ParityReport:
 
 
 @dataclass(frozen=True)
-class TrailStep:
-    edge: Edge
-    src: Point
-    dst: Point
-
-
-@dataclass(frozen=True)
 class Trail:
     """A non-repeating edge walk between two distinct outer corners."""
 
     start: Point
-    steps: tuple[TrailStep, ...]
+    steps: tuple[Edge, ...]
     end: Point
 
     def points(self) -> tuple[Point, ...]:
@@ -302,7 +288,7 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
     ``(far, box, edge_id)`` tuples — this makes the whole pipeline
     reproducible byte-for-byte.  ``(box, edge_id)`` identifies an edge.  The
     walk runs on ranks; each step is written out as an :class:`Edge` in exact
-    points.  ``start`` is read with :func:`~boxcert.geometry.parse_point`, so
+    points, from the vertex left to the vertex reached.  ``start`` is read with :func:`~boxcert.geometry.parse_point`, so
     a float start raises ``ValueError`` like one that is not an outer corner.
     """
     view = g.ranks
@@ -320,7 +306,7 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
     adjacency = g.adjacency
     used: set[tuple[int, int]] = set()
     current, here = first, start
-    steps: list[TrailStep] = []
+    steps: list[Edge] = []
     while True:
         taken = min(
             (e for e in adjacency.get(current, ()) if e[1:] not in used), default=None
@@ -330,9 +316,7 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
         far, box, edge_id = taken
         used.add((box, edge_id))
         there = view.point(far)
-        # the ends differ only on the edge's axis, so rank order is axis order
-        a, b = (here, there) if current < far else (there, here)
-        steps.append(TrailStep(edge=Edge(box, edge_id, a, b), src=here, dst=there))
+        steps.append(Edge(box, edge_id, here, there))
         current, here = far, there
     if not steps:
         raise StuckAtEvenVertex(here, f"no edges at start {format_point(here)}")

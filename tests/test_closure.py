@@ -274,8 +274,8 @@ def test_the_mask_is_as_wide_as_the_conductor_not_the_bound(gens, bound, conduct
 
 def test_best_split_cuts_no_slice_wider_than_the_conductor():
     # Scaled {3011, 3001}, q = 3001 * 3011: the bound 1 is 9,036,011 on the
-    # grid and the conductor 6002.  A size, not a timer: the widest slice of
-    # the mask that a split search holds while deriving 1.
+    # grid and the conductor 6002.  A size, not a timer: the widest integer
+    # that a split search holds in a local while deriving 1.
     gens = GeneratorSet.of("1/3001", "1/3011")
     bc = bounded_closure(gens, 1)
     code = BoundedClosure._best_split.__code__
@@ -285,7 +285,9 @@ def test_best_split_cuts_no_slice_wider_than_the_conductor():
         nonlocal widest
         if frame.f_code is not code:
             return None
-        widest = max(widest, frame.f_locals.get("low", 0).bit_length())
+        for v in frame.f_locals.values():
+            if isinstance(v, int):
+                widest = max(widest, v.bit_length())
         assert widest <= 6002 + 1, widest  # stop at the first wide slice
         return trace
 
@@ -297,6 +299,27 @@ def test_best_split_cuts_no_slice_wider_than_the_conductor():
         sys.settrace(outer)
     assert verify_derivation(d, gens) == 1
     assert 0 < widest <= bc.c + 1 == 6002 + 1
+
+
+def test_split_search_tests_no_partner_one_at_a_time(monkeypatch):
+    # Three coprime denominators leave sum-free elements, whose triple rule
+    # runs a split search per candidate.  A count, not a timer: membership
+    # tests while deriving 1, at most one per distinct derivation node (a
+    # search that tests each candidate's partner makes 384 for 38 nodes).
+    gens = GeneratorSet.of("1/53", "1/59", "1/61")
+    bc = bounded_closure(gens, 1)
+    calls = [0]
+    has = BoundedClosure._has
+
+    def counted(self, v):
+        calls[0] += 1
+        return has(self, v)
+
+    monkeypatch.setattr(BoundedClosure, "_has", counted)
+    d = bc.derivation_for(1)
+    assert verify_derivation(d, gens) == 1
+    assert any(rule[0] == "triple" for rule in bc._rules.values())
+    assert 0 < calls[0] <= len(closure.topological(d))
 
 
 def test_bounded_matches_oracle_on_random_sets():

@@ -15,7 +15,7 @@ from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
 from boxcert.geometry import Box, Partition
 from boxcert.pipeline import certificate_from_json, certificate_to_json, certify
 from boxcert.trailgraph import (
-    AxisAssignment,
+    Edge,
     assign_axes,
     build_graph,
     extract_trail,
@@ -234,7 +234,7 @@ def test_deep_derivation_round_trips_without_recursion():
 
 def _strip_trail():
     p = factory.strip_partition(15, 5)
-    c = AxisAssignment((1, 1))
+    c = (1, 1)
     return p, extract_trail(build_graph(p, c))
 
 
@@ -411,15 +411,19 @@ def test_equal_values_written_differently_parse_equal():
 # --- each distinct rational string is parsed once per document --------------
 
 
+def _counted(fn, calls):
+    """``fn``, counting its calls in ``calls[0]``."""
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 def _count_parse_rat(monkeypatch):
     calls = [0]
-    parse = jsonio.parse_rat
-
-    def counted(value):
-        calls[0] += 1
-        return parse(value)
-
-    monkeypatch.setattr(jsonio, "parse_rat", counted)
+    monkeypatch.setattr(jsonio, "parse_rat", _counted(jsonio.parse_rat, calls))
     return calls
 
 
@@ -470,6 +474,14 @@ def test_a_row_certificate_parses_each_rational_string_once(monkeypatch):
     cert = certificate_from_json(doc)
     assert len(cert.trail.steps) == 300
     assert 0 < calls[0] <= len(distinct)
+    # A step is the edge it walks, read as written: no endpoint is ordered.
+    ordered, built = [0], [0]
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, _counted(getattr(Fraction, name), ordered))
+    monkeypatch.setattr(Edge, "__init__", _counted(Edge.__init__, built))
+    trail = jsonio.trail_from_json(doc["trail"])
+    assert (ordered[0], built[0]) == (0, 300)
+    assert trail == cert.trail
 
 
 def test_equal_strings_in_one_document_share_one_fraction():

@@ -35,9 +35,8 @@ from boxcert.pipeline import (
 )
 from boxcert.reduction import reduce_sequence
 from boxcert.trailgraph import (
-    AxisAssignment,
+    Edge,
     Trail,
-    TrailStep,
     build_graph,
     edges_of_box,
     extract_trail,
@@ -66,7 +65,7 @@ def test_certify_strip_golden():
     cert = certify(p, g)
     assert cert.claimed_side == ClaimedSide(axis=1, length=_F(20))
     assert cert.bound == 20
-    assert cert.assignment.axes == (1, 1)
+    assert cert.assignment == (1, 1)
     assert cert.y.points == (_F(0), _F(15), _F(20))
     assert cert.reduction.derivation == Sum(Leaf(_F(15)), Leaf(_F(5)))
     assert cert.partition_sha256 == jsonio.partition_digest(p)
@@ -76,7 +75,7 @@ def test_certify_pinwheel_golden():
     p, g = _pinwheel()
     cert = certify(p, g)
     assert cert.claimed_side == ClaimedSide(axis=1, length=_F(20))
-    assert cert.assignment.axes == (2, 1, 1, 1, 1)
+    assert cert.assignment == (2, 1, 1, 1, 1)
     assert cert.y.points == (_F(0), _F(10), _F(3), _F(20))
     assert cert.reduction.derivation == Triple(Leaf(_F(10)), Leaf(_F(7)), Leaf(_F(17)))
 
@@ -179,12 +178,39 @@ def test_check_flags_tampered_assignment():
     assert result.reasons[0].startswith("assignment")
 
 
-def test_check_flags_tampered_trail():
-    def swap(payload):
-        steps = payload["trail"]["steps"]
-        steps[0], steps[1] = steps[1], steps[0]
+def _swap_first_steps(payload):
+    steps = payload["trail"]["steps"]
+    steps[0], steps[1] = steps[1], steps[0]
 
-    cert, p, g = _mutated_json(swap)
+
+def _edit_middle_step(field, value):
+    # The pinwheel trail's step 2 is box 5, edge 1, from (10,17) to (3,17).
+    def edit(payload):
+        payload["trail"]["steps"][2][field] = value
+
+    return edit
+
+
+def _edit_trail_end(payload):
+    payload["trail"]["end"] = ["20", "20"]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _swap_first_steps,
+        _edit_middle_step("from", ["11", "17"]),
+        _edit_middle_step("to", ["4", "17"]),
+        _edit_middle_step("box", 4),
+        _edit_middle_step("edge", 0),
+        _edit_trail_end,
+    ],
+    ids=["swap", "from", "to", "box", "edge", "end"],
+)
+def test_check_flags_tampered_trail(mutate):
+    # Each field of a step is stored once, so an edit to any one of them,
+    # parsed back, must make the trail differ from the recomputed one.
+    cert, p, g = _mutated_json(mutate)
     result = check_certificate(cert, p, g)
     assert not result.ok
     assert result.reasons[0].startswith("trail")
@@ -224,9 +250,9 @@ def test_check_rejects_a_valid_but_non_canonical_trail():
     cert = certify(p, g)
     adjacency: dict = {}
     for k, b in enumerate(p.boxes, start=1):
-        for e in edges_of_box(b, k, cert.assignment.axis_of(k)):
-            adjacency.setdefault(e.a, []).append((e.b, e))
-            adjacency.setdefault(e.b, []).append((e.a, e))
+        for e in edges_of_box(b, k, cert.assignment[k - 1]):
+            adjacency.setdefault(e.src, []).append((e.dst, e))
+            adjacency.setdefault(e.dst, []).append((e.src, e))
     used, current, steps = set(), cert.trail.start, []
     while True:
         options = [(far, e) for far, e in adjacency[current] if e not in used]
@@ -234,7 +260,7 @@ def test_check_rejects_a_valid_but_non_canonical_trail():
             break
         far, e = max(options, key=lambda fe: (fe[0], fe[1].box, fe[1].edge_id))
         used.add(e)
-        steps.append(TrailStep(edge=e, src=current, dst=far))
+        steps.append(Edge(e.box, e.edge_id, current, far))
         current = far
     trail = Trail(start=cert.trail.start, steps=tuple(steps), end=current)
     assert trail != cert.trail
@@ -259,7 +285,7 @@ def test_check_rejects_a_valid_but_non_canonical_assignment():
     # assignment certify makes, so the assignment stage rejects it.
     p, g = _strip()
     cert = certify(p, g)
-    assignment = AxisAssignment((2, 1))
+    assignment = (2, 1)
     trail = extract_trail(build_graph(p, assignment), cert.trail.start)
     y = project_to_axis(trail, p.outer)
     assert (y.axis, y.points) == (2, (_F(0), _F(20)))

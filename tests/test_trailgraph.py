@@ -26,11 +26,9 @@ from boxcert.geometry import (
     validate_partition,
 )
 from boxcert.trailgraph import (
-    AxisAssignment,
     Edge,
     ParityEntry,
     Trail,
-    TrailStep,
     YSequence,
     assign_axes,
     build_graph,
@@ -92,15 +90,15 @@ def _unit_grid(n):
 def test_assign_axes_prefers_smallest_axis():
     p = strip_partition(15, 5)
     c = assign_axes(p, _member((15, 5), 20))
-    assert c.axes == (1, 1)
-    assert c.axis_of(1) == 1 and c.axis_of(2) == 1
+    assert c == (1, 1)
+    assert c[0] == 1 and c[1] == 1
 
 
 def test_assign_axes_pinwheel_golden():
     p = pinwheel_partition(17, 10, 7)
     c = assign_axes(p, _member((17, 10, 7), 20))
     # first box is 3 x 17: only its vertical side qualifies
-    assert c.axes == (2, 1, 1, 1, 1)
+    assert c == (2, 1, 1, 1, 1)
 
 
 def test_assign_axes_reports_first_bad_box():
@@ -153,7 +151,7 @@ def test_assign_axes_asks_member_once_per_distinct_extent():
 
     for given in (p, rank_partition(p)):
         asked.clear()
-        assert assign_axes(given, counted).axes == (1,) * (n * n)
+        assert assign_axes(given, counted) == (1,) * (n * n)
         assert 0 < len(asked) <= len(distinct)  # 2 * n; n * n at one per box
 
 
@@ -178,14 +176,14 @@ def test_assign_axes_and_construct_make_no_box_extent_call(monkeypatch):
 def test_edges_of_box_bit_layout():
     p = pinwheel_partition(17, 10, 7)
     edges = edges_of_box(p.box(1), 1, 2)  # the 3 x 17 box, assigned axis 2
-    assert [(e.edge_id, e.a, e.b) for e in edges] == [
+    assert [(e.edge_id, e.src, e.dst) for e in edges] == [
         (0, _pt(0, 0), _pt(0, 17)),
         (1, _pt(3, 0), _pt(3, 17)),
     ]
     # in 3D each box contributes 2^(3-1) = 4 parallel edges; bit 0 of the
     # edge_id is axis 1, bit 1 is axis 3
     q = lift_product(p, 20, 3)
-    assert [(e.edge_id, e.a, e.b) for e in edges_of_box(q.box(1), 1, 2)] == [
+    assert [(e.edge_id, e.src, e.dst) for e in edges_of_box(q.box(1), 1, 2)] == [
         (0, _pt(0, 0, 0), _pt(0, 17, 0)),
         (1, _pt(3, 0, 0), _pt(3, 17, 0)),
         (2, _pt(0, 0, 20), _pt(0, 17, 20)),
@@ -195,7 +193,7 @@ def test_edges_of_box_bit_layout():
 
 def test_strip_graph_degrees_and_parity():
     p = strip_partition(15, 5)
-    g = build_graph(p, AxisAssignment((1, 1)))
+    g = build_graph(p, (1, 1))
     assert g.degree(_pt(0, 0)) == 1
     assert g.degree(_pt(15, 0)) == 2
     assert g.degree(_pt(20, 0)) == 1
@@ -206,7 +204,7 @@ def test_strip_graph_degrees_and_parity():
 
 
 def test_degree_reads_the_point_as_exact_rationals():
-    g = build_graph(strip_partition(15, 5), AxisAssignment((1, 1)))
+    g = build_graph(strip_partition(15, 5), (1, 1))
     assert g.degree(("0", "0")) == 1
     assert g.degree(("15", 0)) == 2
     assert g.degree(("7", "0")) == 0  # not a vertex
@@ -220,10 +218,10 @@ def test_degree_reads_the_point_as_exact_rationals():
 def test_build_graph_rejects_wrong_assignment_length():
     p = strip_partition(15, 5)
     with pytest.raises(ValueError):
-        build_graph(p, AxisAssignment((1,)))
+        build_graph(p, (1,))
     for axes in [(1, 0), (3, 1)]:
         with pytest.raises(ValueError):
-            build_graph(p, AxisAssignment(axes))
+            build_graph(p, axes)
 
 
 def test_parity_holds_for_any_assignment_on_valid_partition():
@@ -231,7 +229,7 @@ def test_parity_holds_for_any_assignment_on_valid_partition():
     # "wrong" assignment keeps odd degree exactly at outer corners
     p = pinwheel_partition(17, 10, 7)
     for axes in [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (1, 2, 1, 2, 1)]:
-        report = parity_audit(build_graph(p, AxisAssignment(axes)))
+        report = parity_audit(build_graph(p, axes))
         assert report.ok, report.table()
 
 
@@ -240,7 +238,7 @@ def test_parity_audit_catches_uncovered_area():
     # non-corner points and degree 0 at two outer corners
     outer = strip_partition(2, 2).outer  # the 4 x 4 square
     p = Partition(2, outer, (Box(_pt(0, 0), _pt(2, 4)),))
-    report = parity_audit(build_graph(p, AxisAssignment((2,))))
+    report = parity_audit(build_graph(p, (2,)))
     assert not report.ok
     assert report.entries == (
         ParityEntry(_pt(0, 0), 1, True),
@@ -275,7 +273,7 @@ def test_parity_audit_catches_uncovered_area():
 def test_parity_audit_needs_both_halves_of_the_condition(boxes):
     outer = Box(_pt(0, 0), _pt(4, 4))
     p = Partition(2, outer, tuple(Box(_pt(*c[:2]), _pt(*c[2:])) for c in boxes))
-    report = parity_audit(build_graph(p, AxisAssignment((1,) * len(boxes))))
+    report = parity_audit(build_graph(p, (1,) * len(boxes)))
     assert not report.ok
     assert report.violations()
 
@@ -307,12 +305,12 @@ def test_certify_builds_an_edge_only_for_each_trail_step(monkeypatch):
 
 def test_strip_trail_golden():
     p = strip_partition(15, 5)
-    g = build_graph(p, AxisAssignment((1, 1)))
+    g = build_graph(p, (1, 1))
     t = extract_trail(g)
     assert t.start == _pt(0, 0)
     assert t.points() == (_pt(0, 0), _pt(15, 0), _pt(20, 0))
     assert len(t.steps) == 2
-    assert [s.edge.box for s in t.steps] == [1, 2]
+    assert [s.box for s in t.steps] == [1, 2]
 
 
 def test_pinwheel_trail_golden():
@@ -331,14 +329,14 @@ def test_pinwheel_trail_golden():
 
 def test_trail_from_alternate_corner():
     p = strip_partition(15, 5)
-    g = build_graph(p, AxisAssignment((1, 1)))
+    g = build_graph(p, (1, 1))
     t = extract_trail(g, start=_pt(20, 0))
     assert t.points() == (_pt(20, 0), _pt(15, 0), _pt(0, 0))
 
 
 def test_trail_start_must_be_an_outer_corner():
     p = strip_partition(15, 5)
-    g = build_graph(p, AxisAssignment((1, 1)))
+    g = build_graph(p, (1, 1))
     with pytest.raises(ValueError):
         extract_trail(g, start=_pt(15, 0))
     with pytest.raises(ValueError):
@@ -348,14 +346,14 @@ def test_trail_start_must_be_an_outer_corner():
 def test_trail_gets_stuck_on_uncovered_partition():
     outer = strip_partition(2, 2).outer
     p = Partition(2, outer, (Box(_pt(0, 0), _pt(2, 4)),))
-    g = build_graph(p, AxisAssignment((1,)))
+    g = build_graph(p, (1,))
     with pytest.raises(StuckAtEvenVertex):
         extract_trail(g)  # walk dies at (2,0), which is no outer corner
 
 
 def test_project_strip_trail():
     p = strip_partition(15, 5)
-    t = extract_trail(build_graph(p, AxisAssignment((1, 1))))
+    t = extract_trail(build_graph(p, (1, 1)))
     y = project_to_axis(t, p.outer)
     assert y.axis == 1
     assert y.points == (_F(0), _F(15), _F(20))
@@ -365,7 +363,7 @@ def test_project_strip_trail():
 
 def test_project_orients_sequence_to_start_at_zero():
     p = strip_partition(15, 5)
-    g = build_graph(p, AxisAssignment((1, 1)))
+    g = build_graph(p, (1, 1))
     t = extract_trail(g, start=_pt(20, 0))
     y = project_to_axis(t, p.outer)
     # the reversed walk is the forward walk backwards
@@ -422,8 +420,8 @@ def _reference_trail(p, axes):
     adjacency: dict = {}
     for k, (b, axis) in enumerate(zip(p.boxes, axes), start=1):
         for e in edges_of_box(b, k, axis):
-            adjacency.setdefault(e.a, []).append((e.b, e))
-            adjacency.setdefault(e.b, []).append((e.a, e))
+            adjacency.setdefault(e.src, []).append((e.dst, e))
+            adjacency.setdefault(e.dst, []).append((e.src, e))
     start = current = min(p.outer.corners())
     used, steps = set(), []
     while True:
@@ -432,7 +430,7 @@ def _reference_trail(p, axes):
             break
         far, e = min(options, key=lambda fe: (fe[0], fe[1].box, fe[1].edge_id))
         used.add(e)
-        steps.append(TrailStep(edge=e, src=current, dst=far))
+        steps.append(Edge(e.box, e.edge_id, current, far))
         current = far
     return Trail(start=start, steps=tuple(steps), end=current)
 
@@ -453,14 +451,14 @@ def test_vertices_are_the_sorted_box_corners_under_any_assignment():
         ]
         corners = {v for b in p.boxes for v in b.corners()}
         for axes in assignments:
-            g = build_graph(p, AxisAssignment(axes))
+            g = build_graph(p, axes)
             assert set(g.vertices) == corners
             assert list(g.vertices) == sorted(corners)
             expected: dict = {}
             for k, (b, axis) in enumerate(zip(g.ranks.boxes, axes), start=1):
                 for e in edges_of_box(b, k, axis):
-                    expected.setdefault(e.a, []).append((e.b, k, e.edge_id))
-                    expected.setdefault(e.b, []).append((e.a, k, e.edge_id))
+                    expected.setdefault(e.src, []).append((e.dst, k, e.edge_id))
+                    expected.setdefault(e.dst, []).append((e.src, k, e.edge_id))
             assert g.adjacency == expected
             assert extract_trail(g) == _reference_trail(p, axes)
 

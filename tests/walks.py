@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from boxcert.geometry import RatLike, format_rat, parse_rat
@@ -28,7 +29,9 @@ def random_y_sequence(
     the endpoint is always taken, so the walk terminates as soon as it can.
     Attempts that wander too long are retried up to ``retries`` times; if the
     endpoint is unreachable (or never hit within the budget) this raises
-    :class:`GenerationFailed`.
+    :class:`GenerationFailed`.  The walk runs on integers, every value scaled
+    by the lcm ``q`` of the denominators, and its points become ``Fraction``
+    only at the end.
     """
     target = parse_rat(length)
     pool = sorted({parse_rat(s) for s in step_pool})
@@ -39,16 +42,23 @@ def random_y_sequence(
     if any(s <= 0 for s in pool):
         raise ValueError("step pool entries must be positive")
     rng = random.Random(seed)
-    pool_set = set(pool)
+    q = lcm(target.denominator, *(s.denominator for s in pool))
+    end = target.numerator * (q // target.denominator)
+    steps = [s.numerator * (q // s.denominator) for s in pool]
+    step_set = set(steps)
     for _ in range(retries):
-        pos = Fraction(0)
+        pos = 0
         points = [pos]
         for _ in range(max_steps):
-            if target - pos in pool_set:
-                points.append(target)
-                return YSequence(axis=1, length=target, points=tuple(points))
-            moves = [pos + s for s in pool if pos + s < target]
-            moves += [pos - s for s in pool if pos - s >= 0]
+            if end - pos in step_set:
+                points.append(end)
+                return YSequence(
+                    axis=1,
+                    length=target,
+                    points=tuple(Fraction(v, q) for v in points),
+                )
+            moves = [pos + s for s in steps if pos + s < end]
+            moves += [pos - s for s in steps if pos - s >= 0]
             if not moves:
                 break
             pos = rng.choice(moves)
