@@ -63,7 +63,7 @@ print()
 
 # Stage 4: project the walk onto one axis.  Consecutive positions differ by
 # the assigned extent of some piece, i.e. by an element of the closure.
-y = project_to_axis(trail, p.outer)
+y = project_to_axis(trail, p)
 print(f"projected to axis {y.axis}: {[str(v) for v in y.points]}")
 print(f"step lengths: {[str(v) for v in y.step_lengths()]}")
 print()

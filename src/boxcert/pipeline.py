@@ -84,9 +84,11 @@ def _construct(
     from ``start`` (the smallest outer corner when None) and its projection.
     Each stage is looked up as a global of this module at call time, so a
     tracer that wraps those globals sees certify's and check's calls alike.
-    Validation, axis assignment, the graph and the step check share one rank
-    view of the partition; the step check subtracts the values of each
-    distinct rank pair on the projection axis once.
+    Validation, axis assignment, the graph, the projection and the step
+    check share one rank view of the partition.  The step check reads the
+    projection's ranks: each step's rank pair, lower end first, must be the
+    span on the projection axis of a box assigned that axis, which implies
+    that its length is that box's assigned extent.  It subtracts nothing.
     """
     ranks = rank_partition(p)
     report = validate_partition(ranks)
@@ -104,20 +106,21 @@ def _construct(
             + ", ".join(format_point(e.point) for e in parity.violations()),
         )
     trail = extract_trail(graph, start)
-    y = project_to_axis(trail, p.outer)
+    y = project_to_axis(trail, ranks)
     j = y.axis - 1
     spans = {
         (b.lo[j], b.hi[j])
         for b, axis in zip(ranks.boxes, assignment)
         if axis == y.axis
     }
-    values = ranks.values[j]
-    axis_extents = {values[hi] - values[lo] for lo, hi in spans}
-    for step in y.step_lengths():
-        if step not in axis_extents:
+    if len(y.ranks) != len(y.points):
+        raise SoundnessError("projected positions carry no ranks")
+    for i, (a, b) in enumerate(zip(y.ranks, y.ranks[1:])):
+        if ((a, b) if a < b else (b, a)) not in spans:
             raise SoundnessError(
-                f"projected step {format_rat(step)} is not an assigned extent "
-                f"on axis {y.axis}"
+                f"projected step {format_rat(y.points[i])} -> "
+                f"{format_rat(y.points[i + 1])} is not the span of a box "
+                f"assigned axis {y.axis}"
             )
     return bound, closure, assignment, trail, y
 

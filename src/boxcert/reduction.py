@@ -30,11 +30,23 @@ is at x or later, and so is the smallest growth index: the log is the one
 that rescanning from the start after every merge would write.  A pass
 settles each point at most once, and each merge deletes one.
 
-Step lengths are read from the derivation nodes, which compute their values
-when built.  Runtime checks: each step's derivation derives that step, a
+The rewrites read only the order of positions and the distances between
+them, so the reducer scales the positions once onto one integer grid: with
+``q`` the lcm of their denominators, position ``v`` becomes the integer
+``v * q``.  Scaling by ``q > 0`` keeps every order and every tie, so the log
+is the one the exact positions give.  Loop erasure, the between test and the
+final ``[0, L]`` test compare integers, and a merge's span is an integer
+difference.  Fractions remain where values are derived: in the derivation
+nodes, which compute their values when built, and in one ``Fraction(s, q)``
+per distinct step length ``s``, whose derivation every step of that length
+shares.  Step lengths in the log are read from the nodes.
+
+Runtime checks: each distinct step's derivation derives that step, a
 triple's middle step is the strict minimum, every merged node derives the
-span between its outer endpoints, and the reduction ends at [0, L], with a
-derivation of L from X.  The :class:`RewriteStep` log is a function of the
+span between its outer endpoints (``value * q == span``, cross-multiplied,
+so no Fraction is built for the span), and the reduction ends at [0, L],
+with a derivation of L from X.  Errors report exact rationals, converted
+back from the grid.  The :class:`RewriteStep` log is a function of the
 sequence alone, so certificates do not carry it.  The checker does not re-run
 the rewrites either: :func:`replay` is its kernel, which verifies the
 derivation with :func:`~boxcert.closure.verify_derivation` and compares its
@@ -44,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .closure import Derivation, GeneratorSet, Sum, Triple, verify_derivation
@@ -84,17 +97,18 @@ class ReductionCertificate:
     derivation: Derivation
 
 
-def _between(a: Fraction, b: Fraction, c: Fraction) -> bool:
+def _between(a: int, b: int, c: int) -> bool:
     return a <= b <= c or c <= b <= a
 
 
 def _merge_pass(
-    pts: list[Fraction], derivs: list[Derivation], log: list[RewriteStep], triples: bool
-) -> tuple[list[Fraction], list[Derivation]]:
+    pts: list[int], derivs: list[Derivation], log: list[RewriteStep], triples: bool, q: int
+) -> tuple[list[int], list[Derivation]]:
     """One stack pass of sums, and of triples when ``triples`` is set.
 
     ``sp``/``sd`` hold the settled points and steps; ``x = pts[k]`` is the
-    next point and ``dx`` derives the step from ``sp[-1]`` to it.
+    next point and ``dx`` derives the step from ``sp[-1]`` to it.  Points are
+    on the grid ``(1/q) * Z``.
     """
     sp, sd, k, dx, try_sum = pts[:1], [], 1, derivs[0], not triples
     while True:
@@ -116,19 +130,25 @@ def _merge_pass(
             raise SoundnessError(
                 f"triple merge middle {format_rat(lengths[1])} is not the strict "
                 f"minimum of ({', '.join(map(format_rat, lengths))}); "
-                f"points={tuple(sp + pts[k:])}"
+                f"points={_exact(sp + pts[k:], q)}"
             )
         node = (Sum if kind == "sum" else Triple)(*parts)
-        geometric = abs(pts[hi] - sp[-1 - drop])
-        if node.value != geometric:
+        span = abs(pts[hi] - sp[-1 - drop])
+        merged = node.value
+        if merged.numerator * q != span * merged.denominator:
             raise SoundnessError(
-                f"{kind} merge at position {at} derives {format_rat(node.value)}, not "
-                f"the geometric span {format_rat(geometric)}; "
-                f"points={tuple(sp + pts[k:])}"
+                f"{kind} merge at position {at} derives {format_rat(merged)}, not "
+                f"the geometric span {format_rat(Fraction(span, q))}; "
+                f"points={_exact(sp + pts[k:], q)}"
             )
-        log.append(RewriteStep(kind, at, None, lengths, node.value))
+        log.append(RewriteStep(kind, at, None, lengths, merged))
         del sp[len(sp) - drop :], sd[len(sd) - drop :]
         k, dx, try_sum = hi, node, True
+
+
+def _exact(pts: list[int], q: int) -> tuple[Fraction, ...]:
+    """Grid points back as exact rationals, for error reports."""
+    return tuple(Fraction(v, q) for v in pts)
 
 
 def reduce_sequence(
@@ -136,23 +156,30 @@ def reduce_sequence(
 ) -> ReductionCertificate:
     """Reduce ``y`` to the single length L, logging every rewrite.
 
-    ``leaf_derivation`` supplies a derivation for each original step length
+    ``leaf_derivation`` supplies a derivation for each distinct step length
     (a bare Leaf when the length is a generator, a closure derivation
-    otherwise); one whose value is not its step length raises
-    :class:`~boxcert.errors.SoundnessError`.  Loops are erased first, each at
-    the earliest repeated position, then the two merge passes run.
+    otherwise), and steps of equal length share it; one whose value is not
+    its step length raises :class:`~boxcert.errors.SoundnessError`.  Loops
+    are erased first, each at the earliest repeated position, then the two
+    merge passes run.
     """
-    pts = list(y.points)
+    q = lcm(*(v.denominator for v in y.points))
+    pts = [v.numerator * (q // v.denominator) for v in y.points]
+    leaves: dict[int, Derivation] = {}
     derivs: list[Derivation] = []
-    for step in y.step_lengths():
-        d = leaf_derivation(step)
-        if d.value != step:
-            raise SoundnessError(
-                f"step {format_rat(step)} derived as {format_rat(d.value)}"
-            )
+    for a, b in zip(pts, pts[1:]):
+        s = abs(b - a)
+        d = leaves.get(s)
+        if d is None:
+            step = Fraction(s, q)
+            d = leaves[s] = leaf_derivation(step)
+            if d.value != step:
+                raise SoundnessError(
+                    f"step {format_rat(step)} derived as {format_rat(d.value)}"
+                )
         derivs.append(d)
     log: list[RewriteStep] = []
-    first_at: dict[Fraction, int] = {}
+    first_at: dict[int, int] = {}
     j = 0
     while j < len(pts):
         i = first_at.setdefault(pts[j], j)
@@ -165,11 +192,11 @@ def reduce_sequence(
             del derivs[i:j]
         j = i + 1
     for triples in (False, True):
-        pts, derivs = _merge_pass(pts, derivs, log, triples)
+        pts, derivs = _merge_pass(pts, derivs, log, triples, q)
     if len(pts) > 2:
-        raise ZigzagIndexMissing(tuple(pts))
-    if pts != [Fraction(0), y.length]:
-        raise SoundnessError(f"reduction ended at {tuple(pts)} instead of [0, L]")
+        raise ZigzagIndexMissing(_exact(pts, q))
+    if pts != [0, y.length.numerator * (q // y.length.denominator)]:
+        raise SoundnessError(f"reduction ended at {_exact(pts, q)} instead of [0, L]")
     return ReductionCertificate(steps=tuple(log), result=y.length, derivation=derivs[0])
 
 

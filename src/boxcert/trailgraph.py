@@ -16,14 +16,16 @@ alone, so the graph is plain tuples of integer ranks: a vertex is a rank
 tuple, an edge is ``(box, edge_id, lower end, upper end)``.  Exact points come
 back from the view's value tables only where a result is read:
 ``TrailGraph.vertices``, the per-vertex parity entries (built on first
-access) and the trail, whose steps are :class:`Edge` records in the
-direction walked.  Axis assignment is the one stage that reads lengths, and
-it computes one per distinct ``(axis, lo rank, hi rank)``; the assignment is
-the tuple of chosen 1-based axes, one per box.
+access), the trail, whose steps are :class:`Edge` records in the direction
+walked, and the projection, which dedupes, orients and checks the walk's
+ranks on one axis and reads one value per kept position.  Axis assignment
+is the one stage that reads lengths, and it computes one per distinct
+``(axis, lo rank, hi rank)``; the assignment is the tuple of chosen 1-based
+axes, one per box.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
@@ -332,12 +334,15 @@ class YSequence:
     ``points`` starts at 0, ends at ``length`` (the outer extent on ``axis``),
     stays within ``[0, length]``, and consecutive entries differ.  Every step
     ``|points[i+1] - points[i]|`` is the assigned-axis extent of some box, so
-    it lies in the tracked set.
+    it lies in the tracked set.  ``ranks`` holds each point's rank on
+    ``axis`` when :func:`project_to_axis` made the sequence, and is empty
+    otherwise; it is neither compared nor written out.
     """
 
     axis: int
     length: Fraction
     points: tuple[Fraction, ...]
+    ranks: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -360,32 +365,48 @@ class YSequence:
         return tuple(abs(b - a) for a, b in zip(self.points, self.points[1:]))
 
 
-def project_to_axis(t: Trail, outer: Box) -> YSequence:
+def project_to_axis(t: Trail, p: Union[Partition, RankView]) -> YSequence:
     """Project a corner-to-corner trail onto one axis of the outer box.
 
-    The axis is the smallest one on which start and end corners differ; on it
-    one corner sits at 0 and the other at the full outer extent, and the
-    sequence is oriented to start at 0.  Steps from edges parallel to other
-    axes project to zero and are dropped.
+    Takes the partition or its :class:`~boxcert.geometry.RankView`; every
+    point of ``t`` must be a vertex of it, as every point of a trail from
+    :func:`extract_trail` is.  The axis is the smallest one on which start
+    and end corners differ; on it one corner sits at 0 and the other at the
+    full outer extent, and the sequence is oriented to start at 0.  Steps
+    from edges parallel to other axes project to zero and are dropped.  The
+    walk is projected, deduplicated, oriented and checked on ranks; each
+    kept rank is then read back from the value table, less the outer box's
+    low face (a subtraction only where that face is not 0).
     """
+    view = p if isinstance(p, RankView) else rank_partition(p)
     differing = [
-        j for j in range(1, outer.dim + 1) if t.start[j - 1] != t.end[j - 1]
+        j for j in range(1, view.outer.dim + 1) if t.start[j - 1] != t.end[j - 1]
     ]
     if not differing:
         raise SoundnessError("trail starts and ends at the same corner")
     j = differing[0]
-    lo = outer.lo[j - 1]
-    length = outer.hi[j - 1] - lo
-    positions: list[Fraction] = []
+    index, values = view.index[j - 1], view.values[j - 1]
+    lo, hi = view.outer.lo[j - 1], view.outer.hi[j - 1]
+    ranks: list[int] = []
     for v in t.points():
-        pos = v[j - 1] - lo
-        if not positions or pos != positions[-1]:
-            positions.append(pos)
-    if positions[0] != 0:
-        positions.reverse()
-    if positions[0] != 0 or positions[-1] != length:
+        c = v[j - 1]
+        r = index[c.numerator, c.denominator]
+        if not ranks or r != ranks[-1]:
+            ranks.append(r)
+    if ranks[0] != lo:
+        ranks.reverse()
+    if ranks[0] != lo or ranks[-1] != hi:
         raise SoundnessError(
-            f"projection endpoints {format_rat(positions[0])}, "
-            f"{format_rat(positions[-1])} do not span [0, {format_rat(length)}]"
+            f"projection endpoints {format_rat(values[ranks[0]] - values[lo])}, "
+            f"{format_rat(values[ranks[-1]] - values[lo])} do not span "
+            f"[0, {format_rat(values[hi] - values[lo])}]"
         )
-    return YSequence(axis=j, length=length, points=tuple(positions))
+    base = values[lo]
+    if base:
+        values = {r: values[r] - base for r in set(ranks)}
+    return YSequence(
+        axis=j,
+        length=values[hi],
+        points=tuple(values[r] for r in ranks),
+        ranks=tuple(ranks),
+    )

@@ -247,7 +247,7 @@ def test_trail_round_trip():
 
 def test_ysequence_round_trip():
     p, t = _strip_trail()
-    y = project_to_axis(t, p.outer)
+    y = project_to_axis(t, p)
     enc = jsonio.ysequence_to_json(y)
     assert enc == {"axis": 1, "length": "20", "points": ["0", "15", "20"]}
     assert jsonio.ysequence_from_json(enc) == y

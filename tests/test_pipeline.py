@@ -23,7 +23,7 @@ from boxcert.closure import (
     op_triple,
     topological,
 )
-from boxcert.errors import HypothesisViolated
+from boxcert.errors import HypothesisViolated, SoundnessError
 from boxcert.geometry import Box, Partition, parse_point
 from boxcert.pipeline import (
     ClaimedSide,
@@ -37,6 +37,7 @@ from boxcert.reduction import reduce_sequence
 from boxcert.trailgraph import (
     Edge,
     Trail,
+    YSequence,
     build_graph,
     edges_of_box,
     extract_trail,
@@ -264,7 +265,7 @@ def test_check_rejects_a_valid_but_non_canonical_trail():
         current = far
     trail = Trail(start=cert.trail.start, steps=tuple(steps), end=current)
     assert trail != cert.trail
-    y = project_to_axis(trail, p.outer)
+    y = project_to_axis(trail, p)
     closure = bounded_closure(g, max(p.outer.extents()))
     bad = dataclasses.replace(
         cert,
@@ -287,7 +288,7 @@ def test_check_rejects_a_valid_but_non_canonical_assignment():
     cert = certify(p, g)
     assignment = (2, 1)
     trail = extract_trail(build_graph(p, assignment), cert.trail.start)
-    y = project_to_axis(trail, p.outer)
+    y = project_to_axis(trail, p)
     assert (y.axis, y.points) == (2, (_F(0), _F(20)))
     closure = bounded_closure(g, max(p.outer.extents()))
     bad = dataclasses.replace(
@@ -382,6 +383,63 @@ def test_check_evaluates_each_table_entry_once():
     )
     assert result.ok, result.reasons
     assert calls == len(entries) > 250
+
+
+def test_certify_does_fraction_work_per_distinct_extent_and_position(monkeypatch):
+    # The projection, the step check and the reduction run on ranks and grid
+    # integers, so one certify subtracts and equates Fractions a bounded
+    # number of times: per distinct box extent (axis assignment) and per y
+    # point (the YSequence's own checks), not per step or merge.
+    p, g = _row300()
+    extents = {(j, b.lo[j], b.hi[j]) for b in p.boxes for j in range(p.dim)}
+    calls = {"sub": 0, "eq": 0}
+
+    def counting(kind, method):
+        def counted(*args):
+            calls[kind] += 1
+            return method(*args)
+
+        return counted
+
+    for name in ("__sub__", "__rsub__"):
+        monkeypatch.setattr(Fraction, name, counting("sub", getattr(Fraction, name)))
+    monkeypatch.setattr(Fraction, "__eq__", counting("eq", Fraction.__eq__))
+    cert = certify(p, g)
+    monkeypatch.undo()
+    assert len(cert.y.points) == len(p.boxes) + 1
+    bound = len(extents) + len(cert.y.points)
+    assert 0 < calls["sub"] <= bound, calls
+    assert 0 < calls["eq"] <= bound, calls
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (
+            lambda y: YSequence(y.axis, y.length, y.points[::2], y.ranks[::2]),
+            "projected step 0 -> 20 is not the span of a box assigned axis 1",
+        ),
+        (
+            lambda y: dataclasses.replace(y, ranks=()),
+            "projected positions carry no ranks",
+        ),
+    ],
+    ids=["skipped-vertex", "no-ranks"],
+)
+def test_certify_checks_each_projected_step_against_the_assigned_spans(
+    monkeypatch, tamper, message
+):
+    # A projection that skips a vertex still runs from 0 to the outer extent
+    # and its one step, 20, is in the closure; only the step check sees that
+    # no box assigned axis 1 spans it.
+    p, g = _strip()
+    cert = certify(p, g)
+    real = pipeline.project_to_axis
+    monkeypatch.setattr(pipeline, "project_to_axis", lambda t, view: tamper(real(t, view)))
+    with pytest.raises(SoundnessError, match=f"^{message}$"):
+        certify(p, g)
+    result = check_certificate(cert, p, g)
+    assert result.reasons == (f"error: SoundnessError: {message}",)
 
 
 def test_check_runs_the_kernel_before_any_partition_work(monkeypatch):

@@ -5,9 +5,11 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from boxcert import reduction
 from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
 from boxcert.errors import ReplayMismatch, SoundnessError
 from boxcert.jsonio import derivation_to_json
@@ -100,11 +102,12 @@ def test_nested_repeats_erase_the_inner_loop_first():
 
 
 def test_a_long_row_hashes_each_position_a_bounded_number_of_times(monkeypatch):
-    # Loops are erased in one pass: a position is hashed when it is first
-    # seen and at most once more when a detour deletes it.  Merges run in two
-    # passes over a stack of settled points: a point is compared a bounded
-    # number of times when it arrives and after each merge that ends at it.
-    calls = {"hash": 0, "order": 0}
+    # Positions are scaled to integers once, so loop erasure and the merge
+    # passes hash and compare no Fraction position.  Triples still compare
+    # the node values of adjacent steps: a bounded number of times per point,
+    # when it arrives and after each merge that ends at it.  Equal steps
+    # share one leaf derivation.
+    calls = {"hash": 0, "order": 0, "leaf": 0}
 
     def counting(kind, method):
         def counted(*args):
@@ -116,16 +119,22 @@ def test_a_long_row_hashes_each_position_a_bounded_number_of_times(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counting("hash", Fraction.__hash__))
     for name in ("__lt__", "__le__", "__gt__", "__ge__"):
         monkeypatch.setattr(Fraction, name, counting("order", getattr(Fraction, name)))
+    leaf = counting("leaf", _leaf)
+    # The counter is wired: the Fraction-position oracle hashes its positions.
+    restart_reduce(_seq(9, 0, 5, 2, 5, 9), leaf)
+    assert calls["hash"] > 0
     for y, kinds, per_point in [
-        (_seq(1000, *range(1001)), ["sum"] * 999, 5),
+        (_seq(9999, *range(10**4)), ["sum"] * 9998, 5),
         (_zigzag(2000), ["triple"] * 999, 20),
     ]:
         n = len(y.points)
-        calls.update(hash=0, order=0)
-        cert = reduce_sequence(y, _leaf)
+        distinct = len(set(y.step_lengths()))
+        calls.update(hash=0, order=0, leaf=0)
+        cert = reduce_sequence(y, leaf)
         assert [s.kind for s in cert.steps] == kinds
-        assert 0 < calls["hash"] <= 2 * n
+        assert calls["hash"] == 0
         assert 0 < calls["order"] <= per_point * n
+        assert calls["leaf"] == distinct < n - 1
 
 
 def test_pinwheel_projection_reduces_to_triple():
@@ -161,6 +170,22 @@ def test_a_step_derivation_must_derive_its_step(points):
     y = _seq(points[-1], *points)
     with pytest.raises(SoundnessError):
         reduce_sequence(y, lambda le: Leaf(le + 1))
+
+
+def test_a_merged_node_must_derive_the_span_it_covers(monkeypatch):
+    # A sum node worth one more than its operands: the merge check compares
+    # it with the span on the scaled grid (q = 2) and reports both exactly.
+    class OffByOne(Sum):
+        def __post_init__(self) -> None:
+            super().__post_init__()
+            object.__setattr__(self, "value", self.value + 1)
+
+    monkeypatch.setattr(reduction, "Sum", OffByOne)
+    with pytest.raises(
+        SoundnessError,
+        match=r"^sum merge at position 2 derives 5/2, not the geometric span 3/2; ",
+    ):
+        reduce_sequence(_seq("3/2", 0, "1/2", "3/2"), _leaf)
 
 
 def test_replay_accepts_untampered_log():
@@ -276,10 +301,65 @@ def test_one_pass_matches_the_restart_reducer_on_gate_six_walks():
         _assert_same_reduction(y)
 
 
+def _coprime_walks(count: int) -> list[YSequence]:
+    # Step pools over pairwise coprime denominators; a walk is kept when its
+    # grid's q (up to 5 * 7 * 11) exceeds every single denominator.
+    a, b, c = _F("1/5"), _F("2/7"), _F("3/11")
+    pools = [(a, b, c), (a, c), (b, c)]
+    walks, seed = [], 0
+    while len(walks) < count:
+        seed += 1
+        rng = random.Random(seed)
+        pool = pools[seed % len(pools)]
+        target = sum(rng.choice(pool) for _ in range(rng.randint(2, 12)))
+        try:
+            y = random_y_sequence(target, pool, seed, max_steps=512, retries=1)
+        except GenerationFailed:
+            continue
+        if lcm(*(v.denominator for v in y.points)) > 11:
+            walks.append(y)
+    return walks
+
+
+_COPRIME = _coprime_walks(24)
+
+
+def _phased_row(cycles: int) -> YSequence:
+    # Climbs 2 in steps of 2/7, then 1 in steps of 1/5, then 3 in steps of
+    # 3/11, and again: every point has denominator 1, 5, 7 or 11, none has
+    # the grid's 385.
+    pts = [Fraction(0)]
+    for _ in range(cycles):
+        for step, count in ((Fraction(2, 7), 7), (Fraction(1, 5), 5), (Fraction(3, 11), 11)):
+            pts += [pts[-1] + step * k for k in range(1, count + 1)]
+    return _seq(pts[-1], *pts)
+
+
 @pytest.mark.parametrize(
     "y",
-    [_zigzag(500), _zigzag(1000), _zigzag(2000), _seq(9999, *range(10**4))],
-    ids=["zigzag500", "zigzag1000", "zigzag2000", "row10000"],
+    [
+        _zigzag(500),
+        _zigzag(1000),
+        _zigzag(2000),
+        _seq(9999, *range(10**4)),
+        _seq(Fraction(9999, 7), *(Fraction(k, 7) for k in range(10**4))),
+        _phased_row(50),
+        *_COPRIME,
+    ],
+    ids=[
+        "zigzag500",
+        "zigzag1000",
+        "zigzag2000",
+        "row10000",
+        "row10000-sevenths",
+        "row-phased-5-7-11",
+        *(f"coprime{k}" for k in range(len(_COPRIME))),
+    ],
 )
 def test_one_pass_matches_the_restart_reducer_on_long_inputs(y):
     _assert_same_reduction(y)
+
+
+def test_the_coprime_walks_exercise_every_rewrite():
+    kinds = {s.kind for y in _COPRIME for s in reduce_sequence(y, _leaf).steps}
+    assert kinds == {"loop", "sum", "triple"}

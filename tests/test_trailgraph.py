@@ -10,7 +10,7 @@ import pytest
 
 from boxcert import jsonio, pipeline
 from boxcert.closure import GeneratorSet, bounded_closure
-from boxcert.errors import HypothesisViolated, StuckAtEvenVertex
+from boxcert.errors import HypothesisViolated, SoundnessError, StuckAtEvenVertex
 from boxcert.factory import (
     hypothesis_instance,
     lift_product,
@@ -354,7 +354,7 @@ def test_trail_gets_stuck_on_uncovered_partition():
 def test_project_strip_trail():
     p = strip_partition(15, 5)
     t = extract_trail(build_graph(p, (1, 1)))
-    y = project_to_axis(t, p.outer)
+    y = project_to_axis(t, p)
     assert y.axis == 1
     assert y.points == (_F(0), _F(15), _F(20))
     assert y.step_lengths() == (_F(15), _F(5))
@@ -365,18 +365,37 @@ def test_project_orients_sequence_to_start_at_zero():
     p = strip_partition(15, 5)
     g = build_graph(p, (1, 1))
     t = extract_trail(g, start=_pt(20, 0))
-    y = project_to_axis(t, p.outer)
+    y = project_to_axis(t, p)
     # the reversed walk is the forward walk backwards
     assert y.points == (_F(0), _F(15), _F(20))
+
+
+def test_project_refuses_a_trail_that_stops_short_of_the_far_corner():
+    # The walk (0,0) -> (15,0) -> (20,0), cut after its first step, ends at
+    # no outer corner; its positions 0 .. 15 do not span the side.
+    p = strip_partition(15, 5)
+    t = extract_trail(build_graph(p, (1, 1)))
+    cut = Trail(start=t.start, steps=t.steps[:1], end=t.steps[0].dst)
+    message = r"^projection endpoints 0, 15 do not span \[0, 20\]$"
+    with pytest.raises(SoundnessError, match=message):
+        project_to_axis(cut, p)
 
 
 def test_pinwheel_projection_golden():
     p = pinwheel_partition(17, 10, 7)
     c = assign_axes(p, _member((17, 10, 7), 20))
     t = extract_trail(build_graph(p, c))
-    y = project_to_axis(t, p.outer)
+    y = project_to_axis(t, p)
     assert y.axis == 1
     assert y.points == (_F(0), _F(10), _F(3), _F(20))
+    # Moved off the origin, the positions are measured from the outer box's
+    # low face and come out the same.
+    def moved(b):
+        shift = (_F("7/2"), _F(-2))
+        return Box(*(tuple(x + d for x, d in zip(end, shift)) for end in (b.lo, b.hi)))
+
+    q = Partition(2, moved(p.outer), tuple(map(moved, p.boxes)))
+    assert project_to_axis(extract_trail(build_graph(q, c)), q) == y
 
 
 def test_ysequence_invariants():
