@@ -8,19 +8,25 @@ Validation and the trail graph only ever ask how coordinates *order*, so
 they work on a :class:`RankView`: each axis's distinct coordinates sorted
 once, and every box rewritten in integer ranks (coordinate compression).
 Exact values come back from the view's per-axis tables only where a result
-is read, and the exact-cover test sums integer volumes scaled per axis by
-the lcm of that axis's denominators.
+is read.  Whether the boxes tile the outer box is decided by counting their
+signed corners on the rank lattice (:func:`_tiles`); the defect report,
+with its overlap sweep and its volume sum in integers scaled per axis by the
+lcm of that axis's denominators, is built only when that decision fails.
 """
 from __future__ import annotations
 
 import heapq
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
-from operator import getitem
+from operator import attrgetter, getitem, itemgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+from .errors import SoundnessError
 
 RatLike = Union[int, str, Fraction]
 
@@ -358,12 +364,70 @@ def _meeting_pairs(solid: Sequence[tuple[int, Box]], axis: int) -> int:
     return n * (n - 1) // 2 - sum(bisect_right(his, b.lo[axis]) for _, b in solid)
 
 
+@cache
+def _corner_getters(dim: int) -> tuple[tuple[itemgetter, ...], tuple[itemgetter, ...]]:
+    """Getters that read each of a box's 2^dim corners from ``b.lo + b.hi``,
+    split into ``(even, odd)`` by the number of upper ends in the corner.
+
+    Applied to the ``2*dim`` columns of many boxes' ends, a getter reads the
+    columns of that corner instead."""
+    even, odd = [], []
+    for bits in range(1 << dim):
+        getter = itemgetter(*(dim + j if bits >> j & 1 else j for j in range(dim)))
+        (odd if bits.bit_count() & 1 else even).append(getter)
+    return tuple(even), tuple(odd)
+
+
+def _tiles(view: RankView) -> bool:
+    """True iff the boxes of ``view`` exactly tile its outer box.
+
+    On the rank lattice a box with ``lo < hi`` on every axis is the set of
+    unit cells it covers, and the indicator of that set is the sum, over the
+    box's corners ``c``, of ``(-1)^(number of upper ends of c)`` times the
+    indicator of the orthant ``x >= c``.  Differencing recovers the signed
+    corners from the sum, so the boxes' cell counts add up to the outer box's
+    indicator (every cell of the outer box covered once, no cell outside
+    covered) iff their signed corner counts add up to the outer box's: +-1 at
+    its corners, 0 elsewhere.  That is the double-counting of tile corners in
+    de Bruijn, "Filling boxes with bricks" (1969), and in Wagon, "Fourteen
+    proofs of a result about tiling a rectangle" (1987).  Every cell has a
+    positive exact volume, so this is the cover that :func:`validate_partition`
+    checks.  The counts cannot see every degenerate box, so ``lo < hi`` is
+    checked first: a zero-width box has no net corners, and a box inverted
+    on an odd number of axes cancels the corners of its upright twin.
+    """
+    outer = view.outer
+    # the boxes' ends, one column per end and axis: a getter picks a corner's
+    # columns, and zip forms that corner of every box
+    los = tuple(zip(*map(attrgetter("lo"), view.boxes)))
+    his = tuple(zip(*map(attrgetter("hi"), view.boxes)))
+    if not all(map(lt, outer.lo, outer.hi)) or not all(
+        all(map(lt, lo, hi)) for lo, hi in zip(los, his)
+    ):
+        return False
+    columns = los + his
+    even, odd = _corner_getters(len(outer.lo))
+    plus: Counter = Counter()
+    minus: Counter = Counter()
+    for getter in even:
+        plus.update(zip(*getter(columns)))
+    for getter in odd:
+        minus.update(zip(*getter(columns)))
+    ends = outer.lo + outer.hi
+    plus.update(getter(ends) for getter in odd)
+    minus.update(getter(ends) for getter in even)
+    return plus == minus
+
+
 def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
     """Check that the constituent boxes exactly tile the outer box.
 
     Takes the partition or its :class:`RankView`; every test below runs on
-    ranks.  Three independent exact checks, all reported (defects are data,
-    not exceptions):
+    ranks.  The decision is :func:`_tiles`, one count of the boxes' signed
+    corners (de Bruijn 1969; Wagon 1987), which tests no pair of boxes and
+    sums no volume.  Only when it
+    fails are the defects found and reported (they are data, not
+    exceptions), by three exact checks:
 
     * every box is nondegenerate and contained in the outer box;
     * constituent interiors are pairwise disjoint.  A sort-and-sweep along
@@ -376,9 +440,14 @@ def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
       common interior; the rest are only counted;
     * volumes sum exactly to the outer volume, which together with the two
       conditions above makes the cover exact rather than merely a packing.
+
+    The checks and the decision agree; should the checks find nothing after
+    the decision failed, that is a :class:`~boxcert.errors.SoundnessError`.
     """
     view = p if isinstance(p, RankView) else rank_partition(p)
     p = view.partition
+    if _tiles(view):
+        return ValidationReport(box_count=len(p.boxes), outer_volume=p.outer.volume())
     defects: list[Defect] = []
     outer = view.outer
     if outer.is_degenerate():
@@ -433,6 +502,11 @@ def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
                     f"of {format_rat(p.outer.volume())}: the cover has gaps",
                 )
             )
+    if not defects:
+        raise SoundnessError(
+            f"the corner count rejects the {len(p.boxes)} boxes, "
+            "but no defect is found in them"
+        )
     return ValidationReport(
         box_count=len(p.boxes),
         outer_volume=p.outer.volume(),

@@ -1,10 +1,13 @@
-"""Sort-and-sweep partition validation against an all-pairs oracle.
+"""Partition validation against an all-pairs oracle.
 
-``validate_partition`` finds overlapping boxes with a sweep along one axis.
-The oracle below is the plain all-pairs loop it replaced; it lives only here,
-so the two stay independent.  Reports must agree exactly (kinds, box pairs,
-witness text and order), and the sweep must not fall back to testing every
-pair.
+``validate_partition`` decides by counting the boxes' signed corners
+(``geometry._tiles``) and accepts a tiling without testing any pair of boxes.
+Only a rejected partition gets a report, whose overlapping boxes are found
+with a sweep along one axis.  The oracle below is the plain all-pairs loop
+both replaced; it lives only here, so they stay independent.  The decision
+must match the oracle's verdict, reports must agree exactly (kinds, box
+pairs, witness text and order), and the sweep must not fall back to testing
+every pair.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from boxcert import factory, geometry
+from boxcert.errors import SoundnessError
 from boxcert.geometry import (
     Box,
     Defect,
@@ -22,6 +26,7 @@ from boxcert.geometry import (
     ValidationReport,
     format_rat,
     interiors_disjoint,
+    rank_partition,
     validate_partition,
 )
 
@@ -251,7 +256,16 @@ def pair_tests(monkeypatch) -> list[int]:
 
 def test_sweep_on_a_grid_tests_far_fewer_pairs_than_all_pairs(pair_tests):
     k = 40
-    assert validate_partition(_grid(k, k)).ok
+    grid = _grid(k, k)
+    # the corner count accepts the tiling without a single pair test
+    assert validate_partition(grid).ok
+    assert pair_tests[0] == 0
+    # one box nudged into its right neighbour: only the report sweeps
+    boxes = list(grid.boxes)
+    b = boxes[k * k // 2]
+    boxes[k * k // 2] = Box(b.lo, (b.hi[0] + _F(1, 2), b.hi[1]))
+    report = validate_partition(_with_boxes(grid, boxes))
+    assert [d.kind for d in report.defects] == ["interior-overlap"]
     # all pairs would be k**2 * (k**2 - 1) / 2 = 1,279,200 tests
     assert 0 < pair_tests[0] <= k**3
 
@@ -260,3 +274,107 @@ def test_sweep_on_a_grid_tests_far_fewer_pairs_than_all_pairs(pair_tests):
 def test_sweep_on_a_line_of_strips_tests_no_pair(pair_tests, cols, rows):
     assert validate_partition(_grid(cols, rows)).ok
     assert pair_tests[0] == 0
+
+
+def _tiles(p: Partition) -> bool:
+    return geometry._tiles(rank_partition(p))
+
+
+@pytest.mark.parametrize("dim,depth", [(2, 5), (3, 4), (4, 3)])
+def test_corner_count_decides_as_the_oracle_does(dim, depth):
+    rng = random.Random(100 + dim)
+    verdicts = {True: 0, False: 0}
+    for seed in range(175):
+        p = factory.random_guillotine(dim, depth, seed)
+        boxes = list(p.boxes)
+        k = rng.randrange(len(boxes))
+        cases = [
+            p,
+            _perturbed(p, rng),
+            _with_boxes(p, boxes + [boxes[k]]),  # a duplicate
+            _with_boxes(p, boxes[:k] + boxes[k + 1 :] or boxes),  # one dropped
+        ]
+        for case in cases:
+            verdict = pairwise_validate(case).ok
+            assert _tiles(_shuffled(case, rng)) == verdict, case
+            verdicts[verdict] += 1
+    assert sum(verdicts.values()) == 700 and min(verdicts.values()) >= 175
+
+
+def _cubes(k: int) -> Partition:
+    """``k`` x ``k`` x ``k`` unit cubes."""
+    cubes = tuple(
+        Box((_F(x), _F(y), _F(z)), (_F(x + 1), _F(y + 1), _F(z + 1)))
+        for x in range(k)
+        for y in range(k)
+        for z in range(k)
+    )
+    return Partition(3, Box((_F(0),) * 3, (_F(k),) * 3), cubes)
+
+
+def _inverted_twin() -> Partition:
+    # in 3-D the inverted copy's corners cancel the copy's, so the counts
+    # equal the tiling's
+    p = _cubes(2)
+    b = p.boxes[3]
+    return _with_boxes(p, p.boxes + (b, Box(b.hi, b.lo)))
+
+
+def _zero_width() -> Partition:
+    p = _grid(3, 2)
+    b = p.boxes[4]
+    return _with_boxes(p, p.boxes + (Box(b.lo, (b.lo[0], b.hi[1])),))
+
+
+def _shifted_by_own_width() -> Partition:
+    # box 2 moved onto box 3: the overlap and the gap have the same volume
+    p = _grid(4, 1)
+    b = p.boxes[1]
+    moved = Box((b.hi[0], b.lo[1]), (2 * b.hi[0] - b.lo[0], b.hi[1]))
+    return _with_boxes(p, p.boxes[:1] + (moved,) + p.boxes[2:])
+
+
+def _inverted_outer() -> Partition:
+    # in 2-D an outer box inverted on both axes has the upright one's corners
+    p = _grid(3, 3)
+    return Partition(2, Box(p.outer.hi, p.outer.lo), p.boxes)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_inverted_twin, _zero_width, _shifted_by_own_width, _inverted_outer],
+    ids=["inverted-twin", "zero-width", "shifted-by-own-width", "inverted-outer"],
+)
+def test_corner_count_rejects_what_cancels_or_balances(make):
+    p = make()
+    assert not _tiles(p)
+    assert not _assert_agree(p).ok
+
+
+def test_shifted_box_keeps_the_volume_sum():
+    p = _shifted_by_own_width()
+    assert sum(b.volume() for b in p.boxes) == p.outer.volume()
+    assert [d.kind for d in validate_partition(p).defects] == ["interior-overlap"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _grid(200, 200),
+        lambda: _cubes(10),
+        lambda: factory.lift_product(factory.pinwheel_partition(3, 5, 1), 2, 4),
+        lambda: factory.lift_product(_grid(6, 5), _F(7, 3), 4),
+    ],
+    ids=["grid-200x200", "cubes-10x10x10", "pinwheel-4d", "grid-4d"],
+)
+def test_valid_partitions_are_accepted_without_a_pair_test(pair_tests, make):
+    assert validate_partition(make()).ok
+    assert pair_tests[0] == 0
+
+
+def test_a_decision_the_defect_checks_cannot_explain_is_a_soundness_error(
+    monkeypatch,
+):
+    monkeypatch.setattr(geometry, "_tiles", lambda view: False)
+    with pytest.raises(SoundnessError, match="no defect is found"):
+        validate_partition(_grid(3, 3))
