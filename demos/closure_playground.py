@@ -63,11 +63,12 @@ print("is 19 a member?", fmt(d) if d else None)
 print("is 12 a member?", membership(g, 12))
 print()
 
-# The saturation engine keeps the closure's finite description on the
-# scaled integer grid: a bitmask below the conductor, then every multiple
-# of the generators' gcd.  The slow reference implementation applies one
-# operation at a time until nothing changes.  They agree -- the acceptance
-# suite checks this on random sets, but seeing it once by hand is nicer.
+# The engine keeps the closure's finite description on the scaled integer
+# grid: a few arithmetic runs below the conductor, found by Euclid-style
+# division steps, then every multiple of the generators' gcd.  The slow
+# reference implementation applies one operation at a time until nothing
+# changes.  They agree -- the acceptance suite checks this on random sets,
+# but seeing it once by hand is nicer.
 fancy = set(bounded_closure(g, 20).elements)
 plain = set(brute_force_closure(g, 20))
 print(f"saturation == brute force on {g}: {fancy == plain}")

@@ -12,14 +12,12 @@ of the generator denominators.
 
 On that grid X is a finite set below a conductor c, and every multiple of d
 from c on, where d is the gcd of the scaled generators and every element is
-a multiple of d.  The conductor exists because X is closed under ``+e`` for
-the smallest generator e, so any e/d consecutive multiples of d go on
-forever.  The triple moves it down to the first pair of elements a, a + d:
-``x + (a + d) - a = x + d`` is an element for every element x >= a + d.
-:func:`bounded_closure` finds that pair in one ascending pass over the grid
-and keeps the finite description: ``d``, ``c`` and a bitmask of the elements
-below ``c``.  Membership is a bit test below ``c`` and arithmetic from ``c``
-on, so the conductor sets the cost, not the bound.
+a multiple of d.  In order, the elements are the partial sums of gaps that
+never increase, and equal gaps come in arithmetic runs, one per division
+step of Euclid's algorithm.  :func:`bounded_closure` keeps ``d``, ``c`` and
+the runs below ``c``: membership is a bisect over a few runs, whatever the
+bound or the conductor.  A bitmask of the elements below ``c`` is built from
+the runs only for a derivation's split search.
 
 A derivation node computes its ``value`` once, when it is built, from its
 children's values through :func:`op_sum` or :func:`op_triple`; no caller can
@@ -35,12 +33,13 @@ code with it and must stay that way.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, isfinite, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import LeafNotGenerator, SoundnessError
@@ -196,8 +195,9 @@ class BoundedClosure:
     """All closure elements of ``gens`` that are <= ``bound``, on the grid.
 
     ``v / q`` is an element iff ``v <= limit`` (the bound on the grid) and
-    either ``v < c`` and bit ``v`` of ``bits`` is set, or ``v >= c`` and d
-    divides ``v``.  Producing rules are found only for the values a
+    either ``v >= c`` and d divides ``v``, or ``v`` lies on one of the
+    ascending ``runs``: ``(start, step, count)`` holds ``start + k * step``
+    for ``0 <= k < count``.  Producing rules are found only for the values a
     derivation walks through, and kept for later calls on the same instance.
     """
 
@@ -207,14 +207,18 @@ class BoundedClosure:
     limit: int
     d: int
     c: int
-    bits: int = field(repr=False)
+    runs: tuple[tuple[int, int, int], ...] = field(repr=False)
     _rules: dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
 
     def _has(self, v: int) -> bool:
         """Whether ``v / q`` is an element, for ``v >= 0``."""
-        if v < self.c:
-            return bool(self.bits >> v & 1)
-        return v <= self.limit and v % self.d == 0
+        if v >= self.c:
+            return v <= self.limit and v % self.d == 0
+        i = bisect_right(self.runs, v, key=itemgetter(0))  # runs end at limit
+        if not i:
+            return False
+        start, step, count = self.runs[i - 1]
+        return (v - start) % step == 0 and v < start + step * count
 
     def _scaled(self, value: object) -> Optional[int]:
         """``value * q`` if that is a member's grid index, else None."""
@@ -235,8 +239,24 @@ class BoundedClosure:
         return frozenset(self.sorted_elements())
 
     def sorted_elements(self) -> tuple[Fraction, ...]:
-        above = range(self.c, self.limit + 1, self.d)
-        return tuple(Fraction(v, self.q) for v in chain(_bits(self.bits), above))
+        return tuple(Fraction(v, self.q) for v in self._below(self.limit + 1))
+
+    def _below(self, stop: int) -> Iterator[int]:
+        """The elements below ``stop <= limit + 1`` (scaled), ascending."""
+        runs = (range(a, min(a + m * t, stop), m) for a, m, t in self.runs)
+        return chain(*runs, range(self.c, stop, self.d))
+
+    @cached_property
+    def bits(self) -> int:
+        """Bit ``v`` for each element ``v < c``, doubling each run's comb."""
+        mask = 0
+        for start, step, count in self.runs:
+            comb, teeth = 1, 1
+            while teeth < count:
+                comb |= comb << (teeth * step)
+                teeth *= 2
+            mask |= (comb & ((2 << (count - 1) * step) - 1)) << start
+        return mask
 
     @cached_property
     def _reversed(self) -> int:
@@ -283,8 +303,7 @@ class BoundedClosure:
         elif (x := self._best_split(e)) is not None:
             rule = ("sum", x, e - x)
         else:
-            below = chain(_bits(self.bits & ((1 << e) - 1)), range(self.c, e, self.d))
-            for a in below:
+            for a in self._below(e):
                 b = self._best_split(e + a)
                 if b is not None and b > a:
                     rule = ("triple", a, b, e + a - b)
@@ -327,52 +346,32 @@ class BoundedClosure:
         return memo[top]
 
 
-def _saturate_bits(gen_bits: list[int], limit: int) -> tuple[int, int, int]:
-    """The closure on the scaled integer grid as ``(d, c, bits)``.
+def _chain(gen_bits: list[int], limit: int) -> tuple[int, int, tuple]:
+    """The closure on the scaled integer grid as ``(d, c, runs)``.
 
-    A new value lies above all of its operands: ``x + y`` exceeds both, and
-    ``b + c - a`` with ``a <= b <= c`` exceeds ``c`` unless ``a = b``, which
-    gives back ``c``.  So one ascending pass is complete: when member ``c``
-    is taken, add ``c + (b - a)`` for every taken ``b <= c`` and every
-    ``a < b`` that is taken or 0 (a sum is the triple with ``a = 0``).
-    ``rev`` has bit ``c - a`` for each such ``a``; ``diffs`` has bit
-    ``b - a`` for each such pair.  ``2c`` is added with ``c``, so the next
-    member is at most ``2c``, and a generator joins the mask once it is
-    within ``2c``: nothing the pass holds is much wider than ``2c`` bits.
-
-    The pass stops at the conductor.  Every member is a multiple of ``d``,
-    the gcd of the generators.  When ``c`` is taken, every bit at or below
-    ``c`` is final: all smaller members were taken before it, and a new value
-    lies above its operands.  If ``c`` is also ``d`` above the member taken
-    before it (or ``c = d``, above the virtual 0), the pair ``(c - d, c)``
-    gives ``x + d`` for every member ``x >= c``, so every multiple of ``d``
-    from ``c`` on is a member.  ``bits`` keeps the members below ``c`` and
-    at most ``limit``.  Without generators, ``c = limit + 1``: no members.
+    With ``e`` the smallest generator, ``cl(G) = {e} | (e + cl(G'))`` for
+    ``G' = {e} | {g - e : g > e}``.  ``X - e`` holds 0, ``e`` and each
+    ``g - e``, and is closed: ``x + y - e = op_triple(e, x, y)``, and a shift
+    keeps ``b + c - a``.  Conversely, by induction on a member, a sum has
+    ``y + z - e = (y - e) + ((z - e) + e)``, and a triple just shifts.  So
+    the gaps between members never increase: the smallest generator ``m``
+    repeats ``t = (g2 - 1) // m`` times, a division step of Euclid's
+    algorithm.  From the first gap of the gcd ``d`` on, every gap is ``d``;
+    that member is the conductor (Rosales & Garcia-Sanchez, *Numerical
+    Semigroups*, 2009).  ``runs`` stop at ``limit``; none without generators.
     """
-    waiting = sorted(gen_bits, reverse=True)  # each at most limit
-    if not waiting:
-        return 1, limit + 1, 0
-    d = gcd(*waiting)
-    mask, rev, diffs, c = 1 << waiting.pop(), 1, 0, 0
-    while True:
-        rest = mask >> (c + 1)
-        step = (rest & -rest).bit_length()
-        c += step
-        if step == d:
-            return d, c, mask & ((1 << min(c, limit + 1)) - 1)
-        while waiting and waiting[-1] <= 2 * c:
-            mask |= 1 << waiting.pop()
-        rev = (rev << step) | 1
-        diffs |= rev
-        mask |= diffs << c
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, lowest first, found as they are read."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    if not gen_bits:
+        return 1, limit + 1, ()
+    s = sorted(set(gen_bits))
+    d, pos, runs = gcd(*s), 0, []
+    while s[0] != d:
+        m = s[0]
+        t = (s[1] - 1) // m
+        if pos + m <= limit:
+            runs.append((pos + m, m, min(t, (limit - pos) // m)))
+        pos += t * m
+        s = sorted({m, *(g - t * m for g in s[1:])})
+    return d, pos + d, tuple(runs)
 
 
 def bounded_closure(gens: GeneratorSet, bound: RatLike) -> BoundedClosure:
@@ -386,8 +385,8 @@ def bounded_closure(gens: GeneratorSet, bound: RatLike) -> BoundedClosure:
     usable = [g for g in gens.sorted_values if g <= bound_f]
     q = lcm(*(g.denominator for g in usable))
     limit = (bound_f.numerator * q) // bound_f.denominator  # floor, exact
-    d, c, bits = _saturate_bits([int(g * q) for g in usable], limit)
-    return BoundedClosure(gens, bound_f, q, limit, d, c, bits)
+    d, c, runs = _chain([int(g * q) for g in usable], limit)
+    return BoundedClosure(gens, bound_f, q, limit, d, c, runs)
 
 
 def membership(gens: GeneratorSet, value: RatLike) -> Optional[Derivation]:

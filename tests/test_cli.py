@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -408,6 +409,42 @@ def test_render_rejects_forged_gens_at_the_cost_of_the_conductor(
     assert (code, out) == (2, "")
     assert err.splitlines()[0] == (
         f"{cert_path}: REJECTED: assignment: recomputed axis assignment differs"
+    )
+
+
+def test_render_rejects_three_prime_forged_gens_without_a_conductor_wide_mask(
+    capsys, pinwheel_file, tmp_path
+):
+    # Scaled {1/401, 1/409, 1/419} have their conductor at 328,018: a mask
+    # that wide took seconds to saturate.  The closure is a dozen runs, and
+    # the check that rejects the forgery never asks for the mask.
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
+    doc = json.loads(cert_path.read_text())
+    doc["gens"] += ["1/401", "1/409", "1/419"]
+    cert_path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "render", pinwheel_file, "--cert", cert_path)
+    assert time.perf_counter() - started < 2.0
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (
+        f"{cert_path}: REJECTED: assignment: recomputed axis assignment differs"
+    )
+
+
+def test_member_over_three_prime_denominators_prints_the_pinned_derivation():
+    # 1 lies above the conductor 328,018 on the grid 401 * 409 * 419; its
+    # derivation walks down into the runs below it.  The digest pins stdout.
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    args = ["member", "--gens", "1/401,1/409,1/419", "--value", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "boxcert", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == (
+        "b19f068e1b8fe546521356b0943518d98f1330e37f2b6469eb8dcc4a9d0afbb6"
     )
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from saturate_oracle import _saturate_bits
 
 from boxcert import closure
 from boxcert.closure import (
@@ -24,7 +25,6 @@ from boxcert.closure import (
     Leaf,
     Sum,
     Triple,
-    _saturate_bits,
     bounded_closure,
     brute_force_closure,
     membership,
@@ -189,34 +189,61 @@ def test_conductor_cut_off_matches_oracle_at_every_bound(gens):
         assert _oracle_conductor(bc) == (bc.d, bc.c), bound
 
 
-def _lines_run(fn, *args) -> int:
-    """How many source lines of ``fn`` run in one call ``fn(*args)``."""
-    count = 0
-
-    def trace(frame, event, _arg):
-        nonlocal count
-        if frame.f_code is not fn.__code__:
-            return None
-        count += event == "line"
-        return trace
-
-    outer = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(outer)
-    return count
-
-
 @pytest.mark.parametrize(
     "gens", [[1], [3, 5], [7, 11], [4, 6], [9, 12]], ids=lambda g: "_".join(map(str, g))
 )
 def test_the_pass_stops_at_the_conductor(gens):
-    # A step count, not a timer: the pass takes the members up to the first
-    # two that are d apart and stops, so 10-40 lines run at 10**4, whatever
-    # the bound.  Without the cut-off it is thousands.
-    assert _lines_run(_saturate_bits, gens, 10**4) < 200
+    # A count, not a timer: the chain stops at the first gap of d, so these
+    # closures are 0-3 runs at 10**4, whatever the bound.  Walking on past
+    # the conductor, or listing members one by one, gives more.
+    bc = bounded_closure(GeneratorSet.of(*gens), 10**4)
+    assert len(bc.runs) <= 3
+
+
+def test_chain_matches_the_saturation_pass_on_random_sets():
+    # (d, c, bits) against the pass the chain replaced: 1-5 generators up to
+    # 2,000, about half with a common factor, and bounds from 0 to 10**9,
+    # some below every generator.
+    rng = random.Random(22)
+    for _ in range(5000):
+        factor = rng.choice([1, rng.randint(2, 12)])
+        gens = [factor * rng.randint(1, 2000 // factor) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.1:
+            limit = rng.randint(0, min(gens) - 1)
+        else:
+            limit = rng.choice([rng.randint(1, 4 * max(gens)), rng.randint(1, 10**9)])
+        bc = bounded_closure(GeneratorSet.of(*gens), limit)
+        expected = _saturate_bits([g for g in gens if g <= limit], limit)
+        assert (bc.d, bc.c, bc.bits) == expected, (gens, limit)
+
+
+def test_brute_force_gaps_never_increase():
+    # The fact the chain rests on, against the independent oracle: listed
+    # from 0, the members' gaps never increase.
+    rng = random.Random(401)
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        gens = GeneratorSet.from_values(
+            Fraction(rng.randint(1, 30), rng.randint(1, 4)) for _ in range(k)
+        )
+        members = sorted(brute_force_closure(gens, Fraction(rng.randint(4, 40), 2)))
+        gaps = [b - a for a, b in zip([0, *members], members)]
+        assert all(x >= y for x, y in zip(gaps, gaps[1:])), (gens, gaps)
+
+
+def test_membership_builds_no_mask_for_three_prime_denominators():
+    # Scaled by q = 401 * 409 * 419, the conductor is 328,018 and the grid
+    # bound is q.  Membership on both sides of c reads a dozen runs; the
+    # conductor-wide mask is built for a split search only.
+    q = 401 * 409 * 419
+    bc = bounded_closure(GeneratorSet.of("1/401", "1/409", "1/419"), 1)
+    assert len(bc.runs) <= 20
+    assert (bc.q, bc.d, bc.c) == (q, 1, 328018)
+    for v in [164009, 168019, 171371, 172029, 172687, 328017, 328018, 328019, q]:
+        assert Fraction(v, q) in bc, v
+    for v in [1, 164008, 164010, 172030, 328016, q + 1]:
+        assert Fraction(v, q) not in bc, v
+    assert "bits" not in vars(bc)
 
 
 def test_closure_closed_forms_at_scale():
