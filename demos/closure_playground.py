@@ -21,6 +21,7 @@ from boxcert import (
     op_triple,
     verify_derivation,
 )
+from boxcert.closure import children
 
 # The two operations themselves.  op_triple sorts its arguments, so the
 # result never depends on the order you pass them in.
@@ -43,8 +44,7 @@ print()
 
 def fmt(d):
     """Compact one-line rendering of a derivation tree."""
-    kids = [getattr(d, f) for f in ("left", "right", "first", "second", "third")
-            if hasattr(d, f)]
+    kids = children(d)
     if not kids:
         return str(d.value)
     return f"{type(d).__name__.lower()}({', '.join(fmt(k) for k in kids)})"

@@ -26,6 +26,7 @@ from boxcert import (
     replay,
     validate_partition,
 )
+from boxcert.closure import children
 
 # A seeded random guillotine partition: recursive straight cuts through a
 # square, every coordinate a small-denominator rational.
@@ -77,8 +78,7 @@ print()
 # the result, and the earlier stages are recomputed and compared.
 def fmt(d):
     """Compact one-line rendering of a derivation tree."""
-    kids = [getattr(d, f) for f in ("left", "right", "first", "second", "third")
-            if hasattr(d, f)]
+    kids = children(d)
     if not kids:
         return str(d.value)
     return f"{type(d).__name__.lower()}({', '.join(fmt(k) for k in kids)})"

@@ -19,12 +19,12 @@ from boxcert import (
     render_svg,
     strip_partition,
 )
+from boxcert.closure import children
 
 
 def fmt(d):
     """Compact one-line rendering of a derivation tree."""
-    kids = [getattr(d, f) for f in ("left", "right", "first", "second", "third")
-            if hasattr(d, f)]
+    kids = children(d)
     if not kids:
         return str(d.value)
     return f"{type(d).__name__.lower()}({', '.join(fmt(k) for k in kids)})"

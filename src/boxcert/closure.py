@@ -23,6 +23,9 @@ A derivation node computes its ``value`` once, when it is built, from its
 children's values through :func:`op_sum` or :func:`op_triple`; no caller can
 supply it.  So a derivation is evaluated exactly once, whoever builds it, and
 the kernel :func:`verify_derivation` checks the leaves and the root value.
+A :class:`Sum` takes two or more children: certify builds them in pairs, and
+a parsed derivation table gives one node per entry, however many operands
+the entry folds together.
 
 Derivations are built only on demand:
 :meth:`BoundedClosure.derivation_for` walks down from the requested value,
@@ -36,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from math import gcd, isfinite, lcm
 from operator import itemgetter
@@ -115,16 +118,40 @@ class Leaf:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sum:
-    """op_sum applied to the values of two sub-derivations."""
+    """op_sum folded over two or more sub-derivations: ``Sum(a, b, ...)``.
 
-    left: "Derivation"
-    right: "Derivation"
+    ``op_sum`` is associative, so a chain of sums is one sum.  A child may
+    appear more than once; the value is the sum, over the distinct children
+    (told apart by identity), of multiplicity times value, each child
+    positive.  So a parsed table's one entry that takes a huge entry 10^5
+    times costs one multiplication, and more than two operands with n
+    distinct children cost n - 1 ``op_sum`` calls.
+    """
+
+    args: tuple["Derivation", ...]
     value: Fraction = field(init=False, compare=False, repr=False)
 
+    def __init__(self, *args: "Derivation") -> None:
+        object.__setattr__(self, "args", args)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", op_sum(self.left.value, self.right.value))
+        args = self.args
+        if len(args) < 2:
+            raise ValueError(f"a sum takes two or more operands, got {len(args)}")
+        if len(args) == 2:  # two operands, as certify builds them: one op_sum
+            value = op_sum(args[0].value, args[1].value)
+        else:
+            times: dict[int, int] = {}
+            for k in args:
+                times[id(k)] = times.get(id(k), 0) + 1
+            terms = [times.pop(id(k)) * k.value for k in args if id(k) in times]
+            if terms[0] <= 0:
+                raise ValueError(f"operands must be positive, got {terms[0]}")
+            value = reduce(op_sum, terms)
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
@@ -148,7 +175,7 @@ def children(node: Derivation) -> tuple[Derivation, ...]:
     if isinstance(node, Leaf):
         return ()
     if isinstance(node, Sum):
-        return (node.left, node.right)
+        return node.args
     if isinstance(node, Triple):
         return (node.first, node.second, node.third)
     raise TypeError(f"not a derivation node: {node!r}")

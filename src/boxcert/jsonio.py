@@ -17,6 +17,10 @@ The location in an error message (``trail.steps[3].to[1]``) is formatted
 only when a value is rejected: a list element is read relative to its own
 position, and the list names the element when it passes the error up.
 
+A derivation travels as a flat table, one entry per distinct
+sub-derivation; a sum entry takes every operand of a chain of sums at once
+(:func:`derivation_to_json`), and the parser builds one node per entry.
+
 ``canonical_json`` (sorted keys, no whitespace) defines the byte string that
 content digests are computed over; pretty output is for files and humans and
 hashes the same because digests are always recomputed from parsed data.
@@ -217,9 +221,11 @@ def partition_digest(p: Partition) -> str:
 # --- derivations ------------------------------------------------------------
 
 
-# Internal node classes by wire name.
+# Internal node classes by wire name, and the argument counts they take.
 _OPS = {"sum": Sum, "triple": Triple}
-_ARITY = {"leaf": 0, "sum": 2, "triple": 3}
+_ARITY = {"leaf": 0, "sum": 2, "triple": 3}  # a sum takes two or more
+
+_Entry = tuple[str, Fraction, list[int]]  # (op, value, indices of earlier entries)
 
 
 def derivation_to_json(d: Derivation) -> list[dict]:
@@ -229,11 +235,13 @@ def derivation_to_json(d: Derivation) -> list[dict]:
     earlier entries and ``value`` is what the entry derives.  Equal
     sub-derivations (the same leaf value, or the same op over the same
     entries) are written once, so the table grows with the number of
-    distinct sub-derivations, not with the size of the tree.
+    distinct sub-derivations, not with the size of the tree.  A sum that
+    only one sum uses is written inside it (:func:`_fold`), so a row's chain
+    of 299 sums over 8 widths is one entry with 300 arguments.
     """
-    table: list[dict] = []
-    entry_of: dict[int, int] = {}  # id(node) -> table index
-    shared: dict[tuple, int] = {}  # (op, leaf value or arg indices) -> table index
+    entries: list[_Entry] = []
+    entry_of: dict[int, int] = {}  # id(node) -> entry index
+    shared: dict[tuple, int] = {}  # (op, leaf value or arg indices) -> entry index
     for node in topological(d):
         if isinstance(node, Leaf):
             op, args = "leaf", []
@@ -242,11 +250,56 @@ def derivation_to_json(d: Derivation) -> list[dict]:
             op = "sum" if isinstance(node, Sum) else "triple"
             args = [entry_of[id(k)] for k in children(node)]
             key = (op, *args)
-        entry = shared.setdefault(key, len(table))
+        entry = shared.setdefault(key, len(entries))
         entry_of[id(node)] = entry
-        if entry == len(table):
-            table.append({"op": op, "value": format_rat(node.value), "args": args})
-    return table
+        if entry == len(entries):
+            entries.append((op, node.value, args))
+    merged = True
+    while merged:
+        entries, merged = _fold(entries)
+    return [
+        {"op": op, "value": format_rat(value), "args": args}
+        for op, value, args in entries
+    ]
+
+
+def _fold(entries: list[_Entry]) -> tuple[list[_Entry], bool]:
+    """Write each sum that exactly one sum uses inside that sum.
+
+    Its arguments take its place in the user's, in order.  Entries that
+    folding makes equal are written once; the flag says that happened, since
+    a merge takes uses away from the merged entries' arguments, which may
+    then fold in turn.
+    """
+    uses = [0] * len(entries)
+    by_sum = [False] * len(entries)  # the last use is by a sum
+    for op, _, args in entries:
+        for a in args:
+            uses[a] += 1
+            by_sum[a] = op == "sum"
+    folds = [
+        uses[i] == 1 and by_sum[i] and op == "sum"
+        for i, (op, _, _) in enumerate(entries)
+    ]
+    out: list[_Entry] = []
+    index: dict[int, int] = {}  # entry -> its index in ``out``
+    shared: dict[tuple, int] = {}
+    for i, (op, value, args) in enumerate(entries):
+        if folds[i]:
+            continue
+        flat: list[int] = []
+        stack = args[::-1]
+        while stack:
+            a = stack.pop()
+            if folds[a]:
+                stack += entries[a][2][::-1]
+            else:
+                flat.append(index[a])
+        key: tuple = (op, value) if op == "leaf" else (op, *flat)
+        index[i] = shared.setdefault(key, len(out))
+        if index[i] == len(out):
+            out.append((op, value, flat))
+    return out, len(out) + sum(folds) < len(entries)
 
 
 def derivation_from_json(
@@ -254,16 +307,19 @@ def derivation_from_json(
 ) -> Derivation:
     """Parse and *check* a derivation table; the last entry is the root.
 
-    One forward pass: arities must match the op, every argument must index
-    an earlier entry, and each entry's "value" annotation must equal the
-    value its node computes when it is built from its arguments.  No entry
-    may repeat another (the same leaf value, or the same op over the same
-    entries, the sharing key of :func:`derivation_to_json`), and every entry
-    but the root must be an argument of a later one, so every entry is part
-    of the derivation.  A table that breaks any of these is rejected here,
-    before any semantic checking.  The annotations keep the arithmetic in
-    proportion to the input: every value computed is also written out, so n
-    chained doublings cannot derive an n-bit value from O(n) bytes.
+    One forward pass that builds one node per entry: a ``sum`` takes two or
+    more arguments, which may repeat, a ``triple`` three and a ``leaf`` none;
+    every argument must index an earlier entry, and each entry's "value"
+    annotation must equal the value its node computes when it is built from
+    its arguments.  The table must also have the form
+    :func:`derivation_to_json` writes: no entry may repeat another (the same
+    leaf value, or the same op over the same entries), every entry but the
+    root must be an argument of a later one, and no sum may have exactly
+    one use, by a sum, which would hold it folded in.  A table that breaks
+    any of these is rejected here, before any semantic checking.
+    The annotations keep the arithmetic and memory in proportion to the
+    input: every value computed is also written out, so n chained doublings
+    cannot derive an n-bit value from O(n) bytes.
     """
     table = expect_list(obj, where)
     if not table:
@@ -271,7 +327,8 @@ def derivation_from_json(
     rats = {} if rats is None else rats
     nodes: list[Derivation] = []
     seen: set[tuple] = set()
-    unused: set[int] = set()  # entries no later entry has taken as an argument
+    uses = [0] * len(table)
+    by_sum = [False] * len(table)  # the last use is by a sum
     for n, entry in enumerate(table):
         try:  # read relative to the entry; its location is named on failure
             d = expect_dict(entry, "")
@@ -281,23 +338,26 @@ def derivation_from_json(
             arity = _ARITY.get(op) if isinstance(op, str) else None
             if arity is None:
                 raise _Malformed(".op", f"unknown operation {op!r}")
-            if len(args) != arity:
-                raise _Malformed("", f"op {op!r} takes {arity} arguments, got {len(args)}")
+            if len(args) < arity or (len(args) > arity and op != "sum"):
+                more = " or more" if op == "sum" else ""
+                raise _Malformed(
+                    "", f"op {op!r} takes {arity}{more} arguments, got {len(args)}"
+                )
             for i, a in enumerate(args):
                 if not 0 <= expect_int(a, ".args", i) < n:
                     raise _Malformed(f".args[{i}]", f"{a} is not an earlier entry")
+                uses[a] += 1
+                by_sum[a] = op == "sum"
             key = (op, claimed) if op == "leaf" else (op, *args)
             if key in seen:
                 raise _Malformed("", "duplicates an earlier entry")
             seen.add(key)
-            unused.difference_update(args)
-            unused.add(n)
             if op == "leaf":
                 if claimed <= 0:
                     raise _Malformed("", "leaf value must be positive")
                 node: Derivation = Leaf(claimed)
             else:
-                node = _OPS[op](*(nodes[a] for a in args))
+                node = _OPS[op](*[nodes[a] for a in args])
                 if node.value != claimed:
                     raise _Malformed(
                         "",
@@ -307,9 +367,13 @@ def derivation_from_json(
         except _Malformed as exc:
             raise exc.under(f"{where}[{n}]") from None
         nodes.append(node)
-    unused.discard(len(table) - 1)
-    if unused:
-        raise _Malformed(f"{where}[{min(unused)}]", "no later entry uses it")
+    for n in range(len(table) - 1):
+        if not uses[n]:
+            raise _Malformed(f"{where}[{n}]", "no later entry uses it")
+        if uses[n] == 1 and by_sum[n] and isinstance(nodes[n], Sum):
+            raise _Malformed(
+                f"{where}[{n}]", "a sum that only one sum uses must be written inside it"
+            )
     return nodes[-1]
 
 

@@ -336,7 +336,8 @@ class YSequence:
     ``|points[i+1] - points[i]|`` is the assigned-axis extent of some box, so
     it lies in the tracked set.  ``ranks`` holds each point's rank on
     ``axis`` when :func:`project_to_axis` made the sequence, and is empty
-    otherwise; it is neither compared nor written out.
+    otherwise; it is neither compared nor written out, and when present the
+    order checks run on it rather than on the Fractions.
     """
 
     axis: int
@@ -356,9 +357,12 @@ class YSequence:
                 f"sequence must run from 0 to {format_rat(self.length)}, got "
                 f"{format_rat(pts[0])} .. {format_rat(pts[-1])}"
             )
-        if any(v < 0 or v > self.length for v in pts):
+        # Ranks sort as the points do, so the rest is checked on them when
+        # they are there: 0 and the length are the extremes, no step is zero.
+        seq = self.ranks or pts
+        if min(seq) != seq[0] or max(seq) != seq[-1]:
             raise ValueError("positions must stay within [0, length]")
-        if any(a == b for a, b in zip(pts, pts[1:])):
+        if any(a == b for a, b in zip(seq, seq[1:])):
             raise ValueError("consecutive positions must differ")
 
     def step_lengths(self) -> tuple[Fraction, ...]:

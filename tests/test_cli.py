@@ -444,7 +444,7 @@ def test_member_over_three_prime_denominators_prints_the_pinned_derivation():
     )
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == (
-        "b19f068e1b8fe546521356b0943518d98f1330e37f2b6469eb8dcc4a9d0afbb6"
+        "df4b8f5260f4d4e7c50d74f8fd5a98b53de87aca1fd6a0ee83a1da2f4f2b2b78"
     )
 
 

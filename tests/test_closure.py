@@ -27,6 +27,7 @@ from boxcert.closure import (
     Triple,
     bounded_closure,
     brute_force_closure,
+    children,
     membership,
     op_sum,
     op_triple,
@@ -95,6 +96,32 @@ def test_derivation_evaluation_and_verification():
     again = Triple(Leaf(_F(10)), Leaf(_F(7)), Leaf(_F(17)))
     assert again == d and hash(again) == hash(d)
     assert Sum(Leaf(_F(1)), Leaf(_F(2))) != Sum(Leaf(_F(2)), Leaf(_F(1)))
+
+
+def test_a_sum_counts_each_distinct_operand_by_its_multiplicity(monkeypatch):
+    one, two, three = Leaf(_F(1)), Leaf(_F(2)), Leaf(_F(3))
+    assert Sum(one, two, three).value == 6
+    assert Sum(two, one, two, two).value == 7
+    assert Sum(three, three).value == 6
+    assert Sum(one, two, three).args == (one, two, three)
+    assert children(Sum(one, two, three)) == (one, two, three)
+    # A wide sum over few distinct operands adds once per distinct operand.
+    calls = [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return op_sum(x, y)
+
+    monkeypatch.setattr(closure, "op_sum", counted)
+    assert Sum(*[one, two, three] * 1000).value == 6000
+    assert calls[0] == 2
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="two or more"):
+        Sum(one)
+    zero = Leaf(_F(0))
+    for operands in ((zero, zero), (zero, zero, zero), (one, Leaf(_F(-1)), one)):
+        with pytest.raises(ValueError, match="positive"):
+            Sum(*operands)
 
 
 def test_deep_derivation_chain_evaluates_iteratively():

@@ -6,13 +6,15 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from boxcert import factory, jsonio
 from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
-from boxcert.geometry import Box, Partition
+from boxcert.geometry import Box, Partition, format_rat
 from boxcert.pipeline import certificate_from_json, certificate_to_json, certify
 from boxcert.trailgraph import (
     Edge,
@@ -145,19 +147,37 @@ def test_derivation_round_trip_and_value_annotations():
     seven = Leaf(_F(7))
     d = Sum(Triple(Leaf(_F(10)), seven, Leaf(_F(17))), Sum(seven, Leaf(_F(7))))
     enc = jsonio.derivation_to_json(d)
-    # children first, root last; the two 7 leaves share one entry
+    # children first, root last; the two 7 leaves share one entry, and the
+    # inner sum, used once and by a sum, is written inside the root
     assert enc == [
         {"op": "leaf", "value": "10", "args": []},
         {"op": "leaf", "value": "7", "args": []},
         {"op": "leaf", "value": "17", "args": []},
         {"op": "triple", "value": "20", "args": [0, 1, 2]},
-        {"op": "sum", "value": "14", "args": [1, 1]},
-        {"op": "sum", "value": "34", "args": [3, 4]},
+        {"op": "sum", "value": "34", "args": [3, 1, 1]},
     ]
-    assert jsonio.derivation_from_json(enc) == d
-    # equal subtrees that are distinct objects are written once too
+    back = jsonio.derivation_from_json(enc)
+    assert back.value == d.value and jsonio.derivation_to_json(back) == enc
+    # equal subtrees that are distinct objects are written once too, and a
+    # sum used twice stays an entry of its own
     twice = Sum(Sum(Leaf(_F(1)), Leaf(_F("1/2"))), Sum(Leaf(_F(1)), Leaf(_F("1/2"))))
     assert [e["args"] for e in jsonio.derivation_to_json(twice)] == [[], [], [0, 1], [2, 2]]
+
+
+def test_folding_that_makes_two_sums_equal_writes_them_once():
+    # (a+b)+s and a+(b+s) fold to the same sum over a, b, s, and a triple
+    # takes both.  Written once, that sum leaves s, a sum of two leaves that
+    # both used to take, with one use, by a sum: so s folds in as well.
+    a, b, s = Leaf(_F(2)), Leaf(_F(3)), Sum(Leaf(_F(5)), Leaf(_F(7)))
+    d = Triple(Sum(Sum(a, b), s), Sum(a, Sum(b, s)), Leaf(_F(1)))
+    enc = jsonio.derivation_to_json(d)
+    assert enc[4:] == [
+        {"op": "sum", "value": "17", "args": [0, 1, 2, 3]},
+        {"op": "leaf", "value": "1", "args": []},
+        {"op": "triple", "value": "33", "args": [4, 4, 5]},
+    ]
+    back = jsonio.derivation_from_json(enc)
+    assert back.value == d.value and jsonio.derivation_to_json(back) == enc
 
 
 def test_derivation_parse_rejects_wrong_value_annotation():
@@ -215,21 +235,98 @@ def test_derivation_parse_rejects_wrong_arity():
 
 
 def test_deep_derivation_round_trips_without_recursion():
+    # A chain of sums is one wide sum on the wire ...
     d = Leaf(_F(1))
     for _ in range(4000):
         d = Sum(d, Leaf(_F(1)))
-    back = jsonio.derivation_from_json(jsonio.derivation_to_json(d))
-    # compare with an explicit stack; == on the dataclasses would recurse
-    stack = [(d, back)]
-    while stack:
-        a, b = stack.pop()
-        assert type(a) is type(b)
-        if isinstance(a, Leaf):
-            assert a.value == b.value
-        elif isinstance(a, Sum):
-            stack += [(a.left, b.left), (a.right, b.right)]
-        else:
-            stack += [(a.first, b.first), (a.second, b.second), (a.third, b.third)]
+    enc = jsonio.derivation_to_json(d)
+    assert enc == [
+        {"op": "leaf", "value": "1", "args": []},
+        {"op": "sum", "value": "4001", "args": [0] * 4001},
+    ]
+    assert jsonio.derivation_to_json(jsonio.derivation_from_json(enc)) == enc
+    # ... while sums under triples stay entries: 8,000 deep on the wire.
+    d = Leaf(_F(1))
+    for _ in range(4000):
+        d = Triple(Sum(d, Leaf(_F(1))), Leaf(_F(1)), Leaf(_F(1)))
+    enc = jsonio.derivation_to_json(d)
+    assert len(enc) == 8001
+    back = jsonio.derivation_from_json(enc)
+    assert back.value == 4001 and jsonio.derivation_to_json(back) == enc
+
+
+def _leaf(value: str) -> dict:
+    return {"op": "leaf", "value": value, "args": []}
+
+
+def _sum(value: str, *args: int) -> dict:
+    return {"op": "sum", "value": value, "args": list(args)}
+
+
+# A rational of 8,501 digits: CPython converts no decimal integer string of
+# more than 4,300 digits, so a value on the wire cannot grow much wider.
+_WIDE = Fraction(int("7" * 4250), 10**4249 + 1)
+
+
+def _wide_sum(off: int = 0) -> list[dict]:
+    """One sum that takes the wide leaf 10^5 times."""
+    total = 100_000 * _WIDE + off
+    return [_leaf(format_rat(_WIDE)), _sum(format_rat(total), *[0] * 100_000)]
+
+
+def _doublings(n: int) -> list[dict]:
+    return [_leaf("1")] + [_sum(str(2**i), i - 1, i - 1) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        (_wide_sum(), None),
+        (_wide_sum(off=1), "derivation[1]: value annotation"),
+        (_doublings(5000), None),
+    ],
+    ids=["wide-sum", "wide-sum-off-by-one", "doublings"],
+)
+def test_hostile_tables_are_answered_in_time_with_one_sum_per_entry(
+    monkeypatch, table, error
+):
+    built = [0]
+    evaluate = Sum.__post_init__
+
+    def counted(node):
+        built[0] += 1
+        evaluate(node)
+
+    monkeypatch.setattr(Sum, "__post_init__", counted)
+    t0 = time.perf_counter()
+    if error is None:
+        root = jsonio.derivation_from_json(table)
+        assert root.value == jsonio.rat_from_json(table[-1]["value"])
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
+            jsonio.derivation_from_json(table)
+    assert time.perf_counter() - t0 < 1.0
+    assert built[0] == sum(e["op"] == "sum" for e in table)
+
+
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        ([_leaf("2"), _sum("2", 0)], "[1]: op 'sum' takes 2 or more arguments, got 1"),
+        ([_leaf("2"), {"op": "sum", "args": [0, 0]}], "[1]: missing key 'value'"),
+        ([_leaf("2"), _sum("5", 0, 0)], "[1]: value annotation 5 does not match recomputed 4"),
+        (
+            [_leaf("2"), _sum("4", 0, 0), _sum("6", 1, 0)],
+            "[1]: a sum that only one sum uses must be written inside it",
+        ),
+        ([{"op": "leaf", "value": "2", "args": [0]}], "[0]: op 'leaf' takes 0 arguments, got 1"),
+    ],
+    ids=["one-argument-sum", "sum-without-value", "sum-off-by-one", "unfolded-sum", "leaf-with-args"],
+)
+def test_malformed_sums_are_rejected_at_their_entry(table, error):
+    with pytest.raises(ValueError) as caught:
+        jsonio.derivation_from_json(table)
+    assert str(caught.value) == "derivation" + error
 
 
 def _strip_trail():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import __future__
 import dataclasses
 import hashlib
+import inspect
 import json
 import random
 import sys
+import textwrap
 import time
 from fractions import Fraction
 
@@ -24,7 +27,7 @@ from boxcert.closure import (
     topological,
 )
 from boxcert.errors import HypothesisViolated, SoundnessError
-from boxcert.geometry import Box, Partition, parse_point
+from boxcert.geometry import Box, Partition, format_rat, parse_point, parse_rat
 from boxcert.pipeline import (
     ClaimedSide,
     PartitionInvalid,
@@ -374,42 +377,74 @@ def test_certify_evaluates_each_node_it_builds_once():
     assert calls == len(internal)
 
 
-def test_check_evaluates_each_table_entry_once():
+def test_check_evaluates_each_table_entry_once(monkeypatch):
+    # The row's chain of sums is one entry over its 300 strips: it is built
+    # once, and costs one op_sum per distinct child after the first (two
+    # operands cost one), not one per strip.
     p, g = _row300()
     doc = json.loads(jsonio.canonical_json(certificate_to_json(certify(p, g))))
-    entries = [e for e in doc["reduction"]["derivation"] if e["op"] != "leaf"]
+    table = doc["reduction"]["derivation"]
+    sums = [e for e in table if e["op"] == "sum"]
+    bound = sum(max(len(set(e["args"])) - 1, 1) for e in sums)
+    bound += sum(e["op"] == "triple" for e in table)
+    built = [0]
+    evaluate = Sum.__post_init__
+
+    def counted(node):
+        built[0] += 1
+        evaluate(node)
+
+    monkeypatch.setattr(Sum, "__post_init__", counted)
     result, calls = _count_op_calls(
         lambda: check_certificate(certificate_from_json(doc), p, g)
     )
     assert result.ok, result.reasons
-    assert calls == len(entries) > 250
+    assert built[0] == len(sums) == 1
+    assert calls <= bound <= 8, (calls, bound)
 
 
 def test_certify_does_fraction_work_per_distinct_extent_and_position(monkeypatch):
     # The projection, the step check and the reduction run on ranks and grid
     # integers, so one certify subtracts and equates Fractions a bounded
     # number of times: per distinct box extent (axis assignment) and per y
-    # point (the YSequence's own checks), not per step or merge.
+    # point, not per step or merge.  The YSequence checks its order on the
+    # projection's ranks, so the projection order-compares no Fraction per
+    # position (only the length with 0).
     p, g = _row300()
     extents = {(j, b.lo[j], b.hi[j]) for b in p.boxes for j in range(p.dim)}
-    calls = {"sub": 0, "eq": 0}
+    calls = {"sub": 0, "eq": 0, "order": 0}
+    projecting = [False]
 
     def counting(kind, method):
         def counted(*args):
-            calls[kind] += 1
+            if kind != "order" or projecting[0]:
+                calls[kind] += 1
             return method(*args)
 
         return counted
 
+    def project(*args):
+        projecting[0] = True
+        try:
+            return real_project(*args)
+        finally:
+            projecting[0] = False
+
+    real_project = pipeline.project_to_axis
+    monkeypatch.setattr(pipeline, "project_to_axis", project)
+
     for name in ("__sub__", "__rsub__"):
         monkeypatch.setattr(Fraction, name, counting("sub", getattr(Fraction, name)))
     monkeypatch.setattr(Fraction, "__eq__", counting("eq", Fraction.__eq__))
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counting("order", getattr(Fraction, name)))
     cert = certify(p, g)
     monkeypatch.undo()
     assert len(cert.y.points) == len(p.boxes) + 1
     bound = len(extents) + len(cert.y.points)
     assert 0 < calls["sub"] <= bound, calls
     assert 0 < calls["eq"] <= bound, calls
+    assert calls["order"] <= 1, calls
 
 
 @pytest.mark.parametrize(
@@ -486,6 +521,25 @@ def _leaf_in_place_of(n):
     return forge
 
 
+def _wide_root(reduction, value, drop, add=None):
+    """Forge a reduction whose root is a wide sum: ``drop`` of its operands
+    that are the leaf ``value`` go, and a new leaf ``add`` (placed before the
+    root) joins it.  The root's value and the result follow."""
+    table = [dict(e) for e in reduction["derivation"]]
+    *body, root = table
+    leaf = next(i for i, e in enumerate(body) if e == {"op": "leaf", "value": value, "args": []})
+    args = list(root["args"])
+    for _ in range(drop):
+        args.remove(leaf)
+    total = parse_rat(root["value"]) - drop * parse_rat(value)
+    if add is not None:
+        body.append({"op": "leaf", "value": add, "args": []})
+        args.append(len(body) - 1)
+        total += parse_rat(add)
+    root = dict(root, args=args, value=format_rat(total))
+    return dict(reduction, result=root["value"], derivation=body + [root])
+
+
 def _pinwheel_46_77():
     # 46/77 has no sum split in the closure of {3/5, 4/7, 6/11}: the derivation
     # of the claimed 232/385 holds it as a triple, an internal entry.
@@ -522,8 +576,30 @@ def _pinwheel_46_77():
             {},
             "reduction: leaf 46/77 is not a generator",
         ),
+        # One strip fewer in the row's wide sum, the table kept consistent.
+        (
+            _row300,
+            lambda r: _wide_root(r, "9", drop=1),
+            {},
+            "claim: derived result does not match the claimed length",
+        ),
+        # Two strips of 9 in the wide sum become one leaf 18: every value
+        # stays, but 18 is no generator.
+        (
+            _row300,
+            lambda r: _wide_root(r, "9", drop=2, add="18"),
+            {},
+            "reduction: leaf 18 is not a generator",
+        ),
     ],
-    ids=["result_moved", "claim_moved", "axis_out_of_range", "non_generator_leaf"],
+    ids=[
+        "result_moved",
+        "claim_moved",
+        "axis_out_of_range",
+        "non_generator_leaf",
+        "multiplicity_changed",
+        "non_generator_leaf_in_wide_sum",
+    ],
 )
 def test_check_kernel_rejects_self_consistent_forgeries(instance, reduction, claim, reason):
     # Each forgery parses and breaks exactly one kernel fact.  The kernel alone
@@ -542,6 +618,99 @@ def test_check_kernel_rejects_self_consistent_forgeries(instance, reduction, cla
     assert not result.ok
     assert result.reasons[0] == reason
     assert pipeline._kernel(forged, p, g) == tuple(reason.split(": ", 1))
+
+
+def _table_rejected(table, error):
+    try:
+        jsonio.derivation_from_json(table)
+    except ValueError as exc:
+        assert str(exc) == error, exc
+    else:
+        raise AssertionError(f"accepted {table}")
+
+
+def _sum_rejected(*args):
+    try:
+        Sum(*args)
+    except ValueError:
+        return
+    raise AssertionError(f"built a sum of {args}")
+
+
+def _row_checks_out():
+    p, g = _row300()
+    doc = json.loads(jsonio.canonical_json(certificate_to_json(certify(p, g))))
+    assert check_certificate(certificate_from_json(doc), p, g).ok
+
+
+def _wide_forgery_rejected_at_claim():
+    p, g = _row300()
+    enc = certificate_to_json(certify(p, g))
+    enc["reduction"] = _wide_root(enc["reduction"], "9", drop=1)
+    reasons = check_certificate(certificate_from_json(enc), p, g).reasons
+    assert reasons == ("claim: derived result does not match the claimed length",)
+
+
+_TWO, _THREE = ({"op": "leaf", "value": v, "args": []} for v in ("2", "3"))
+_SUM_KILLERS = (
+    _row_checks_out,
+    _wide_forgery_rejected_at_claim,
+    lambda: _table_rejected(
+        [_TWO, _THREE, {"op": "sum", "value": "8", "args": [0, 0, 1]}],
+        "derivation[2]: value annotation 8 does not match recomputed 7",
+    ),
+    lambda: _table_rejected(
+        [_TWO, {"op": "sum", "value": "2", "args": [0]}],
+        "derivation[1]: op 'sum' takes 2 or more arguments, got 1",
+    ),
+    lambda: _sum_rejected(Leaf(_F(1))),
+    lambda: _sum_rejected(*[Leaf(_F(0))] * 3),
+)
+
+# Hand-written mutants of the n-ary sum: (function, owner, text, replacement).
+_SUM_MUTANTS = {
+    "multiplicity ignored": (
+        Sum.__post_init__, Sum, "times.pop(id(k)) * k.value", "times.pop(id(k)) and k.value"
+    ),
+    "positivity test dropped": (Sum.__post_init__, Sum, "if terms[0] <= 0:", "if False:"),
+    "one-operand sum built": (Sum.__post_init__, Sum, "if len(args) < 2:", "if False:"),
+    "one-operand sum parsed": (
+        jsonio.derivation_from_json, jsonio, "len(args) < arity or ", ""
+    ),
+    "annotation comparison dropped": (
+        jsonio.derivation_from_json, jsonio, "if node.value != claimed:", "if False:"
+    ),
+}
+
+
+def _survives(killers) -> bool:
+    for killer in killers:
+        try:
+            killer()
+        except Exception:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(_SUM_MUTANTS))
+def test_hand_written_sum_mutants_are_killed(monkeypatch, name):
+    # Each mutant is compiled from the function's source with one edit and
+    # swapped into its class or module in-process, never written to disk.
+    assert _survives(_SUM_KILLERS)
+    fn, owner, text, replacement = _SUM_MUTANTS[name]
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(text) == 1, f"{name}: {text!r} is not in {fn.__qualname__}"
+    code = compile(
+        source.replace(text, replacement),
+        inspect.getsourcefile(fn),
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace = dict(fn.__globals__)
+    exec(code, namespace)
+    monkeypatch.setattr(owner, fn.__name__, namespace[fn.__name__])
+    assert not _survives(_SUM_KILLERS), f"mutant survived: {name}"
 
 
 def test_check_rejects_unreachable_and_duplicate_table_entries():
@@ -591,7 +760,7 @@ GOLDEN_CERT_SHA256 = {
     "pinwheel(17,10,7)": "51a8bed1ee8d43022bd3e4ec9b197f9346033539958f9e80bbea03809954b762",
     "pinwheel(17,10,7) x [0,20]": "9a7a5d033a025dd98caa9929043c3de73fc89524172ceded915f0081e7ece46c",
     "pinwheel(3/5,3/5,46/77)": "67d9df9889566f33b11323557cfca9c47b9f1a2bbdaf56282a996a3d72ccdede",
-    "guillotine 2D seed 1026": "19026161d44d2754738a130e63ceaa46481254811b02a35c1afcfb32aec08590",
+    "guillotine 2D seed 1026": "ce6cdf8ae4b84f5c2288098d368983315fffa8133c4271e53aaaddd1d2bf10c1",
     "guillotine 3D seed 1017": "87196472443143fc0315670dba619737494b6b2845c51391a91bb7bc99c0ae3f",
 }
 
@@ -623,6 +792,39 @@ def test_certificate_bytes_match_golden_digests():
         data = jsonio.canonical_json(certificate_to_json(certify(p, g))).encode("utf-8")
         got[name] = hashlib.sha256(data).hexdigest()
     assert got == GOLDEN_CERT_SHA256
+
+
+def _seeded_row(seed):
+    """A row of strips whose widths are closure members over a few small
+    generators, so step derivations are sums and triples that share."""
+    rng = random.Random(seed)
+    g = GeneratorSet.of(*rng.sample(range(2, 12), rng.randint(1, 3)))
+    members = bounded_closure(g, 30).sorted_elements()
+    xs = [_F(0)]
+    for _ in range(rng.randint(1, 40)):
+        xs.append(xs[-1] + rng.choice(members))
+    height = _F(f"{rng.randint(1, 9)}/{rng.randint(1, 4)}")
+    strips = tuple(Box((a, _F(0)), (b, height)) for a, b in zip(xs, xs[1:]))
+    return Partition(2, Box((_F(0), _F(0)), (xs[-1], height)), strips), g
+
+
+def test_certificate_json_round_trips_through_the_parser():
+    # Parsing keeps one node per table entry and writing folds nothing more,
+    # so the parsed certificate writes the bytes it was read from.
+    cases = [
+        *_golden_instances().values(),
+        *(_seeded_row(seed) for seed in range(40)),
+        *(
+            factory.hypothesis_instance(
+                factory.random_guillotine(n, max_depth=5 - n, seed=seed), seed=seed
+            )
+            for seed in range(20)
+            for n in (2, 3)
+        ),
+    ]
+    for p, g in cases:
+        doc = json.loads(jsonio.canonical_json(certificate_to_json(certify(p, g))))
+        assert certificate_to_json(certificate_from_json(doc)) == doc
 
 
 def test_certificate_size_follows_distinct_sub_derivations():
