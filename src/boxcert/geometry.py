@@ -6,12 +6,16 @@ checking, so every comparison must be decidable, not approximate.
 
 Validation and the trail graph only ever ask how coordinates *order*, so
 they work on a :class:`RankView`: each axis's distinct coordinates sorted
-once, and every box rewritten in integer ranks (coordinate compression).
-Exact values come back from the view's per-axis tables only where a result
-is read.  Whether the boxes tile the outer box is decided by counting their
-signed corners on the rank lattice (:func:`_tiles`); the defect report,
-with its overlap sweep and its volume sum in integers scaled per axis by the
-lcm of that axis's denominators, is built only when that decision fails.
+once, and the boxes rewritten in integer ranks (coordinate compression), held
+as one column of lower and one of upper ranks per axis, in box order.  Exact
+values come back from the view's per-axis tables only where a result is
+read.  The view enumerates every box's corners once (``RankView.corners``);
+whether the boxes tile the outer box is decided by counting those corners
+with their signs (:func:`_tiles`), and the trail graph pairs the same
+corners into edges.  Rank :class:`Box` objects are built only for the defect
+report, with its overlap sweep and its volume sum in integers scaled per
+axis by the lcm of that axis's denominators, which runs only when the corner
+count fails.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm, prod
 from operator import attrgetter, getitem, itemgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -214,30 +218,69 @@ class Partition:
         return len(self.boxes)
 
 
+#: A point of a :class:`RankView`, such as a box corner or a trail-graph vertex:
+#: the ranks of its coordinates.
+Ranks = tuple[int, ...]
+
+
+@cache
+def _corner_getters(dim: int) -> tuple[itemgetter, ...]:
+    """Getters that read each of a box's 2^dim corners from ``lo + hi``, in
+    the order of ``itertools.product(*zip(lo, hi))``: 0-based axis ``j`` is
+    bit ``dim - 1 - j`` of the corner's index, set at the hi face.
+
+    Applied to the ``2*dim`` columns of many boxes' ends, a getter reads the
+    columns of that corner instead."""
+    return tuple(
+        itemgetter(*(dim + j if i >> (dim - 1 - j) & 1 else j for j in range(dim)))
+        for i in range(1 << dim)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class RankView:
     """A partition with every coordinate replaced by its rank on its axis.
 
     ``values[j]`` holds the distinct coordinates on 0-based axis ``j`` in
     increasing order, so rank ``r`` stands for ``values[j][r]``; ``index[j]``
-    maps ``(numerator, denominator)`` back to the rank.  ``outer`` and
-    ``boxes`` are the partition's boxes in ranks, in the same order.  Ranks
-    order exactly as the values do, so every order test (and every tie) on
-    the view is the same as on the partition, with integers in place of
-    Fractions.  Build it with :func:`rank_partition`.
+    maps ``(numerator, denominator)`` back to the rank.  ``outer`` is the
+    outer box in ranks.  The constituent boxes are integer columns: box
+    ``k`` spans ranks ``lo[j][k - 1]`` to ``hi[j][k - 1]`` on axis ``j``.
+    Ranks order exactly as the values do, so every order test (and every
+    tie) on the view is the same as on the partition, with integers in place
+    of Fractions.  Build it with :func:`rank_partition`.
+
+    ``corners`` enumerates every box's corners once, for validation and the
+    trail graph alike; ``boxes`` rebuilds rank :class:`Box` objects, for the
+    report on an invalid partition, on first read.
     """
 
     partition: Partition
     values: tuple[tuple[Fraction, ...], ...]
     index: tuple[dict[tuple[int, int], int], ...]
     outer: Box
-    boxes: tuple[Box, ...]
+    lo: tuple[tuple[int, ...], ...]
+    hi: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def boxes(self) -> tuple[Box, ...]:
+        """The constituent boxes in ranks, in box order."""
+        return tuple(map(Box, zip(*self.lo), zip(*self.hi)))
+
+    @cached_property
+    def corners(self) -> tuple[list[Ranks], ...]:
+        """``corners[i][k - 1]`` is corner ``i`` of box ``k``, in the order of
+        ``itertools.product(*zip(lo, hi))`` (see :func:`_corner_getters`)."""
+        columns = self.lo + self.hi
+        return tuple(
+            list(zip(*getter(columns))) for getter in _corner_getters(len(self.lo))
+        )
 
     def point(self, ranks: Iterable[int]) -> Point:
         """The exact point whose coordinates have these ranks."""
         return tuple(map(getitem, self.values, ranks))
 
-    def ranks_of(self, point: Point) -> Optional[tuple[int, ...]]:
+    def ranks_of(self, point: Point) -> Optional[Ranks]:
         """The ranks of an exact ``point``; None if it has the wrong dimension
         or a coordinate that no box face has."""
         if len(point) != len(self.index):
@@ -251,32 +294,46 @@ class RankView:
         return tuple(ranks)
 
 
+_num_den = attrgetter("numerator", "denominator")
+
+
 def rank_partition(p: Partition) -> RankView:
     """Sort each axis's distinct coordinates once and rewrite ``p`` in ranks.
 
-    The tables are keyed on ``(numerator, denominator)``, so building them
-    hashes no Fraction; only the distinct values of an axis are compared.
+    A loaded partition shares one ``Fraction`` per distinct string, so each
+    axis's column of coordinate objects is first deduplicated by ``id`` (``p``
+    keeps every object alive for the call, so no id is reused).  Equal values
+    held by distinct objects are then merged on ``(numerator, denominator)``,
+    which hashes no Fraction, and only the distinct values are sorted.  The
+    rank of every coordinate is one lookup by ``id``.
     """
     shapes = (p.outer,) + p.boxes
+    n = len(shapes)
+    # one column per axis: every shape's lo coordinate, then every hi
+    columns = zip(*map(attrgetter("lo"), shapes), *map(attrgetter("hi"), shapes))
     values: list[tuple[Fraction, ...]] = []
     index: list[dict[tuple[int, int], int]] = []
-    lo_ranks: list[list[int]] = []
-    hi_ranks: list[list[int]] = []
-    for j in range(p.dim):
-        coords = [b.lo[j] for b in shapes] + [b.hi[j] for b in shapes]
-        keys = [(c.numerator, c.denominator) for c in coords]
-        distinct = dict(zip(keys, coords))
+    lo: list[tuple[int, ...]] = []
+    hi: list[tuple[int, ...]] = []
+    outer_lo: list[int] = []
+    outer_hi: list[int] = []
+    for column in columns:
+        ids = list(map(id, column))
+        objects = dict(zip(ids, column))
+        keys = list(map(_num_den, objects.values()))
+        distinct = dict(zip(keys, objects.values()))
         order = sorted(distinct, key=distinct.__getitem__)
         ranks = {key: r for r, key in enumerate(order)}
-        values.append(tuple(distinct[key] for key in order))
+        rank_of = dict(zip(objects, map(ranks.__getitem__, keys)))
+        column_ranks = tuple(map(rank_of.__getitem__, ids))
+        values.append(tuple(map(distinct.__getitem__, order)))
         index.append(ranks)
-        column = [ranks[key] for key in keys]
-        lo_ranks.append(column[: len(shapes)])
-        hi_ranks.append(column[len(shapes) :])
-    outer, *boxes = (
-        Box(lo, hi) for lo, hi in zip(zip(*lo_ranks), zip(*hi_ranks))
-    )
-    return RankView(p, tuple(values), tuple(index), outer, tuple(boxes))
+        outer_lo.append(column_ranks[0])
+        outer_hi.append(column_ranks[n])
+        lo.append(column_ranks[1:n])
+        hi.append(column_ranks[n + 1 :])
+    outer = Box(tuple(outer_lo), tuple(outer_hi))
+    return RankView(p, tuple(values), tuple(index), outer, tuple(lo), tuple(hi))
 
 
 @dataclass(frozen=True)
@@ -364,20 +421,6 @@ def _meeting_pairs(solid: Sequence[tuple[int, Box]], axis: int) -> int:
     return n * (n - 1) // 2 - sum(bisect_right(his, b.lo[axis]) for _, b in solid)
 
 
-@cache
-def _corner_getters(dim: int) -> tuple[tuple[itemgetter, ...], tuple[itemgetter, ...]]:
-    """Getters that read each of a box's 2^dim corners from ``b.lo + b.hi``,
-    split into ``(even, odd)`` by the number of upper ends in the corner.
-
-    Applied to the ``2*dim`` columns of many boxes' ends, a getter reads the
-    columns of that corner instead."""
-    even, odd = [], []
-    for bits in range(1 << dim):
-        getter = itemgetter(*(dim + j if bits >> j & 1 else j for j in range(dim)))
-        (odd if bits.bit_count() & 1 else even).append(getter)
-    return tuple(even), tuple(odd)
-
-
 def _tiles(view: RankView) -> bool:
     """True iff the boxes of ``view`` exactly tile its outer box.
 
@@ -393,30 +436,29 @@ def _tiles(view: RankView) -> bool:
     proofs of a result about tiling a rectangle" (1987).  Every cell has a
     positive exact volume, so this is the cover that :func:`validate_partition`
     checks.  The counts cannot see every degenerate box, so ``lo < hi`` is
-    checked first: a zero-width box has no net corners, and a box inverted
-    on an odd number of axes cancels the corners of its upright twin.
+    checked first, on the view's columns: a zero-width box has no net
+    corners, and a box inverted on an odd number of axes cancels the corners
+    of its upright twin.
+
+    The boxes' corners are the view's shared enumeration
+    (``RankView.corners``), which :func:`~boxcert.trailgraph.build_graph`
+    pairs into edges; corner ``i`` has as many upper ends as ``i`` has set
+    bits, and that parity gives its sign.
     """
     outer = view.outer
-    # the boxes' ends, one column per end and axis: a getter picks a corner's
-    # columns, and zip forms that corner of every box
-    los = tuple(zip(*map(attrgetter("lo"), view.boxes)))
-    his = tuple(zip(*map(attrgetter("hi"), view.boxes)))
     if not all(map(lt, outer.lo, outer.hi)) or not all(
-        all(map(lt, lo, hi)) for lo, hi in zip(los, his)
+        all(map(lt, lo, hi)) for lo, hi in zip(view.lo, view.hi)
     ):
         return False
-    columns = los + his
-    even, odd = _corner_getters(len(outer.lo))
-    plus: Counter = Counter()
-    minus: Counter = Counter()
-    for getter in even:
-        plus.update(zip(*getter(columns)))
-    for getter in odd:
-        minus.update(zip(*getter(columns)))
     ends = outer.lo + outer.hi
-    plus.update(getter(ends) for getter in odd)
-    minus.update(getter(ends) for getter in even)
-    return plus == minus
+    signed: tuple[list[Ranks], list[Ranks]] = ([], [])  # even, odd upper ends
+    for i, (corners, getter) in enumerate(
+        zip(view.corners, _corner_getters(len(outer.lo)))
+    ):
+        odd = i.bit_count() & 1
+        signed[odd].extend(corners)
+        signed[not odd].append(getter(ends))  # the outer box's, on the other side
+    return Counter(signed[0]) == Counter(signed[1])
 
 
 def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:

@@ -109,8 +109,8 @@ def _construct(
     y = project_to_axis(trail, ranks)
     j = y.axis - 1
     spans = {
-        (b.lo[j], b.hi[j])
-        for b, axis in zip(ranks.boxes, assignment)
+        span
+        for span, axis in zip(zip(ranks.lo[j], ranks.hi[j]), assignment)
         if axis == y.axis
     }
     if len(y.ranks) != len(y.points):

@@ -13,22 +13,24 @@ collapses into a single derived length.
 Every stage here runs on the partition's :class:`~boxcert.geometry.RankView`.
 The graph, the parity audit and the walk depend on the order of coordinates
 alone, so the graph is plain tuples of integer ranks: a vertex is a rank
-tuple, an edge is ``(box, edge_id, lower end, upper end)``.  Exact points come
+tuple, an edge is ``(box, edge_id, lower end, upper end)``.  The edges are
+paired from the view's one enumeration of box corners, the same one that
+validation counted, so no corner is formed twice.  Exact points come
 back from the view's value tables only where a result is read:
 ``TrailGraph.vertices``, the per-vertex parity entries (built on first
 access), the trail, whose steps are :class:`Edge` records in the direction
 walked, and the projection, which dedupes, orients and checks the walk's
 ranks on one axis and reads one value per kept position.  Axis assignment
 is the one stage that reads lengths, and it computes one per distinct
-``(axis, lo rank, hi rank)``; the assignment is the tuple of chosen 1-based
-axes, one per box.
+``(axis, lo rank, hi rank)``, reading the view's rank columns; the
+assignment is the tuple of chosen 1-based axes, one per box.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
+from itertools import count, product
 from typing import Callable, Mapping, Optional, Union
 
 from .errors import HypothesisViolated, SoundnessError, StuckAtEvenVertex
@@ -37,14 +39,12 @@ from .geometry import (
     Partition,
     Point,
     RankView,
+    Ranks,
     format_point,
     format_rat,
     parse_point,
     rank_partition,
 )
-
-#: A vertex of the trail graph: the ranks of a point's coordinates.
-Ranks = tuple[int, ...]
 
 
 def assign_axes(
@@ -56,29 +56,35 @@ def assign_axes(
 
     Takes the partition or its :class:`~boxcert.geometry.RankView`.
     ``member`` decides membership in the tracked set (usually a bounded
-    closure).  Boxes repeat a few extents many times, so each distinct
-    ``(axis, lo rank, hi rank)`` is subtracted from the view's value table and
-    given to ``member`` once.  A box with no qualifying side falsifies the
-    premise of the whole construction, reported as :class:`HypothesisViolated`
-    with the smallest offending box index.
+    closure).  Boxes repeat a few extents many times, so the view's rank
+    columns are read axis by axis, for the boxes not yet assigned, and each
+    distinct ``(axis, lo rank, hi rank)`` is subtracted from the view's value
+    table and given to ``member`` once.  A box with no qualifying side
+    falsifies the premise of the whole construction, reported as
+    :class:`HypothesisViolated` with the smallest offending box index.
     """
     view = p if isinstance(p, RankView) else rank_partition(p)
-    verdicts: dict[tuple[int, int, int], bool] = {}
-    axes: list[int] = []
-    for k, b in enumerate(view.boxes, start=1):
-        for j, (values, lo, hi) in enumerate(zip(view.values, b.lo, b.hi), start=1):
-            key = (j, lo, hi)
-            ok = verdicts.get(key)
+    axes = [0] * len(view.partition.boxes)
+    todo = range(len(axes))  # 0-based indices of the boxes not yet assigned
+    for j, (values, lo, hi) in enumerate(zip(view.values, view.lo, view.hi), start=1):
+        verdicts: dict[tuple[int, int], bool] = {}
+        left = []
+        for k in todo:
+            span = lo[k], hi[k]
+            ok = verdicts.get(span)
             if ok is None:
-                ok = verdicts[key] = member(values[hi] - values[lo])
+                ok = verdicts[span] = member(values[span[1]] - values[span[0]])
             if ok:
-                axes.append(j)
-                break
-        else:
-            raise HypothesisViolated(
-                k, tuple(format_rat(e) for e in view.partition.boxes[k - 1].extents())
-            )
-    return tuple(axes)
+                axes[k] = j
+            else:
+                left.append(k)
+        if not left:
+            return tuple(axes)
+        todo = left
+    k = todo[0] + 1
+    raise HypothesisViolated(
+        k, tuple(format_rat(e) for e in view.partition.boxes[k - 1].extents())
+    )
 
 
 @dataclass(frozen=True)
@@ -165,26 +171,25 @@ def build_graph(p: Union[Partition, RankView], c: tuple[int, ...]) -> TrailGraph
     """Assemble the multigraph; deterministic given the assignment.
 
     Takes the partition or its :class:`~boxcert.geometry.RankView`.  Box k
-    contributes its ``2^(n-1)`` edges parallel to axis ``c[k - 1]``,
-    paired off from its corners by the one layout :func:`edges_of_box` uses.
+    contributes its ``2^(n-1)`` edges parallel to axis ``c[k - 1]``, paired
+    off from its corners in the view's shared ``corners`` by the one layout
+    :func:`edges_of_box` uses.
     Vertices are the edges' endpoints (deduplicated as rank tuples): these
     edges reach all ``2^n`` corners of their box, so the vertices are exactly
     the corners of all constituent boxes.  T-junction contacts (a vertex of
     one box interior to an edge of another) do not split edges.
     """
     view = p if isinstance(p, RankView) else rank_partition(p)
-    if len(c) != len(view.boxes):
-        raise ValueError(
-            f"assignment covers {len(c)} boxes, partition has {len(view.boxes)}"
-        )
+    boxes = len(view.partition.boxes)
+    if len(c) != boxes:
+        raise ValueError(f"assignment covers {len(c)} boxes, partition has {boxes}")
     dim = view.outer.dim
     layouts = {j: _edge_layout(dim, j) for j in range(1, dim + 1)}
     if not layouts.keys() >= set(c):
         raise ValueError(f"assignment names an axis outside 1..{dim}")
     edges: list[RankEdge] = []
     adjacency: dict[Ranks, list[tuple[Ranks, int, int]]] = {}
-    for k, (b, axis) in enumerate(zip(view.boxes, c), start=1):
-        corners = tuple(product(*zip(b.lo, b.hi)))
+    for k, axis, corners in zip(count(1), c, zip(*view.corners)):
         for edge_id, lo, hi in layouts[axis]:
             a, z = corners[lo], corners[hi]
             edges.append((k, edge_id, a, z))
@@ -290,8 +295,9 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
     ``(far, box, edge_id)`` tuples — this makes the whole pipeline
     reproducible byte-for-byte.  ``(box, edge_id)`` identifies an edge.  The
     walk runs on ranks; each step is written out as an :class:`Edge` in exact
-    points, from the vertex left to the vertex reached.  ``start`` is read with :func:`~boxcert.geometry.parse_point`, so
-    a float start raises ``ValueError`` like one that is not an outer corner.
+    points, from the vertex left to the vertex reached.  ``start`` is read
+    with :func:`~boxcert.geometry.parse_point`, so a float start raises
+    ``ValueError`` like one that is not an outer corner.
     """
     view = g.ranks
     corners = set(view.outer.corners())

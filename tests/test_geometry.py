@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from boxcert import jsonio
+from boxcert.factory import random_guillotine
 from boxcert.geometry import (
     Box,
     Partition,
@@ -15,6 +18,7 @@ from boxcert.geometry import (
     interiors_disjoint,
     parse_point,
     parse_rat,
+    rank_partition,
     validate_partition,
 )
 
@@ -164,3 +168,74 @@ def test_validate_flags_volume_gap_only_when_otherwise_clean():
     # with an overlap present, the volume complaint would be noise: omitted
     q = Partition(2, outer, (_box((0, 0), (3, 2)), _box((2, 0), (4, 2))))
     assert "volume-mismatch" not in {d.kind for d in validate_partition(q).defects}
+
+
+def _unshared(p: Partition) -> Partition:
+    """``p`` with every coordinate a Fraction object of its own."""
+
+    def fresh(b: Box) -> Box:
+        return Box(
+            tuple(Fraction(c.numerator, c.denominator) for c in b.lo),
+            tuple(Fraction(c.numerator, c.denominator) for c in b.hi),
+        )
+
+    return Partition(p.dim, fresh(p.outer), tuple(map(fresh, p.boxes)))
+
+
+def _loaded(p: Partition) -> Partition:
+    """``p`` written as JSON and read back: one Fraction per distinct string."""
+    return jsonio.partition_from_json(
+        json.loads(jsonio.canonical_json(jsonio.partition_to_json(p)))
+    )
+
+
+def _respelled(p: Partition) -> Partition:
+    """``p`` loaded from JSON that writes every second occurrence of each
+    value ``a/b`` as ``2a/2b``: two strings, two Fraction objects, one value."""
+    seen: dict[str, int] = {}
+
+    def spell(text: str) -> str:
+        seen[text] = seen.get(text, 0) + 1
+        if seen[text] % 2:
+            return text
+        value = Fraction(text)
+        return f"{2 * value.numerator}/{2 * value.denominator}"
+
+    def box(obj: dict) -> dict:
+        return {end: [spell(c) for c in obj[end]] for end in ("lo", "hi")}
+
+    payload = jsonio.partition_to_json(p)
+    payload["outer"] = box(payload["outer"])
+    payload["boxes"] = [box(b) for b in payload["boxes"]]
+    return jsonio.partition_from_json(json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize(
+    "build, shared", [(_unshared, False), (_loaded, True), (_respelled, False)]
+)
+def test_ranks_by_identity_merge_equal_values_held_by_distinct_objects(build, shared):
+    # rank_partition ranks coordinate objects by id, then merges equal values;
+    # the oracle sorts each axis's set of values and makes one rank box per box
+    for seed in range(40):
+        n = 2 if seed % 2 == 0 else 3
+        p = build(random_guillotine(n, 4, seed=seed))
+        shapes = (p.outer,) + p.boxes
+        coords = [[c for b in shapes for c in (b.lo[j], b.hi[j])] for j in range(n)]
+        objects = {(c, id(c)) for column in coords for c in column}
+        assert (len(objects) == len({c for c, _ in objects})) == shared
+        values = [sorted(set(column)) for column in coords]
+        rank = [{v: r for r, v in enumerate(column)} for column in values]
+
+        def ranked(b: Box) -> Box:
+            return Box(
+                tuple(rank[j][c] for j, c in enumerate(b.lo)),
+                tuple(rank[j][c] for j, c in enumerate(b.hi)),
+            )
+
+        expected = tuple(map(ranked, p.boxes))
+        view = rank_partition(p)
+        assert list(map(list, view.values)) == values
+        assert view.outer == ranked(p.outer)
+        assert view.lo == tuple(tuple(b.lo[j] for b in expected) for j in range(n))
+        assert view.hi == tuple(tuple(b.hi[j] for b in expected) for j in range(n))
+        assert view.boxes == expected

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from boxcert.factory import (
 from boxcert.geometry import (
     Box,
     Partition,
+    RankView,
     parse_point,
     rank_partition,
     validate_partition,
@@ -290,6 +292,43 @@ def test_a_clean_parity_audit_builds_its_entries_only_when_read(monkeypatch):
     assert calls[0] == len(report.entries) == (n + 1) ** 2
     report.table()
     assert calls[0] == (n + 1) ** 2  # the entries are built once
+
+
+def test_certify_builds_no_rank_box_per_box(monkeypatch):
+    # The rank view keeps the boxes as integer columns: the accept path
+    # builds the outer box in ranks and no rank box per constituent box.
+    n = 40
+    p = _unit_grid(n)
+    calls = _count_inits(monkeypatch, Box)
+    cert = pipeline.certify(p, GeneratorSet.of(1))
+    assert cert.claimed_side.length == n
+    built = calls[0]
+    assert built <= 1  # the outer box; one per box would be 1,601
+    Box(_pt(0, 0), _pt(1, 1))
+    assert calls[0] == built + 1  # the counter is live
+
+
+def test_validation_and_the_graph_read_one_corner_enumeration(monkeypatch):
+    n = 40
+    p = _unit_grid(n)
+    cached = RankView.corners
+    reads = []
+
+    class Watched:  # a data descriptor, so every read comes through it
+        def __get__(self, view, owner=None):
+            corners = cached.__get__(view, owner)
+            reads.append((sys._getframe(1).f_code.co_name, corners))
+            return corners
+
+        def __set__(self, view, value):
+            raise AttributeError("corners")
+
+    monkeypatch.setattr(RankView, "corners", Watched())
+    pipeline.certify(p, GeneratorSet.of(1))
+    assert [reader for reader, _ in reads] == ["_tiles", "build_graph"]
+    (_, first), (_, second) = reads
+    assert second is first
+    assert len(first) == 4 and all(len(corners) == n * n for corners in first)
 
 
 def test_certify_builds_an_edge_only_for_each_trail_step(monkeypatch):
