@@ -361,12 +361,18 @@ class ValidationReport:
 
     ``unlisted_overlaps`` counts the interior overlaps beyond the first
     :data:`LISTED_OVERLAPS` box pairs, which are the only ones in ``defects``.
+    ``outer_volume`` is computed when it is read, as :meth:`summary` of a
+    valid partition does.
     """
 
     box_count: int
-    outer_volume: Fraction
+    outer: Box
     defects: tuple[Defect, ...] = field(default_factory=tuple)
     unlisted_overlaps: int = 0
+
+    @property
+    def outer_volume(self) -> Fraction:
+        return self.outer.volume()
 
     @property
     def ok(self) -> bool:
@@ -489,7 +495,7 @@ def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
     view = p if isinstance(p, RankView) else rank_partition(p)
     p = view.partition
     if _tiles(view):
-        return ValidationReport(box_count=len(p.boxes), outer_volume=p.outer.volume())
+        return ValidationReport(box_count=len(p.boxes), outer=p.outer)
     defects: list[Defect] = []
     outer = view.outer
     if outer.is_degenerate():
@@ -551,7 +557,7 @@ def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
         )
     return ValidationReport(
         box_count=len(p.boxes),
-        outer_volume=p.outer.volume(),
+        outer=p.outer,
         defects=tuple(defects),
         unlisted_overlaps=max(0, overlapping - LISTED_OVERLAPS),
     )

@@ -8,8 +8,9 @@ user wrote, and every consumer here needs exact values.
 A document repeats a few values many times (a coordinate in every box and
 trail step that touches it), so each loader reads its document's rational
 strings through one table, string to exact ``Fraction``, that lives for that
-one call: each distinct string is parsed once, and equal strings give the
-same ``Fraction`` object.  A malformed string never enters the table, so it
+one call (a parsed certificate keeps it, for reading its audit fields): each
+distinct string is parsed once, and equal strings give the same
+``Fraction`` object.  A malformed string never enters the table, so it
 is rejected wherever it occurs.  The lower-level parsers take the table as
 the keyword ``rats`` and start a fresh one when it is omitted.
 
@@ -20,6 +21,15 @@ position, and the list names the element when it passes the error up.
 A derivation travels as a flat table, one entry per distinct
 sub-derivation; a sum entry takes every operand of a chain of sums at once
 (:func:`derivation_to_json`), and the parser builds one node per entry.
+
+The certificate parser (:func:`boxcert.pipeline.certificate_from_json`)
+decodes only what the checker reads: the generators, the derivation table
+and its result, the claimed side and the trail's start corner, through one
+table.  The audit fields ``bound``, ``assignment``, ``trail`` and ``y`` are
+kept as written; the checker compares them, as JSON, with what it writes
+with :func:`trail_to_json` and :func:`ysequence_to_json`, and
+:func:`trail_from_json` and :func:`ysequence_from_json` decode them only
+when a program reads them.
 
 ``canonical_json`` (sorted keys, no whitespace) defines the byte string that
 content digests are computed over; pretty output is for files and humans and
@@ -381,16 +391,30 @@ def derivation_from_json(
 
 
 def trail_to_json(t: Trail) -> dict:
+    """The trail as a certificate writes it.
+
+    Each step repeats the coordinates of the vertices it joins, and a trail
+    from :func:`~boxcert.trailgraph.extract_trail` shares one ``Fraction``
+    per distinct coordinate, so each coordinate object is formatted once,
+    through a memo keyed on its ``id``, as in :func:`partition_digest`; ``t``
+    keeps every key alive for the call.
+    """
+    text: dict[int, str] = {}
+
+    def point(coords: Point) -> list[str]:
+        out = []
+        for c in coords:
+            s = text.get(id(c))
+            if s is None:
+                s = text[id(c)] = format_rat(c)
+            out.append(s)
+        return out
+
     return {
-        "start": point_to_json(t.start),
-        "end": point_to_json(t.end),
+        "start": point(t.start),
+        "end": point(t.end),
         "steps": [
-            {
-                "box": s.box,
-                "edge": s.edge_id,
-                "from": point_to_json(s.src),
-                "to": point_to_json(s.dst),
-            }
+            {"box": s.box, "edge": s.edge_id, "from": point(s.src), "to": point(s.dst)}
             for s in t.steps
         ],
     }

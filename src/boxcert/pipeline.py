@@ -4,17 +4,21 @@ One private function, :func:`_construct`, runs the stages both sides share:
 validation, bounded closure of the generators, per-box axis assignment,
 trail graph, parity audit, greedy corner-to-corner trail and projection.
 ``certify`` is that sequence plus the reduction and packaging into a
-:class:`Certificate` bound to the partition by a content digest.
-:func:`check_certificate` re-checks a certificate without trusting the
-producer: it runs the soundness kernel first, then the same shared stages from
-the recorded start, and compares; it never raises on malformed input, and
-reports the failing stage instead.
+:class:`Certificate` bound to the partition by a content digest; the shared
+stages' results are written once, as the certificate's audit record, by
+:func:`_write_audit`.  :func:`check_certificate` re-checks a certificate
+without trusting the producer: it runs the soundness kernel first, then the
+same shared stages from the recorded trail start, writes their results with
+the same writer and compares the two records field by field, so each audit
+field is accepted only as certify writes it.  It never raises on malformed
+input, and reports the failing stage instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from functools import cached_property
+from typing import Any, Iterable, Optional
 
 from . import jsonio
 from .closure import BoundedClosure, GeneratorSet, bounded_closure
@@ -59,29 +63,78 @@ class ClaimedSide:
 class Certificate:
     """Everything needed to re-check one certified instance.
 
-    ``partition_sha256`` pins the exact partition (canonical JSON digest);
-    the remaining fields record each pipeline stage.  The claimed side length
-    always equals the reduction result, and its derivation uses generators
-    only.
+    ``partition_sha256`` pins the exact partition (canonical JSON digest).
+    ``reduction`` derives the claimed side length from generators only, and
+    always ends at ``claimed_side.length``.  ``start`` is the trail's start
+    corner, from which :func:`check_certificate` re-runs the shared stages.
+    ``audit`` records those stages' results as one JSON record,
+    ``{"bound", "assignment", "trail", "y"}``, exactly as written; check
+    compares it with the record it writes itself and decodes nothing in it.
+
+    ``bound``, ``assignment``, ``trail`` and ``y`` read the audit record:
+    each is decoded on first read by the :mod:`~boxcert.jsonio` parsers,
+    through ``rats``, the rational strings already parsed from the
+    certificate's document, so equal strings in one document still give one
+    ``Fraction``.  A malformed field raises ``ValueError`` when it is read.
     """
 
     partition_sha256: str
     gens: GeneratorSet
-    bound: Fraction
-    assignment: tuple[int, ...]
-    trail: Trail
-    y: YSequence
+    start: Point
+    audit: dict[str, Any]
     reduction: ReductionCertificate
     claimed_side: ClaimedSide
+    rats: jsonio.RatTable = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def bound(self) -> Fraction:
+        return jsonio.rat_from_json(
+            self.audit["bound"], "certificate.bound", rats=self.rats
+        )
+
+    @cached_property
+    def assignment(self) -> tuple[int, ...]:
+        where = "certificate.assignment"
+        axes = jsonio.expect_list(self.audit["assignment"], where)
+        return tuple(jsonio.expect_int(a, where, i) for i, a in enumerate(axes))
+
+    @cached_property
+    def trail(self) -> Trail:
+        return jsonio.trail_from_json(self.audit["trail"], rats=self.rats)
+
+    @cached_property
+    def y(self) -> YSequence:
+        return jsonio.ysequence_from_json(self.audit["y"], rats=self.rats)
+
+
+def _write_audit(
+    bound: Fraction, assignment: tuple[int, ...], trail: Trail, y: YSequence
+) -> dict[str, Any]:
+    """The audit record of a certificate, as certify writes it and check
+    rewrites it."""
+    return {
+        "bound": format_rat(bound),
+        "assignment": list(assignment),
+        "trail": jsonio.trail_to_json(trail),
+        "y": jsonio.ysequence_to_json(y),
+    }
+
+
+def _ints(values: Iterable[Any]) -> bool:
+    """True iff every value is a JSON integer.  ``true`` and ``1.0`` compare
+    equal to ``1``, so a recorded audit field equal to the written one may
+    still hold them where the writer puts integers."""
+    return all(type(v) is int for v in values)
 
 
 def _construct(
     p: Partition, g: GeneratorSet, start: Optional[Point]
-) -> tuple[Fraction, BoundedClosure, tuple[int, ...], Trail, YSequence]:
+) -> tuple[tuple[Fraction, ...], BoundedClosure, tuple[int, ...], Trail, YSequence]:
     """The stages certify and check share, from validation to projection.
 
-    Returns the closure bound, the closure, the axis assignment, the trail
-    from ``start`` (the smallest outer corner when None) and its projection.
+    Returns the outer box's extents, whose largest bounds the closure, the
+    closure, the axis assignment, the trail from ``start`` (the smallest
+    outer corner when None) and its projection.
     Each stage is looked up as a global of this module at call time, so a
     tracer that wraps those globals sees certify's and check's calls alike.
     Validation, axis assignment, the graph, the projection and the step
@@ -94,8 +147,8 @@ def _construct(
     report = validate_partition(ranks)
     if not report.ok:
         raise PartitionInvalid(report)
-    bound = max(p.outer.extents())
-    closure = bounded_closure(g, bound)
+    extents = p.outer.extents()
+    closure = bounded_closure(g, max(extents))
     assignment = assign_axes(ranks, closure.__contains__)
     graph = build_graph(ranks, assignment)
     parity = parity_audit(graph)
@@ -122,7 +175,7 @@ def _construct(
                 f"{format_rat(y.points[i + 1])} is not the span of a box "
                 f"assigned axis {y.axis}"
             )
-    return bound, closure, assignment, trail, y
+    return extents, closure, assignment, trail, y
 
 
 def certify(
@@ -137,7 +190,7 @@ def certify(
     outer corner, and a :class:`~boxcert.errors.SoundnessError` subclass if an
     internal invariant fails (which means a bug, not a property of the input).
     """
-    bound, closure, assignment, trail, y = _construct(p, g, start)
+    extents, closure, assignment, trail, y = _construct(p, g, start)
 
     def leaf_derivation(value: Fraction):
         d = closure.derivation_for(value)
@@ -148,7 +201,7 @@ def certify(
         return d
 
     reduction = reduce_sequence(y, leaf_derivation)
-    if reduction.result != p.outer.extent(y.axis):
+    if reduction.result != extents[y.axis - 1]:
         raise SoundnessError(
             f"reduction result {format_rat(reduction.result)} is not the outer "
             f"extent on axis {y.axis}"
@@ -156,10 +209,8 @@ def certify(
     return Certificate(
         partition_sha256=jsonio.partition_digest(p),
         gens=g,
-        bound=bound,
-        assignment=assignment,
-        trail=trail,
-        y=y,
+        start=trail.start,
+        audit=_write_audit(max(extents), assignment, trail, y),
         reduction=reduction,
         claimed_side=ClaimedSide(axis=y.axis, length=reduction.result),
     )
@@ -206,17 +257,22 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     each node computed exactly when it was built, is the recorded result) plus
     "the claimed length is the outer extent".  It runs before any partition
     work.  Everything else is an audit by recomputation: :func:`certify`'s own
-    stages are re-run from the recorded trail start and each recorded field
-    must equal the recomputed one, so only the certificate :func:`certify`
-    would write is accepted.  The derivation is verified, not rebuilt.
+    stages are re-run from the recorded trail start, their results are
+    written with certify's writer, :func:`_write_audit`, and each field of
+    the recorded audit must equal the written one as JSON, integers written
+    as integers.  So each audit field is accepted only in the one spelling
+    :func:`certify` writes, and nothing inside it is decoded.  The
+    derivation is verified, not rebuilt.
 
     Stages, in order (the first failure is reported with its stage tag):
     ``digest``, ``gens``, the kernel (``reduction``, ``claim``), then the
     shared stages (``partition`` when validation fails, ``assignment`` when
     a box has no side in the closure, ``trail`` when the start is not an
-    exact outer corner), then equality of ``bound``, ``assignment``, ``trail``,
-    ``projection`` and ``claim`` with the recomputed values.  Never raises:
-    malformed certificates yield ``CheckResult(False, ...)``.
+    exact outer corner), then equality of the recorded ``bound``,
+    ``assignment``, ``trail`` and ``y`` (reported as ``projection``) with
+    the written ones, and of the claim with the recomputed projection
+    (``claim``).  Never raises: malformed certificates yield
+    ``CheckResult(False, ...)``.
     """
     reasons: list[str] = []
 
@@ -235,20 +291,26 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
         if failure is not None:
             return fail(*failure)
         try:
-            bound, _, assignment, trail, y = _construct(p, g, cert.trail.start)
+            extents, _, assignment, trail, y = _construct(p, g, cert.start)
         except PartitionInvalid as exc:
             return fail("partition", exc.report.summary())
         except HypothesisViolated as exc:
             return fail("assignment", str(exc))
         except ValueError as exc:  # extract_trail: the start is not an exact outer corner
             return fail("trail", str(exc))
-        if cert.bound != bound:
-            return fail("bound", f"bound is not the outer extent {format_rat(bound)}")
-        if cert.assignment != assignment:
+        recorded = cert.audit
+        written = _write_audit(max(extents), assignment, trail, y)
+        if recorded["bound"] != written["bound"]:
+            return fail("bound", f"bound is not the outer extent {written['bound']}")
+        axes = recorded["assignment"]
+        if axes != written["assignment"] or not _ints(axes):
             return fail("assignment", "recomputed axis assignment differs")
-        if cert.trail != trail:
+        walk = recorded["trail"]
+        if walk != written["trail"] or not _ints(
+            v for step in walk["steps"] for v in (step["box"], step["edge"])
+        ):
             return fail("trail", "recomputed trail from the recorded start differs")
-        if cert.y != y:
+        if recorded["y"] != written["y"] or type(recorded["y"]["axis"]) is not int:
             return fail("projection", "recomputed position sequence differs")
         if cert.claimed_side != ClaimedSide(axis=y.axis, length=y.length):
             return fail("claim", "claimed side does not match the projection")
@@ -261,13 +323,12 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
 
 
 def certificate_to_json(cert: Certificate) -> dict:
+    """The certificate's JSON document.  The audit fields are copied from
+    ``cert.audit`` as written, and the document shares their contents."""
     return {
         "partition_sha256": cert.partition_sha256,
         "gens": [format_rat(v) for v in cert.gens.sorted_values],
-        "bound": format_rat(cert.bound),
-        "assignment": list(cert.assignment),
-        "trail": jsonio.trail_to_json(cert.trail),
-        "y": jsonio.ysequence_to_json(cert.y),
+        **cert.audit,
         "reduction": {
             "result": format_rat(cert.reduction.result),
             "derivation": jsonio.derivation_to_json(cert.reduction.derivation),
@@ -280,7 +341,16 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: Any) -> Certificate:
-    """Parse a certificate; each distinct rational string in it is parsed once."""
+    """Parse a certificate: decode what the kernel and the recomputation read.
+
+    That is the digest, ``gens``, the reduction (its result and derivation
+    table), the claimed side and the trail's start corner; each distinct
+    rational string among them is parsed once.  The audit fields ``bound``
+    (a string or an integer), ``assignment`` (an array), ``trail`` and ``y``
+    (objects) are checked for presence and that JSON type only, and kept as
+    written, for :func:`check_certificate` to compare with the record it
+    writes.
+    """
     rats: jsonio.RatTable = {}
     d = jsonio.expect_dict(obj, "certificate")
     digest = jsonio.get_key(d, "partition_sha256", "certificate")
@@ -293,27 +363,30 @@ def certificate_from_json(obj: Any) -> Certificate:
             )
         )
     )
-    axes = tuple(
-        jsonio.expect_int(a, "certificate.assignment", i)
-        for i, a in enumerate(
-            jsonio.expect_list(
-                jsonio.get_key(d, "assignment", "certificate"), "certificate.assignment"
-            )
+    bound = jsonio.get_key(d, "bound", "certificate")
+    if isinstance(bound, bool) or not isinstance(bound, (str, int)):
+        raise ValueError(
+            f'certificate.bound: expected an integer or a "p/q" string, got {bound!r}'
         )
+    audit = {
+        "bound": bound,
+        "assignment": jsonio.expect_list(
+            jsonio.get_key(d, "assignment", "certificate"), "certificate.assignment"
+        ),
+        "trail": jsonio.expect_dict(jsonio.get_key(d, "trail", "certificate"), "trail"),
+        "y": jsonio.expect_dict(jsonio.get_key(d, "y", "certificate"), "y"),
+    }
+    start = jsonio.point_from_json(
+        jsonio.get_key(audit["trail"], "start", "trail"), "trail.start", rats=rats
     )
-    y = jsonio.ysequence_from_json(jsonio.get_key(d, "y", "certificate"), rats=rats)
     claim_obj = jsonio.expect_dict(
         jsonio.get_key(d, "claimed_side", "certificate"), "certificate.claimed_side"
     )
     return Certificate(
         partition_sha256=digest,
         gens=gens,
-        bound=jsonio.rat_from_json(
-            jsonio.get_key(d, "bound", "certificate"), "certificate.bound", rats=rats
-        ),
-        assignment=axes,
-        trail=jsonio.trail_from_json(jsonio.get_key(d, "trail", "certificate"), rats=rats),
-        y=y,
+        start=start,
+        audit=audit,
         reduction=jsonio.reduction_from_json(
             jsonio.get_key(d, "reduction", "certificate"), rats=rats
         ),
@@ -328,4 +401,5 @@ def certificate_from_json(obj: Any) -> Certificate:
                 rats=rats,
             ),
         ),
+        rats=rats,
     )

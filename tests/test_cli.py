@@ -207,6 +207,27 @@ def test_check_rejects_exponent_notation_before_parsing_it(
     assert "'1e3000000'" in err
 
 
+def test_check_rejects_malformed_audit_content_with_exit_two(
+    capsys, pinwheel_file, tmp_path
+):
+    # The audit fields are compared as written, not parsed: malformed content
+    # inside one is a rejected certificate, at that field's stage.
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
+    payload = json.loads(cert_path.read_text())
+    payload["y"]["points"][1] = "1e3000000"
+    cert_path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(
+        capsys, "check", cert_path, "--partition", pinwheel_file, "--gens", "17,10,7"
+    )
+    assert code == 2
+    assert out == "REJECTED: projection: recomputed position sequence differs\n"
+    code, out, err = run_cli(capsys, "render", pinwheel_file, "--cert", cert_path)
+    assert code == 2
+    assert out == ""
+    assert "projection: recomputed position sequence differs" in err
+
+
 def test_certify_from_a_chosen_start_corner(capsys, pinwheel_file, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, _, err = run_cli(

@@ -69,7 +69,7 @@ def pairwise_validate(p: Partition) -> ValidationReport:
                 )
             )
     return ValidationReport(
-        box_count=len(p.boxes), outer_volume=outer.volume(), defects=tuple(defects)
+        box_count=len(p.boxes), outer=outer, defects=tuple(defects)
     )
 
 

@@ -116,9 +116,7 @@ def test_the_start_corner_is_read_as_exact_rationals():
     assert certificate_to_json(cert)["trail"]["start"] == ["0", "0"]
     with pytest.raises(ValueError, match="floats are not accepted"):
         certify(p, g, start=(0.0, 0.0))
-    floated = dataclasses.replace(
-        cert, trail=dataclasses.replace(cert.trail, start=(0.0, 0.0))
-    )
+    floated = dataclasses.replace(cert, start=(0.0, 0.0))
     result = check_certificate(floated, p, g)
     assert not result.ok
     assert result.reasons[0].startswith("trail"), result.reasons
@@ -272,8 +270,7 @@ def test_check_rejects_a_valid_but_non_canonical_trail():
     closure = bounded_closure(g, max(p.outer.extents()))
     bad = dataclasses.replace(
         cert,
-        trail=trail,
-        y=y,
+        audit=pipeline._write_audit(cert.bound, cert.assignment, trail, y),
         reduction=reduce_sequence(y, closure.derivation_for),
         claimed_side=ClaimedSide(axis=y.axis, length=y.length),
     )
@@ -296,9 +293,7 @@ def test_check_rejects_a_valid_but_non_canonical_assignment():
     closure = bounded_closure(g, max(p.outer.extents()))
     bad = dataclasses.replace(
         cert,
-        assignment=assignment,
-        trail=trail,
-        y=y,
+        audit=pipeline._write_audit(cert.bound, assignment, trail, y),
         reduction=reduce_sequence(y, closure.derivation_for),
         claimed_side=ClaimedSide(axis=y.axis, length=y.length),
     )
@@ -310,10 +305,117 @@ def test_check_rejects_a_valid_but_non_canonical_assignment():
 def test_check_never_raises_on_garbage_fields():
     p, g = _pinwheel()
     cert = certify(p, g)
-    bad = dataclasses.replace(cert, bound=_F(-5))
+    bad = dataclasses.replace(
+        cert, audit=pipeline._write_audit(_F(-5), cert.assignment, cert.trail, cert.y)
+    )
     result = check_certificate(bad, p, g)
     assert not result.ok
     assert result.reasons[0].startswith("bound")
+
+
+# --- the audit record: compared as written, never decoded by check ---------
+
+
+def _put(doc, *path_and_value):
+    """Set (or add) the entry at ``path`` of a JSON document."""
+    *head, last, value = path_and_value
+    for k in head:
+        doc = doc[k]
+    doc[last] = value
+
+
+def _written(p, g) -> dict:
+    return json.loads(jsonio.canonical_json(certificate_to_json(certify(p, g))))
+
+
+# Spellings of the pinwheel(17,10,7) certificate's audit values that denote
+# what certify wrote but are not what it writes, with the stage that must
+# reject each: (path and value, stage).
+_RESPELLINGS = {
+    "trail coordinate 10/1": (("trail", "steps", 1, "to", 0, "10/1"), "trail"),
+    "trail start 0/1": (("trail", "start", 1, "0/1"), "trail"),
+    "extra key in a step": (("trail", "steps", 0, "note", "x"), "trail"),
+    "true for a step box": (("trail", "steps", 0, "box", True), "trail"),
+    "1.0 for a step box": (("trail", "steps", 1, "box", 2.0), "trail"),
+    "true for a step edge": (("trail", "steps", 2, "edge", True), "trail"),
+    "1.0 for a step edge": (("trail", "steps", 0, "edge", 0.0), "trail"),
+    "y point 10/1": (("y", "points", 1, "10/1"), "projection"),
+    "y length 20/1": (("y", "length", "20/1"), "projection"),
+    "true for y.axis": (("y", "axis", True), "projection"),
+    "1.0 for y.axis": (("y", "axis", 1.0), "projection"),
+    "bound as a JSON integer": (("bound", 20), "bound"),
+    "true in assignment": (("assignment", 1, True), "assignment"),
+    "1.0 in assignment": (("assignment", 0, 2.0), "assignment"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RESPELLINGS))
+def test_check_accepts_each_audit_field_only_as_certify_writes_it(name):
+    # ``==`` holds "10/1" apart from "10", but not true or 1.0 from 1: the
+    # integer positions are checked for type as well.
+    edit, stage = _RESPELLINGS[name]
+    p, g = _pinwheel()
+    doc = _written(p, g)
+    assert check_certificate(certificate_from_json(doc), p, g).ok
+    _put(doc, *edit)
+    result = check_certificate(certificate_from_json(doc), p, g)
+    assert not result.ok
+    assert result.reasons[0].split(":")[0] == stage, result.reasons
+
+
+def test_certificate_from_json_parses_no_rational_inside_the_audit(monkeypatch):
+    # Of a 300-strip row's rationals, the parser reads those of gens, the
+    # table, the result, the claimed length and the trail's start; none of
+    # the trail's 1,200 step coordinates or the 301 y points.
+    p, g = _row300()
+    doc = _written(p, g)
+    read = {
+        *doc["gens"],
+        *(e["value"] for e in doc["reduction"]["derivation"]),
+        doc["reduction"]["result"],
+        doc["claimed_side"]["length"],
+        *doc["trail"]["start"],
+    }
+    calls = [0]
+    parse = jsonio.parse_rat
+
+    def counted(value):
+        calls[0] += 1
+        return parse(value)
+
+    monkeypatch.setattr(jsonio, "parse_rat", counted)
+    cert = certificate_from_json(doc)
+    assert 0 < calls[0] <= len(read) < 30
+    assert len(cert.audit["trail"]["steps"]) == 300
+
+
+_HOSTILE_AUDITS = {
+    "steps as a string": (("trail", "steps", "junk"), "trail"),
+    "a step that is a list": (("trail", "steps", 2, [1, 0, "3", "17"]), "trail"),
+    "a point that is a dict": (("trail", "steps", 1, "from", {"x": "0"}), "trail"),
+    "a y point that is a dict": (("y", "points", 1, {"p": 3}), "projection"),
+    "an exponent y point": (("y", "points", 1, "1e3000000"), "projection"),
+    "10^5 junk steps": (("trail", "steps", [[None, {}, "1e3"]] * 100_000), "trail"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE_AUDITS))
+def test_check_rejects_malformed_audit_content_at_its_stage_in_time(name):
+    # Malformed content inside an audit field parses (nothing in it is
+    # decoded) and is rejected by the comparison, at that field's stage;
+    # the field's view raises on it.
+    edit, stage = _HOSTILE_AUDITS[name]
+    p, g = _row300()
+    doc = _written(p, g)
+    _put(doc, *edit)
+    t0 = time.perf_counter()
+    cert = certificate_from_json(doc)
+    result = check_certificate(cert, p, g)
+    assert time.perf_counter() - t0 < 1.0
+    assert not result.ok
+    assert result.reasons[0].split(":")[0] == stage, result.reasons
+    with pytest.raises(ValueError):
+        getattr(cert, "trail" if stage == "trail" else "y")
 
 
 def test_check_does_not_rerun_the_reduction(monkeypatch):
