@@ -12,23 +12,21 @@ values come back from the view's per-axis tables only where a result is
 read.  The view enumerates every box's corners once (``RankView.corners``);
 whether the boxes tile the outer box is decided by counting those corners
 with their signs (:func:`_tiles`), and the trail graph pairs the same
-corners into edges.  Rank :class:`Box` objects are built only for the defect
-report, with its overlap sweep and its volume sum in integers scaled per
-axis by the lcm of that axis's denominators, which runs only when the corner
-count fails.
+corners into edges.  Only when the count fails is a report written, from the
+same columns and corners: the degenerate boxes, the boxes outside the outer
+box, and the cell at the lexicographically smallest point where the count is
+off, which two boxes or none cover (:func:`validate_partition`).
 """
 from __future__ import annotations
 
-import heapq
 import re
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm, prod
-from operator import attrgetter, getitem, itemgetter, lt
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from itertools import compress
+from operator import attrgetter, getitem, itemgetter, le, lt
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import SoundnessError
 
@@ -97,10 +95,11 @@ def format_point(p: Point) -> str:
 class Box:
     """A closed axis-aligned box ``[lo[1], hi[1]] x ... x [lo[n], hi[n]]``.
 
-    Coordinates are exact rationals, except in a :class:`RankView`, whose
-    boxes hold integer ranks.  Construction only enforces that ``lo`` and
-    ``hi`` agree in length; degeneracy (``lo[j] >= hi[j]``) is a *reported*
-    defect, not an exception, so raw input can be loaded and then validated.
+    Coordinates are exact rationals, except in the outer box of a
+    :class:`RankView`, which holds integer ranks.  Construction only enforces
+    that ``lo`` and ``hi`` agree in length; degeneracy (``lo[j] >= hi[j]``)
+    is a *reported* defect, not an exception, so raw input can be loaded and
+    then validated.
     """
 
     lo: Point
@@ -250,9 +249,8 @@ class RankView:
     tie) on the view is the same as on the partition, with integers in place
     of Fractions.  Build it with :func:`rank_partition`.
 
-    ``corners`` enumerates every box's corners once, for validation and the
-    trail graph alike; ``boxes`` rebuilds rank :class:`Box` objects, for the
-    report on an invalid partition, on first read.
+    ``corners`` enumerates every box's corners once, for validation, its
+    report on an invalid partition and the trail graph alike.
     """
 
     partition: Partition
@@ -261,11 +259,6 @@ class RankView:
     outer: Box
     lo: tuple[tuple[int, ...], ...]
     hi: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def boxes(self) -> tuple[Box, ...]:
-        """The constituent boxes in ranks, in box order."""
-        return tuple(map(Box, zip(*self.lo), zip(*self.hi)))
 
     @cached_property
     def corners(self) -> tuple[list[Ranks], ...]:
@@ -340,7 +333,7 @@ def rank_partition(p: Partition) -> RankView:
 class Defect:
     """One validation failure, with exact witness coordinates in ``detail``."""
 
-    kind: str  # "degenerate" | "not-contained" | "interior-overlap" | "volume-mismatch"
+    kind: str  # "degenerate" | "not-contained" | "interior-overlap" | "gap"
     boxes: tuple[int, ...]  # 1-based indices of the offending boxes
     detail: str
 
@@ -351,16 +344,10 @@ class Defect:
         )
 
 
-#: Interior overlaps listed by :func:`validate_partition`; the rest are counted.
-LISTED_OVERLAPS = 100
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of :func:`validate_partition`; falsy iff defects were found.
 
-    ``unlisted_overlaps`` counts the interior overlaps beyond the first
-    :data:`LISTED_OVERLAPS` box pairs, which are the only ones in ``defects``.
     ``outer_volume`` is computed when it is read, as :meth:`summary` of a
     valid partition does.
     """
@@ -368,7 +355,6 @@ class ValidationReport:
     box_count: int
     outer: Box
     defects: tuple[Defect, ...] = field(default_factory=tuple)
-    unlisted_overlaps: int = 0
 
     @property
     def outer_volume(self) -> Fraction:
@@ -384,47 +370,9 @@ class ValidationReport:
     def summary(self) -> str:
         if self.ok:
             return f"OK: {self.box_count} boxes, volume {format_rat(self.outer_volume)}"
-        total = len(self.defects) + self.unlisted_overlaps
-        lines = [f"INVALID: {total} defect(s)"]
+        lines = [f"INVALID: {len(self.defects)} defect(s)"]
         lines.extend(f"  - {d}" for d in self.defects)
-        if self.unlisted_overlaps:
-            lines.append(f"  … and {self.unlisted_overlaps} more interior overlaps")
         return "\n".join(lines)
-
-
-def _sweep(
-    solid: Sequence[tuple[int, Box]], axis: int
-) -> Iterator[tuple[int, Box, list[tuple[int, int, Box]]]]:
-    """Sweep ``solid`` (boxes in ranks) in order of ``lo`` on 0-based ``axis``.
-
-    Yields each ``(k, box)`` together with the active heap: the boxes seen
-    earlier whose open interval on ``axis`` meets this box's, as
-    ``(hi, k, box)`` ordered by ``hi``.  A box leaves the heap once its ``hi``
-    is at or below the current ``lo``; since ``lo`` only grows, it can meet no
-    later box on this axis.  The heap is live: read it before advancing.
-    """
-    active: list[tuple[int, int, Box]] = []
-    for k, b in sorted(solid, key=lambda kb: kb[1].lo[axis]):
-        lo = b.lo[axis]
-        while active and active[0][0] <= lo:
-            heapq.heappop(active)
-        yield k, b, active
-        heapq.heappush(active, (b.hi[axis], k, b))
-
-
-def _meeting_pairs(solid: Sequence[tuple[int, Box]], axis: int) -> int:
-    """How many pairs of ``solid`` boxes have open intervals on ``axis`` that
-    meet: the number of heap entries :func:`_sweep` would yield, counted
-    without sweeping.
-
-    Every box has ``lo < hi``, so a pair misses exactly when one box's ``hi``
-    is at or below the other's ``lo``, and at most one of the two orders
-    does; each box ``b`` misses the boxes among the sorted ``hi`` values up
-    to ``bisect_right(his, b.lo)``.
-    """
-    his = sorted(b.hi[axis] for _, b in solid)
-    n = len(his)
-    return n * (n - 1) // 2 - sum(bisect_right(his, b.lo[axis]) for _, b in solid)
 
 
 def _tiles(view: RankView) -> bool:
@@ -473,24 +421,27 @@ def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
     Takes the partition or its :class:`RankView`; every test below runs on
     ranks.  The decision is :func:`_tiles`, one count of the boxes' signed
     corners (de Bruijn 1969; Wagon 1987), which tests no pair of boxes and
-    sums no volume.  Only when it
-    fails are the defects found and reported (they are data, not
-    exceptions), by three exact checks:
+    sums no volume.  Only when it fails are the defects found and reported
+    (they are data, not exceptions), from the same columns and corners:
 
-    * every box is nondegenerate and contained in the outer box;
-    * constituent interiors are pairwise disjoint.  A sort-and-sweep along
-      one axis (sweep-and-prune) finds the candidate pairs, those whose open
-      intervals on that axis meet; the sweep axis is the one with the fewest
-      such pairs, counted per axis by :func:`_meeting_pairs` with one sort
-      and a binary search per box.  Each candidate pair then gets the exact
-      :func:`interiors_disjoint` test.  The first :data:`LISTED_OVERLAPS`
-      overlapping pairs, in order of the box pair, are reported with their
-      common interior; the rest are only counted;
-    * volumes sum exactly to the outer volume, which together with the two
-      conditions above makes the cover exact rather than merely a packing.
+    * every box that is degenerate, or not contained in the outer box, in one
+      pass over the boxes;
+    * one cell where the cover is wrong.  Over the nondegenerate boxes, let
+      ``D`` be their signed corner counts minus the outer box's, and ``c``
+      the lexicographically smallest lattice point where ``D`` is nonzero.
+      The coverage of a cell, minus the outer box's indicator, is the sum of
+      ``D`` over the points at or below its lower corner, and at ``c`` every
+      such point but ``c`` is lexicographically smaller; so the cell at ``c``
+      is covered ``D(c)`` times more than a tiling covers it.  If that cell
+      lies in the outer box, one scan of the columns finds the boxes that
+      cover it: two or more make an ``interior-overlap`` naming the two
+      lowest-numbered, none makes a ``gap``.  A cell outside the outer box
+      lies in a box already reported as not contained.
 
-    The checks and the decision agree; should the checks find nothing after
-    the decision failed, that is a :class:`~boxcert.errors.SoundnessError`.
+    The detail of the cell's defect gives the exact cell, how many boxes
+    cover it and at how many lattice points the counts differ.  The checks
+    and the decision agree; should the checks find nothing after the
+    decision failed, that is a :class:`~boxcert.errors.SoundnessError`.
     """
     view = p if isinstance(p, RankView) else rank_partition(p)
     p = view.partition
@@ -502,62 +453,48 @@ def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
         defects.append(
             Defect("degenerate", (), f"outer box {p.outer} has a non-positive side")
         )
-    for k, (b, ranked) in enumerate(zip(p.boxes, view.boxes), start=1):
-        if ranked.is_degenerate():
+    solid: list[bool] = []
+    for k, (b, lo, hi) in enumerate(
+        zip(p.boxes, zip(*view.lo), zip(*view.hi)), start=1
+    ):
+        solid.append(all(map(lt, lo, hi)))
+        if not solid[-1]:
             defects.append(Defect("degenerate", (k,), f"box {b} has a non-positive side"))
-        elif not outer.contains_box(ranked):
+        elif not (all(map(le, outer.lo, lo)) and all(map(le, hi, outer.hi))):
             defects.append(
                 Defect("not-contained", (k,), f"box {b} is not inside outer {p.outer}")
             )
-    # Pairwise overlap only makes sense for boxes that are proper boxes.
-    solid = [
-        (k, b) for k, b in enumerate(view.boxes, start=1) if not b.is_degenerate()
-    ]
-    axis = min(range(p.dim), key=lambda j: _meeting_pairs(solid, j))
-    overlapping = 0
-
-    def overlaps() -> Iterator[tuple[int, int, Box, Box]]:
-        nonlocal overlapping
-        for k, b, active in _sweep(solid, axis):
-            for _, k2, b2 in active:
-                if not interiors_disjoint(b2, b):
-                    overlapping += 1
-                    yield (k2, k, b2, b) if k2 < k else (k, k2, b, b2)
-
-    for k, k2, a, b in heapq.nsmallest(LISTED_OVERLAPS, overlaps()):
-        lo = view.point(max(al, bl) for al, bl in zip(a.lo, b.lo))
-        hi = view.point(min(ah, bh) for ah, bh in zip(a.hi, b.hi))
-        defects.append(
-            Defect("interior-overlap", (k, k2), f"common interior {Box(lo, hi)}")
-        )
-    if not defects:
-        scales = [lcm(*(v.denominator for v in values)) for values in view.values]
-        scaled = [
-            [v.numerator * (q // v.denominator) for v in values]
-            for values, q in zip(view.values, scales)
-        ]
-
-        def volume(b: Box) -> int:  # the exact volume times prod(scales)
-            return prod(s[h] - s[l] for s, l, h in zip(scaled, b.lo, b.hi))
-
-        total = sum(volume(b) for b in view.boxes)
-        if total != volume(outer):
-            defects.append(
-                Defect(
-                    "volume-mismatch",
-                    (),
-                    f"boxes cover volume {format_rat(Fraction(total, prod(scales)))} "
-                    f"of {format_rat(p.outer.volume())}: the cover has gaps",
+    ends = outer.lo + outer.hi
+    signed: tuple[Counter, Counter] = (Counter(), Counter())  # even, odd upper ends
+    for i, (corners, getter) in enumerate(
+        zip(view.corners, _corner_getters(len(outer.lo)))
+    ):
+        odd = i.bit_count() & 1
+        signed[odd].update(compress(corners, solid))
+        signed[not odd][getter(ends)] += 1  # the outer box's, on the other side
+    even, odd = signed
+    unbalanced = [c for c in even.keys() | odd.keys() if even[c] != odd[c]]
+    if unbalanced:
+        cell = min(unbalanced)
+        if all(map(le, outer.lo, cell)) and all(map(lt, cell, outer.hi)):
+            covering: Sequence[int] = range(len(p.boxes))
+            for lo, hi, rank in zip(view.lo, view.hi, cell):
+                covering = [k for k in covering if lo[k] <= rank < hi[k]]
+            if len(covering) != 1:  # one box would contradict the count
+                exact = Box(view.point(cell), view.point(r + 1 for r in cell))
+                defects.append(
+                    Defect(
+                        "interior-overlap" if covering else "gap",
+                        tuple(k + 1 for k in covering[:2]),
+                        f"cell {exact} is covered by {len(covering)} boxes; "
+                        f"the corner counts differ at {len(unbalanced)} points",
+                    )
                 )
-            )
     if not defects:
         raise SoundnessError(
             f"the corner count rejects the {len(p.boxes)} boxes, "
             "but no defect is found in them"
         )
     return ValidationReport(
-        box_count=len(p.boxes),
-        outer=p.outer,
-        defects=tuple(defects),
-        unlisted_overlaps=max(0, overlapping - LISTED_OVERLAPS),
+        box_count=len(p.boxes), outer=p.outer, defects=tuple(defects)
     )

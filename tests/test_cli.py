@@ -60,6 +60,20 @@ def test_validate_defects_exit_two(capsys, tmp_path):
     assert "interior-overlap" in out
 
 
+def test_validate_gap_exit_two(capsys, tmp_path):
+    payload = jsonio.partition_to_json(factory.strip_partition(15, 5))
+    del payload["boxes"][1]  # leaves [15, 20] x [0, 20] uncovered
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "validate", path)
+    assert code == 2
+    assert out.splitlines() == [
+        "INVALID: 1 defect(s)",
+        "  - gap: cell [15, 20] x [0, 20] is covered by 0 boxes; "
+        "the corner counts differ at 4 points",
+    ]
+
+
 def test_validate_malformed_json_exit_one(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -164,10 +164,16 @@ def test_validate_flags_volume_gap_only_when_otherwise_clean():
     outer = _box((0, 0), (4, 2))
     p = Partition(2, outer, (_box((0, 0), (2, 2)),))
     report = validate_partition(p)
-    assert [d.kind for d in report.defects] == ["volume-mismatch"]
-    # with an overlap present, the volume complaint would be noise: omitted
+    assert [str(d) for d in report.defects] == [
+        "gap: cell [2, 4] x [0, 2] is covered by 0 boxes; "
+        "the corner counts differ at 4 points"
+    ]
+    # the first cell where the cover is wrong is doubly covered: no gap named
     q = Partition(2, outer, (_box((0, 0), (3, 2)), _box((2, 0), (4, 2))))
-    assert "volume-mismatch" not in {d.kind for d in validate_partition(q).defects}
+    assert [str(d) for d in validate_partition(q).defects] == [
+        "interior-overlap (k=1,k=2): cell [2, 3] x [0, 2] is covered by 2 boxes; "
+        "the corner counts differ at 4 points"
+    ]
 
 
 def _unshared(p: Partition) -> Partition:
@@ -238,4 +244,3 @@ def test_ranks_by_identity_merge_equal_values_held_by_distinct_objects(build, sh
         assert view.outer == ranked(p.outer)
         assert view.lo == tuple(tuple(b.lo[j] for b in expected) for j in range(n))
         assert view.hi == tuple(tuple(b.hi[j] for b in expected) for j in range(n))
-        assert view.boxes == expected

@@ -2,18 +2,24 @@
 
 ``validate_partition`` decides by counting the boxes' signed corners
 (``geometry._tiles``) and accepts a tiling without testing any pair of boxes.
-Only a rejected partition gets a report, whose overlapping boxes are found
-with a sweep along one axis.  The oracle below is the plain all-pairs loop
-both replaced; it lives only here, so they stay independent.  The decision
-must match the oracle's verdict, reports must agree exactly (kinds, box
-pairs, witness text and order), and the sweep must not fall back to testing
-every pair.
+Only a rejected partition gets a report, and it tests no pair either: it
+lists the degenerate and the escaping boxes and names one cell where the
+cover is wrong, at the lexicographically smallest point where the corner
+counts differ.  The oracles below work on the exact Fractions and live only
+here, so they stay independent: the plain all-pairs loop, and the signed
+corner count with its cell.  The decision must match the all-pairs verdict;
+the degenerate and not-contained defects must agree with it exactly; the
+named cell must be exactly the oracle's, with exactly the boxes that cover
+it, and a named pair must be one the all-pairs loop finds overlapping.
 """
 
 from __future__ import annotations
 
 import random
+import time
+from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -126,24 +132,78 @@ def _prime_row(n: int = 200) -> Partition:
     return Partition(2, Box((_F(0), _F(0)), (cuts[-1], _F(1))), boxes)
 
 
+def cell_defect(p: Partition) -> Optional[Defect]:
+    """Independent oracle for the report's cell, on exact points: the lower
+    corner is the lexicographically smallest point where the nondegenerate
+    boxes' signed corner counts differ from the outer box's, and the cell
+    reaches the next coordinate on each axis.  None when the counts agree or
+    the cell lies outside the outer box."""
+    solid = [b for b in p.boxes if not b.is_degenerate()]
+    delta: Counter = Counter()
+    for sign, boxes in ((1, solid), (-1, [p.outer])):
+        for b in boxes:
+            for bits, corner in enumerate(b.corners()):
+                delta[corner] += sign * (-1) ** bin(bits).count("1")
+    unbalanced = [c for c, n in delta.items() if n]
+    if not unbalanced:
+        return None
+    lo = min(unbalanced)
+    if not all(ol <= c < oh for ol, c, oh in zip(p.outer.lo, lo, p.outer.hi)):
+        return None
+    shapes = (p.outer,) + p.boxes
+    hi = tuple(
+        min(v for b in shapes for v in (b.lo[j], b.hi[j]) if v > c)
+        for j, c in enumerate(lo)
+    )
+    cell = Box(lo, hi)
+    covering = []
+    for k, b in enumerate(p.boxes, start=1):
+        if b.is_degenerate() or interiors_disjoint(cell, b):
+            continue
+        assert b.contains_box(cell)  # no face of any box cuts the cell
+        covering.append(k)
+    assert len(covering) != 1, "the corner counts differ at a tiled cell"
+    return Defect(
+        "interior-overlap" if covering else "gap",
+        tuple(covering[:2]),
+        f"cell {cell} is covered by {len(covering)} boxes; "
+        f"the corner counts differ at {len(unbalanced)} points",
+    )
+
+
 def _assert_agree(p: Partition) -> ValidationReport:
     expected = pairwise_validate(p)
-    assert validate_partition(p) == expected, expected.summary()
-    return expected
+    report = validate_partition(p)
+    assert report.ok == expected.ok, expected.summary()
+    boxwise = tuple(
+        d for d in expected.defects if d.kind in ("degenerate", "not-contained")
+    )
+    cell = cell_defect(p)
+    assert report.defects == boxwise + ((cell,) if cell else ()), expected.summary()
+    if cell is not None and cell.kind == "interior-overlap":
+        pairs = {d.boxes for d in expected.defects if d.kind == "interior-overlap"}
+        assert cell.boxes in pairs
+    return report
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_sweep_matches_oracle_on_random_guillotine_partitions(dim):
     rng = random.Random(dim)
     overlapping = 0
+    named: Counter = Counter()
     for seed in range(60):
         p = factory.random_guillotine(dim, 6 if dim == 2 else 4, seed)
         assert _assert_agree(_shuffled(p, rng)).ok
         for _ in range(3):
-            report = _assert_agree(_shuffled(_perturbed(p, rng), rng))
-            overlapping += any(d.kind == "interior-overlap" for d in report.defects)
-    # the perturbed cases really do exercise the overlap path
+            case = _shuffled(_perturbed(p, rng), rng)
+            named.update(d.kind for d in _assert_agree(case).defects)
+            overlapping += any(
+                d.kind == "interior-overlap" for d in pairwise_validate(case).defects
+            )
+    # the perturbed cases really do exercise overlaps, and the report names
+    # cells of both kinds
     assert overlapping >= 40
+    assert min(named["interior-overlap"], named["gap"]) >= 20, named
 
 
 def test_sweep_matches_oracle_on_degenerate_and_duplicated_boxes():
@@ -164,6 +224,16 @@ def test_sweep_matches_oracle_on_degenerate_and_duplicated_boxes():
         assert {"degenerate", "interior-overlap"} <= kinds
     dup = _grid(3, 3)
     _assert_agree(_with_boxes(dup, dup.boxes + dup.boxes))
+    # two copies of a box that escapes on the left: the first unbalanced cell
+    # lies outside the outer box, where not-contained already names them
+    wide = Box((_F(-1), _F(0)), (_F(1), _F(1)))
+    right = Box((_F(1), _F(0)), (_F(2), _F(1)))
+    outer = Box((_F(0), _F(0)), (_F(2), _F(1)))
+    report = _assert_agree(Partition(2, outer, (wide, wide, right)))
+    assert [(d.kind, d.boxes) for d in report.defects] == [
+        ("not-contained", (1,)),
+        ("not-contained", (2,)),
+    ]
     # one cut of the prime-denominator row nudged into its right neighbour
     row = _prime_row()
     boxes = list(row.boxes)
@@ -173,18 +243,16 @@ def test_sweep_matches_oracle_on_degenerate_and_duplicated_boxes():
     assert [(d.kind, d.boxes) for d in report.defects] == [("interior-overlap", (100, 101))]
 
 
-def test_a_thousand_duplicates_list_a_hundred_overlaps_and_count_the_rest():
+def test_a_thousand_duplicates_name_one_cell_and_its_two_first_boxes():
     unit = Box((_F(0), _F(0)), (_F(1), _F(1)))
     p = Partition(2, unit, (unit,) * 1000)
-    report = validate_partition(p)
-    # The oracle lists all 499,500 pairs in order, (1, 2) .. (1, 1000) first,
-    # so its first 100 are also the first 100 it lists for boxes 1..101.
-    first = pairwise_validate(_with_boxes(p, p.boxes[:101])).defects[:100]
-    assert report.defects == first
-    assert report.unlisted_overlaps == 1000 * 999 // 2 - 100 == 499_400
-    summary = report.summary()
-    assert summary.startswith("INVALID: 499500 defect(s)")
-    assert summary.endswith("… and 499400 more interior overlaps")
+    # all 499,500 pairs overlap; the report names the one cell they share
+    summary = validate_partition(p).summary()
+    assert summary == (
+        "INVALID: 1 defect(s)\n"
+        "  - interior-overlap (k=1,k=2): cell [0, 1] x [0, 1] is covered by "
+        "1000 boxes; the corner counts differ at 4 points"
+    )
     assert len(summary.encode()) < 16_000
 
 
@@ -195,7 +263,8 @@ def test_sweep_matches_oracle_when_boxes_only_touch():
     board = _grid(6, 6)
     kept = [b for b in board.boxes if (b.lo[0] + b.lo[1]) % 2 == 0]
     report = _assert_agree(_with_boxes(board, kept))
-    assert [d.kind for d in report.defects] == ["volume-mismatch"]
+    assert [(d.kind, d.boxes) for d in report.defects] == [("gap", ())]
+    assert report.defects[0].detail.startswith("cell [0, 1] x [1, 2] ")
     # 3D: eight unit cubes around the centre, touching on faces, edges, corners
     cubes = tuple(
         Box((_F(x), _F(y), _F(z)), (_F(x + 1), _F(y + 1), _F(z + 1)))
@@ -206,39 +275,13 @@ def test_sweep_matches_oracle_when_boxes_only_touch():
     outer = Box((_F(0),) * 3, (_F(2),) * 3)
     assert _assert_agree(Partition(3, outer, cubes)).ok
     assert not _assert_agree(Partition(3, outer, cubes[::2])).ok
-    # strips whose cuts have 200 distinct prime denominators: the integer
-    # volume is scaled by their product; a missing strip leaves a gap
+    # strips whose cuts have 200 distinct prime denominators; a missing strip
+    # leaves a gap, named by its exact cut points
     row = _prime_row()
     assert _assert_agree(row).ok
     report = _assert_agree(_with_boxes(row, row.boxes[:77] + row.boxes[78:]))
-    assert [d.kind for d in report.defects] == ["volume-mismatch"]
-
-
-def _random_solid(rng: random.Random, dim: int, n: int) -> list[tuple[int, Box]]:
-    """``n`` nondegenerate boxes on a small rank grid, so that many touch,
-    nest or repeat; about one box in ten is a copy of an earlier one."""
-    boxes: list[Box] = []
-    for _ in range(n):
-        if boxes and rng.random() < 0.1:
-            boxes.append(rng.choice(boxes))
-            continue
-        lo, hi = [], []
-        for _ in range(dim):
-            a, b = rng.sample(range(8), 2)
-            lo.append(min(a, b))
-            hi.append(max(a, b))
-        boxes.append(Box(tuple(lo), tuple(hi)))
-    return list(enumerate(boxes, start=1))
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_meeting_pairs_counts_what_the_sweep_yields(dim):
-    rng = random.Random(dim)
-    for n in (0, 1, 2, 5, 40, 150):
-        solid = _random_solid(rng, dim, n)
-        for j in range(dim):
-            swept = sum(len(active) for _, _, active in geometry._sweep(solid, j))
-            assert geometry._meeting_pairs(solid, j) == swept
+    assert [(d.kind, d.boxes) for d in report.defects] == [("gap", ())]
+    assert report.defects[0].detail.startswith("cell [29954/389, 30967/397] x [0, 1] ")
 
 
 @pytest.fixture
@@ -260,14 +303,34 @@ def test_sweep_on_a_grid_tests_far_fewer_pairs_than_all_pairs(pair_tests):
     # the corner count accepts the tiling without a single pair test
     assert validate_partition(grid).ok
     assert pair_tests[0] == 0
-    # one box nudged into its right neighbour: only the report sweeps
+    # one box nudged into its right neighbour: the report reads the corner
+    # count too, where all pairs would be k**2 * (k**2 - 1) / 2 = 1,279,200
+    # tests
     boxes = list(grid.boxes)
     b = boxes[k * k // 2]
     boxes[k * k // 2] = Box(b.lo, (b.hi[0] + _F(1, 2), b.hi[1]))
     report = validate_partition(_with_boxes(grid, boxes))
-    assert [d.kind for d in report.defects] == ["interior-overlap"]
-    # all pairs would be k**2 * (k**2 - 1) / 2 = 1,279,200 tests
-    assert 0 < pair_tests[0] <= k**3
+    assert [(d.kind, d.boxes) for d in report.defects] == [
+        ("interior-overlap", (801, 802))
+    ]
+    assert report.defects[0].detail.startswith("cell [1, 3/2] x [20, 21] ")
+    assert pair_tests[0] == 0
+
+
+def test_an_invalid_grid_is_reported_within_twice_the_decision_time():
+    k = 200
+    grid = _grid(k, k)
+    boxes = list(grid.boxes)
+    b = boxes[k * k // 2]
+    boxes[k * k // 2] = Box(b.lo, (b.hi[0] + _F(1, 2), b.hi[1]))
+    widened = _with_boxes(grid, boxes)
+    valid, invalid = [], []
+    for _ in range(3):  # alternating, best of 3 each
+        for p, times in ((grid, valid), (widened, invalid)):
+            start = time.perf_counter()
+            validate_partition(p)
+            times.append(time.perf_counter() - start)
+    assert min(invalid) < 2 * min(valid), (valid, invalid)
 
 
 @pytest.mark.parametrize("cols,rows", [(1, 400), (400, 1)])
@@ -284,6 +347,7 @@ def _tiles(p: Partition) -> bool:
 def test_corner_count_decides_as_the_oracle_does(dim, depth):
     rng = random.Random(100 + dim)
     verdicts = {True: 0, False: 0}
+    named: Counter = Counter()
     for seed in range(175):
         p = factory.random_guillotine(dim, depth, seed)
         boxes = list(p.boxes)
@@ -295,10 +359,14 @@ def test_corner_count_decides_as_the_oracle_does(dim, depth):
             _with_boxes(p, boxes[:k] + boxes[k + 1 :] or boxes),  # one dropped
         ]
         for case in cases:
-            verdict = pairwise_validate(case).ok
-            assert _tiles(_shuffled(case, rng)) == verdict, case
-            verdicts[verdict] += 1
+            case = _shuffled(case, rng)
+            report = _assert_agree(case)
+            assert _tiles(case) == report.ok, case
+            verdicts[report.ok] += 1
+            named.update(d.kind for d in report.defects)
     assert sum(verdicts.values()) == 700 and min(verdicts.values()) >= 175
+    # both kinds of named cell occur in every dimension
+    assert min(named["gap"], named["interior-overlap"]) >= 100, named
 
 
 def _cubes(k: int) -> Partition:
@@ -354,7 +422,11 @@ def test_corner_count_rejects_what_cancels_or_balances(make):
 def test_shifted_box_keeps_the_volume_sum():
     p = _shifted_by_own_width()
     assert sum(b.volume() for b in p.boxes) == p.outer.volume()
-    assert [d.kind for d in validate_partition(p).defects] == ["interior-overlap"]
+    # the overlap on [2, 3] has the gap it left on [1, 2] below it
+    assert [str(d) for d in validate_partition(p).defects] == [
+        "gap: cell [1, 2] x [0, 1] is covered by 0 boxes; "
+        "the corner counts differ at 6 points"
+    ]
 
 
 @pytest.mark.parametrize(

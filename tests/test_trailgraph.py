@@ -514,7 +514,8 @@ def test_vertices_are_the_sorted_box_corners_under_any_assignment():
             assert set(g.vertices) == corners
             assert list(g.vertices) == sorted(corners)
             expected: dict = {}
-            for k, (b, axis) in enumerate(zip(g.ranks.boxes, axes), start=1):
+            ranked = map(Box, zip(*g.ranks.lo), zip(*g.ranks.hi))
+            for k, (b, axis) in enumerate(zip(ranked, axes), start=1):
                 for e in edges_of_box(b, k, axis):
                     expected.setdefault(e.src, []).append((e.dst, k, e.edge_id))
                     expected.setdefault(e.dst, []).append((e.src, k, e.edge_id))
