@@ -16,8 +16,7 @@ a multiple of d.  In order, the elements are the partial sums of gaps that
 never increase, and equal gaps come in arithmetic runs, one per division
 step of Euclid's algorithm.  :func:`bounded_closure` keeps ``d``, ``c`` and
 the runs below ``c``: membership is a bisect over a few runs, whatever the
-bound or the conductor.  A bitmask of the elements below ``c`` is built from
-the runs only for a derivation's split search.
+bound or the conductor.
 
 A derivation node computes its ``value`` once, when it is built, from its
 children's values through :func:`op_sum` or :func:`op_triple`; no caller can
@@ -224,8 +223,9 @@ class BoundedClosure:
     ``v / q`` is an element iff ``v <= limit`` (the bound on the grid) and
     either ``v >= c`` and d divides ``v``, or ``v`` lies on one of the
     ascending ``runs``: ``(start, step, count)`` holds ``start + k * step``
-    for ``0 <= k < count``.  Producing rules are found only for the values a
-    derivation walks through, and kept for later calls on the same instance.
+    for ``0 <= k < count``.  Producing rules are found from the runs alone,
+    only for the values a derivation walks through, and kept for later calls
+    on the same instance: nothing it holds grows with ``c`` or ``limit``.
     """
 
     gens: GeneratorSet
@@ -273,44 +273,27 @@ class BoundedClosure:
         runs = (range(a, min(a + m * t, stop), m) for a, m, t in self.runs)
         return chain(*runs, range(self.c, stop, self.d))
 
-    @cached_property
-    def bits(self) -> int:
-        """Bit ``v`` for each element ``v < c``, doubling each run's comb."""
-        mask = 0
-        for start, step, count in self.runs:
-            comb, teeth = 1, 1
-            while teeth < count:
-                comb |= comb << (teeth * step)
-                teeth *= 2
-            mask |= (comb & ((2 << (count - 1) * step) - 1)) << start
-        return mask
+    def _best_split(self, s: int) -> int:
+        """The largest element x <= s/2 whose partner s - x is an element, or 0.
 
-    @cached_property
-    def _reversed(self) -> int:
-        """The members below ``c`` read backwards: bit ``c - 1 - v`` for ``v``."""
-        return int(format(self.bits, f"0{self.c}b")[::-1], 2)
-
-    def _best_split(self, s: int) -> Optional[int]:
-        """The largest element x <= s/2 whose partner s - x is an element.
-
-        ``s`` is an element or a sum of two.  Below the conductor, the x
-        whose partner also lies below it are the larger ones, all found by
-        one AND of ``bits`` with the reversed mask.  A partner at or above
-        ``c`` is a multiple of ``d``, as ``s`` and ``x`` are, so for the
-        largest remaining x only its size is left to check.
+        ``s``, an element or a sum of two, is a multiple of d.  Below ``c``,
+        the runs and then the multiples of d up to ``limit`` are disjoint and
+        ascending: the first run from the top that holds such an x holds the
+        largest, and its partner lies on a run that meets ``[s - top, s - a]``.
         """
-        half = s // 2
-        if half >= self.c:  # s is a multiple of d: so are x and s - x >= c
-            return half - half % self.d
-        k = max(s - self.c + 1, 0)  # s - x < c exactly when x >= k
-        if half >= k:  # bit i: x = k + i, and its partner's bit reversed
-            partners = self._reversed >> (k + self.c - 1 - s)
-            pairs = (self.bits >> k) & partners & ((2 << (half - k)) - 1)
-            if pairs:
-                return pairs.bit_length() - 1 + k
-        low = self.bits & ((1 << min(half + 1, k)) - 1)
-        x = low.bit_length() - 1
-        return x if low and s - x <= self.limit else None
+        half, start = s // 2, itemgetter(0)
+        if half >= self.c:  # then s - x >= x >= c
+            x = half - half % self.d
+            return x if s - x <= self.limit else 0
+        spans = (*self.runs, (self.c, self.d, (self.limit - self.c) // self.d + 1))
+        for i in reversed(range(bisect_right(spans, half, key=start))):
+            a, m, t = spans[i]
+            top = min(a + m * (t - 1), half)
+            near = max(bisect_right(spans, s - top, key=start) - 1, i)
+            partners = spans[near : bisect_right(spans, s - a, key=start)]
+            if x := max(_pair(spans[i], p, s, half) for p in partners):
+                return x
+        return 0
 
     def _rule(self, e: int) -> tuple:
         """One well-founded producing rule for element ``e`` (scaled).
@@ -327,12 +310,12 @@ class BoundedClosure:
             return rule
         if Fraction(e, self.q) in self.gens:
             rule = ("gen",)
-        elif (x := self._best_split(e)) is not None:
+        elif x := self._best_split(e):
             rule = ("sum", x, e - x)
         else:
             for a in self._below(e):
                 b = self._best_split(e + a)
-                if b is not None and b > a:
+                if b > a:
                     rule = ("triple", a, b, e + a - b)
                     break
             else:
@@ -371,6 +354,22 @@ class BoundedClosure:
                 memo[cur] = Triple(memo[deps[0]], memo[deps[1]], memo[deps[2]])
             stack.pop()
         return memo[top]
+
+
+def _pair(xs: tuple, ys: tuple, s: int, half: int) -> int:
+    """The largest x <= half on run ``xs`` with s - x on run ``ys``, or 0.
+
+    x = a + k*m on ``(a, m, t)`` and s - x = b + l*n on ``(b, n, u)`` solve
+    ``m*k + n*l = s - a - b``, whose k are one residue modulo n/gcd(m, n).
+    """
+    (a, m, t), (b, n, u) = xs, ys
+    r, g = s - a - b, gcd(m, n)
+    if r % g:
+        return 0
+    period = n // g
+    k = min(t - 1, (half - a) // m, r // m)  # r // m: l >= 0
+    k -= (k - r // g % period * pow(m // g, -1, period)) % period
+    return a + m * k if k >= 0 and m * k >= r - n * (u - 1) else 0
 
 
 def _chain(gen_bits: list[int], limit: int) -> tuple[int, int, tuple]:

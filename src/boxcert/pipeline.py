@@ -64,6 +64,9 @@ class Certificate:
     """Everything needed to re-check one certified instance.
 
     ``partition_sha256`` pins the exact partition (canonical JSON digest).
+    ``gens_json`` is the generator list as written, and ``gens`` its set;
+    :func:`check_certificate` accepts only the list certify writes, sorted,
+    distinct and in lowest terms.
     ``reduction`` derives the claimed side length from generators only, and
     always ends at ``claimed_side.length``.  ``start`` is the trail's start
     corner, from which :func:`check_certificate` re-runs the shared stages.
@@ -80,6 +83,7 @@ class Certificate:
 
     partition_sha256: str
     gens: GeneratorSet
+    gens_json: list[Any]
     start: Point
     audit: dict[str, Any]
     reduction: ReductionCertificate
@@ -118,6 +122,11 @@ def _write_audit(
         "trail": jsonio.trail_to_json(trail),
         "y": jsonio.ysequence_to_json(y),
     }
+
+
+def _write_gens(g: GeneratorSet) -> list[str]:
+    """The generator list, as certify writes it and check rewrites it."""
+    return [format_rat(v) for v in g.sorted_values]
 
 
 def _ints(values: Iterable[Any]) -> bool:
@@ -209,6 +218,7 @@ def certify(
     return Certificate(
         partition_sha256=jsonio.partition_digest(p),
         gens=g,
+        gens_json=_write_gens(g),
         start=trail.start,
         audit=_write_audit(max(extents), assignment, trail, y),
         reduction=reduction,
@@ -265,7 +275,8 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     derivation is verified, not rebuilt.
 
     Stages, in order (the first failure is reported with its stage tag):
-    ``digest``, ``gens``, the kernel (``reduction``, ``claim``), then the
+    ``digest``, ``gens`` (the recorded list must be the one certify writes
+    for ``g``), the kernel (``reduction``, ``claim``), then the
     shared stages (``partition`` when validation fails, ``assignment`` when
     a box has no side in the closure, ``trail`` when the start is not an
     exact outer corner), then equality of the recorded ``bound``,
@@ -283,10 +294,10 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     try:
         if jsonio.partition_digest(p) != cert.partition_sha256:
             return fail("digest", "partition digest does not match the certificate")
-        if cert.gens.gens != g.gens:
-            return fail(
-                "gens", f"certificate gens {cert.gens} differ from supplied {g}"
-            )
+        gens = _write_gens(g)
+        if cert.gens_json != gens:
+            detail = f"certificate gens {cert.gens_json} differ from supplied {gens}"
+            return fail("gens", detail)
         failure = _kernel(cert, p, g)
         if failure is not None:
             return fail(*failure)
@@ -323,11 +334,11 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    """The certificate's JSON document.  The audit fields are copied from
-    ``cert.audit`` as written, and the document shares their contents."""
+    """The certificate's JSON document.  ``gens`` and the audit fields are
+    copied from ``cert`` as written, and the document shares their contents."""
     return {
         "partition_sha256": cert.partition_sha256,
-        "gens": [format_rat(v) for v in cert.gens.sorted_values],
+        "gens": cert.gens_json,
         **cert.audit,
         "reduction": {
             "result": format_rat(cert.reduction.result),
@@ -345,7 +356,8 @@ def certificate_from_json(obj: Any) -> Certificate:
 
     That is the digest, ``gens``, the reduction (its result and derivation
     table), the claimed side and the trail's start corner; each distinct
-    rational string among them is parsed once.  The audit fields ``bound``
+    rational string among them is parsed once, and ``gens`` is also kept as
+    written, for the ``gens`` stage.  The audit fields ``bound``
     (a string or an integer), ``assignment`` (an array), ``trail`` and ``y``
     (objects) are checked for presence and that JSON type only, and kept as
     written, for :func:`check_certificate` to compare with the record it
@@ -356,12 +368,9 @@ def certificate_from_json(obj: Any) -> Certificate:
     digest = jsonio.get_key(d, "partition_sha256", "certificate")
     if not isinstance(digest, str):
         raise ValueError("certificate.partition_sha256: expected a string")
+    gens_json = jsonio.get_key(d, "gens", "certificate")
     gens = GeneratorSet(
-        frozenset(
-            jsonio.rats_from_json(
-                jsonio.get_key(d, "gens", "certificate"), "certificate.gens", rats=rats
-            )
-        )
+        frozenset(jsonio.rats_from_json(gens_json, "certificate.gens", rats=rats))
     )
     bound = jsonio.get_key(d, "bound", "certificate")
     if isinstance(bound, bool) or not isinstance(bound, (str, int)):
@@ -385,6 +394,7 @@ def certificate_from_json(obj: Any) -> Certificate:
     return Certificate(
         partition_sha256=digest,
         gens=gens,
+        gens_json=gens_json,
         start=start,
         audit=audit,
         reduction=jsonio.reduction_from_json(

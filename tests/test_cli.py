@@ -438,7 +438,7 @@ def test_render_rejects_forged_gens_at_the_cost_of_the_conductor(
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
     doc = json.loads(cert_path.read_text())
-    doc["gens"] += ["1/3001", "1/3011"]
+    doc["gens"] = ["1/3011", "1/3001", *doc["gens"]]  # sorted, as certify writes gens
     cert_path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "render", pinwheel_file, "--cert", cert_path)
     assert (code, out) == (2, "")
@@ -456,7 +456,7 @@ def test_render_rejects_three_prime_forged_gens_without_a_conductor_wide_mask(
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
     doc = json.loads(cert_path.read_text())
-    doc["gens"] += ["1/401", "1/409", "1/419"]
+    doc["gens"] = ["1/419", "1/409", "1/401", *doc["gens"]]  # sorted, as certify writes gens
     cert_path.write_text(json.dumps(doc))
     started = time.perf_counter()
     code, out, err = run_cli(capsys, "render", pinwheel_file, "--cert", cert_path)

@@ -170,6 +170,30 @@ def _mutated_json(mutate):
     return certificate_from_json(payload), p, g
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ["7", "10", "17", "7"],
+        ["17", "10", "7"],
+        ["7", "10", "34/2"],
+        ["7", "10", "017"],
+        ["7", "10", 17],
+    ],
+    ids=["duplicated", "unsorted", "not-in-lowest-terms", "leading-zero", "integer"],
+)
+def test_check_accepts_only_the_gens_list_certify_writes(gens):
+    # Each list parses to the set {7, 10, 17} that certify was given, but
+    # certify writes it one way only: sorted, distinct, in lowest terms.
+    def rewrite(payload):
+        payload["gens"] = gens
+
+    cert, p, g = _mutated_json(rewrite)
+    assert cert.gens == g
+    result = check_certificate(cert, p, g)
+    assert not result.ok
+    assert result.reasons[0].startswith("gens: certificate gens ")
+
+
 def test_check_flags_tampered_assignment():
     def flip(payload):
         payload["assignment"][1] = 2  # box 2 reassigned to its 3-side
