@@ -27,9 +27,9 @@ decodes only what the checker reads: the generators, the derivation table
 and its result, the claimed side and the trail's start corner, through one
 table.  The audit fields ``bound``, ``assignment``, ``trail`` and ``y`` are
 kept as written; the checker compares them, as JSON, with what it writes
-with :func:`trail_to_json` and :func:`ysequence_to_json`, and
-:func:`trail_from_json` and :func:`ysequence_from_json` decode them only
-when a program reads them.
+with :func:`trail_to_json` (from the walk's ranks) and
+:func:`ysequence_to_json`, and :func:`trail_from_json` and
+:func:`ysequence_from_json` decode them only when a program reads them.
 
 ``canonical_json`` (sorted keys, no whitespace) defines the byte string that
 content digests are computed over; pretty output is for files and humans and
@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from operator import getitem
 from typing import Any, Optional
 
 from .closure import (
@@ -393,29 +394,35 @@ def derivation_from_json(
 def trail_to_json(t: Trail) -> dict:
     """The trail as a certificate writes it.
 
-    Each step repeats the coordinates of the vertices it joins, and a trail
-    from :func:`~boxcert.trailgraph.extract_trail` shares one ``Fraction``
-    per distinct coordinate, so each coordinate object is formatted once,
-    through a memo keyed on its ``id``, as in :func:`partition_digest`; ``t``
-    keeps every key alive for the call.
+    A trail from :func:`~boxcert.trailgraph.extract_trail` is written from
+    its walk on ranks: each distinct rank on each axis is formatted once,
+    from the graph's value table, each vertex is one list of those strings,
+    and consecutive steps share the list of the vertex between them.  No
+    exact point or :class:`~boxcert.trailgraph.Edge` is formed.  A trail
+    made from exact points is written point by point.
     """
-    text: dict[int, str] = {}
-
-    def point(coords: Point) -> list[str]:
-        out = []
-        for c in coords:
-            s = text.get(id(c))
-            if s is None:
-                s = text[id(c)] = format_rat(c)
-            out.append(s)
-        return out
-
+    g = t.graph
+    if g is None:
+        return {
+            "start": point_to_json(t.start),
+            "end": point_to_json(t.end),
+            "steps": [
+                {"box": s.box, "edge": s.edge_id,
+                 "from": point_to_json(s.src), "to": point_to_json(s.dst)}
+                for s in t.steps
+            ],
+        }
+    text = [
+        {r: format_rat(values[r]) for r in set(column)}
+        for values, column in zip(g.ranks.values, zip(*t.path))
+    ]
+    points = [list(map(getitem, text, v)) for v in t.path]
     return {
-        "start": point(t.start),
-        "end": point(t.end),
+        "start": points[0],
+        "end": points[-1],
         "steps": [
-            {"box": s.box, "edge": s.edge_id, "from": point(s.src), "to": point(s.dst)}
-            for s in t.steps
+            {"box": g.box[i], "edge": g.edge_id[i], "from": a, "to": b}
+            for i, a, b in zip(t.taken, points, points[1:])
         ],
     }
 

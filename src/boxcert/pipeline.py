@@ -73,6 +73,11 @@ class Certificate:
     ``audit`` records those stages' results as one JSON record,
     ``{"bound", "assignment", "trail", "y"}``, exactly as written; check
     compares it with the record it writes itself and decodes nothing in it.
+    ``envelope`` keeps the rest of the document outside the derivation table
+    as written, for check to compare in the same way: ``{"keys",
+    "reduction", "claimed_side"}``, the set of top-level keys, the
+    ``reduction`` object without its ``derivation`` and the
+    ``claimed_side`` object.
 
     ``bound``, ``assignment``, ``trail`` and ``y`` read the audit record:
     each is decoded on first read by the :mod:`~boxcert.jsonio` parsers,
@@ -88,6 +93,7 @@ class Certificate:
     audit: dict[str, Any]
     reduction: ReductionCertificate
     claimed_side: ClaimedSide
+    envelope: dict[str, Any]
     rats: jsonio.RatTable = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -127,6 +133,24 @@ def _write_audit(
 def _write_gens(g: GeneratorSet) -> list[str]:
     """The generator list, as certify writes it and check rewrites it."""
     return [format_rat(v) for v in g.sorted_values]
+
+
+#: The top-level keys of a certificate document.
+_KEYS = frozenset(
+    {"partition_sha256", "gens", "bound", "assignment", "trail", "y", "reduction",
+     "claimed_side"}
+)
+
+
+def _write_envelope(claim: ClaimedSide) -> dict[str, Any]:
+    """The envelope of a certificate of ``claim``, as certify writes it and
+    check rewrites it: the reduction's result is the claimed length."""
+    length = format_rat(claim.length)
+    return {
+        "keys": _KEYS,
+        "reduction": {"result": length},
+        "claimed_side": {"axis": claim.axis, "length": length},
+    }
 
 
 def _ints(values: Iterable[Any]) -> bool:
@@ -215,6 +239,7 @@ def certify(
             f"reduction result {format_rat(reduction.result)} is not the outer "
             f"extent on axis {y.axis}"
         )
+    claim = ClaimedSide(axis=y.axis, length=reduction.result)
     return Certificate(
         partition_sha256=jsonio.partition_digest(p),
         gens=g,
@@ -222,7 +247,8 @@ def certify(
         start=trail.start,
         audit=_write_audit(max(extents), assignment, trail, y),
         reduction=reduction,
-        claimed_side=ClaimedSide(axis=y.axis, length=reduction.result),
+        claimed_side=claim,
+        envelope=_write_envelope(claim),
     )
 
 
@@ -272,18 +298,22 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     the recorded audit must equal the written one as JSON, integers written
     as integers.  So each audit field is accepted only in the one spelling
     :func:`certify` writes, and nothing inside it is decoded.  The
+    certificate's top-level keys, its reduction result and its claimed side
+    are compared as written too (:func:`_write_envelope`).  The
     derivation is verified, not rebuilt.
 
     Stages, in order (the first failure is reported with its stage tag):
     ``digest``, ``gens`` (the recorded list must be the one certify writes
-    for ``g``), the kernel (``reduction``, ``claim``), then the
+    for ``g``), ``certificate`` (the top-level keys must be those certify
+    writes), the kernel (``reduction``, ``claim``), then the
     shared stages (``partition`` when validation fails, ``assignment`` when
     a box has no side in the closure, ``trail`` when the start is not an
     exact outer corner), then equality of the recorded ``bound``,
     ``assignment``, ``trail`` and ``y`` (reported as ``projection``) with
-    the written ones, and of the claim with the recomputed projection
-    (``claim``).  Never raises: malformed certificates yield
-    ``CheckResult(False, ...)``.
+    the written ones, of the claim with the recomputed projection
+    (``claim``), and of the reduction object without its table
+    (``reduction``) and the claimed side (``claim``) with the written ones.
+    Never raises: malformed certificates yield ``CheckResult(False, ...)``.
     """
     reasons: list[str] = []
 
@@ -298,6 +328,10 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
         if cert.gens_json != gens:
             detail = f"certificate gens {cert.gens_json} differ from supplied {gens}"
             return fail("gens", detail)
+        keys = cert.envelope["keys"]
+        if keys != _KEYS:
+            detail = f"certificate keys {sorted(keys)} differ from {sorted(_KEYS)}"
+            return fail("certificate", detail)
         failure = _kernel(cert, p, g)
         if failure is not None:
             return fail(*failure)
@@ -323,8 +357,14 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
             return fail("trail", "recomputed trail from the recorded start differs")
         if recorded["y"] != written["y"] or type(recorded["y"]["axis"]) is not int:
             return fail("projection", "recomputed position sequence differs")
-        if cert.claimed_side != ClaimedSide(axis=y.axis, length=y.length):
+        claim = ClaimedSide(axis=y.axis, length=y.length)
+        if cert.claimed_side != claim:
             return fail("claim", "claimed side does not match the projection")
+        written = _write_envelope(claim)
+        if cert.envelope["reduction"] != written["reduction"]:
+            return fail("reduction", "reduction is not written as certify writes it")
+        if cert.envelope["claimed_side"] != written["claimed_side"]:
+            return fail("claim", "claimed side is not written as certify writes it")
     except Exception as exc:  # malformed data must reject, not raise
         return fail("error", f"{type(exc).__name__}: {exc}")
     return CheckResult(ok=True, reasons=())
@@ -335,7 +375,9 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
 
 def certificate_to_json(cert: Certificate) -> dict:
     """The certificate's JSON document.  ``gens`` and the audit fields are
-    copied from ``cert`` as written, and the document shares their contents."""
+    copied from ``cert`` as written, and the document shares their contents;
+    the reduction and the claimed side are written from ``cert.reduction``
+    and ``cert.claimed_side``."""
     return {
         "partition_sha256": cert.partition_sha256,
         "gens": cert.gens_json,
@@ -361,7 +403,9 @@ def certificate_from_json(obj: Any) -> Certificate:
     (a string or an integer), ``assignment`` (an array), ``trail`` and ``y``
     (objects) are checked for presence and that JSON type only, and kept as
     written, for :func:`check_certificate` to compare with the record it
-    writes.
+    writes.  So are the top-level key set, the ``reduction`` object less its
+    table and the ``claimed_side`` object (``Certificate.envelope``); keys
+    the parser does not read are not rejected here.
     """
     rats: jsonio.RatTable = {}
     d = jsonio.expect_dict(obj, "certificate")
@@ -391,15 +435,14 @@ def certificate_from_json(obj: Any) -> Certificate:
     claim_obj = jsonio.expect_dict(
         jsonio.get_key(d, "claimed_side", "certificate"), "certificate.claimed_side"
     )
+    reduction = jsonio.get_key(d, "reduction", "certificate")
     return Certificate(
         partition_sha256=digest,
         gens=gens,
         gens_json=gens_json,
         start=start,
         audit=audit,
-        reduction=jsonio.reduction_from_json(
-            jsonio.get_key(d, "reduction", "certificate"), rats=rats
-        ),
+        reduction=jsonio.reduction_from_json(reduction, rats=rats),
         claimed_side=ClaimedSide(
             axis=jsonio.expect_int(
                 jsonio.get_key(claim_obj, "axis", "certificate.claimed_side"),
@@ -411,5 +454,10 @@ def certificate_from_json(obj: Any) -> Certificate:
                 rats=rats,
             ),
         ),
+        envelope={
+            "keys": frozenset(d),
+            "reduction": {k: v for k, v in reduction.items() if k != "derivation"},
+            "claimed_side": claim_obj,
+        },
         rats=rats,
     )

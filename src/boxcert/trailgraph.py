@@ -12,26 +12,34 @@ collapses into a single derived length.
 
 Every stage here runs on the partition's :class:`~boxcert.geometry.RankView`.
 The graph, the parity audit and the walk depend on the order of coordinates
-alone, so the graph is plain tuples of integer ranks: a vertex is a rank
-tuple, an edge is ``(box, edge_id, lower end, upper end)``.  The edges are
-paired from the view's one enumeration of box corners, the same one that
-validation counted, so no corner is formed twice.  Exact points come
-back from the view's value tables only where a result is read:
+alone, so they run on integer ranks: a vertex is a rank tuple, the edges are
+numbered in box and edge_id order and held as columns (box, edge_id, lower
+end, upper end), and each vertex maps to the list of its edge numbers.  The
+edges are paired from the view's one enumeration of box corners, the same
+one that validation counted, so no corner is formed twice and the graph
+keeps about one container per vertex.  The walk marks used edges in a
+``bytearray`` and records the rank tuples it visits and the edge numbers it
+takes; the projection reads those ranks on one axis, dedupes, orients and
+checks them, and reads one value per kept position, and the certificate's
+writer formats each distinct coordinate of the walk once.  Exact points come
+back from the view's value tables only where a result is read as points:
 ``TrailGraph.vertices``, the per-vertex parity entries (built on first
-access), the trail, whose steps are :class:`Edge` records in the direction
-walked, and the projection, which dedupes, orients and checks the walk's
-ranks on one axis and reads one value per kept position.  Axis assignment
-is the one stage that reads lengths, and it computes one per distinct
-``(axis, lo rank, hi rank)``, reading the view's rank columns; the
-assignment is the tuple of chosen 1-based axes, one per box.
+access), a trail's ``start`` and ``end``, and its ``steps`` (:class:`Edge`
+records in the direction walked) and ``points()``, built when read.  Axis
+assignment is the one stage that reads lengths: it scales each axis's value
+table once to integers and asks about each distinct integer length once,
+reading the view's rank columns; the assignment is the tuple of chosen
+1-based axes, one per box.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import count, product
-from typing import Callable, Mapping, Optional, Union
+from itertools import count, groupby, product
+from math import lcm
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import HypothesisViolated, SoundnessError, StuckAtEvenVertex
 from .geometry import (
@@ -57,23 +65,27 @@ def assign_axes(
     Takes the partition or its :class:`~boxcert.geometry.RankView`.
     ``member`` decides membership in the tracked set (usually a bounded
     closure).  Boxes repeat a few extents many times, so the view's rank
-    columns are read axis by axis, for the boxes not yet assigned, and each
-    distinct ``(axis, lo rank, hi rank)`` is subtracted from the view's value
-    table and given to ``member`` once.  A box with no qualifying side
-    falsifies the premise of the whole construction, reported as
-    :class:`HypothesisViolated` with the smallest offending box index.
+    columns are read axis by axis, for the boxes not yet assigned.  An
+    axis's value table is scaled once onto one integer grid (the lcm ``q``
+    of its denominators), a box's extent there is one integer subtraction,
+    and each distinct extent ``e`` is given to ``member`` once, as
+    ``Fraction(e, q)``.  A box with no qualifying side falsifies the premise
+    of the whole construction, reported as :class:`HypothesisViolated` with
+    the smallest offending box index.
     """
     view = p if isinstance(p, RankView) else rank_partition(p)
     axes = [0] * len(view.partition.boxes)
     todo = range(len(axes))  # 0-based indices of the boxes not yet assigned
     for j, (values, lo, hi) in enumerate(zip(view.values, view.lo, view.hi), start=1):
-        verdicts: dict[tuple[int, int], bool] = {}
+        q = lcm(*[v.denominator for v in values])
+        grid = [v.numerator * (q // v.denominator) for v in values]
+        verdicts: dict[int, bool] = {}
         left = []
         for k in todo:
-            span = lo[k], hi[k]
-            ok = verdicts.get(span)
+            extent = grid[hi[k]] - grid[lo[k]]
+            ok = verdicts.get(extent)
             if ok is None:
-                ok = verdicts[span] = member(values[span[1]] - values[span[0]])
+                ok = verdicts[extent] = member(Fraction(extent, q))
             if ok:
                 axes[k] = j
             else:
@@ -142,18 +154,28 @@ RankEdge = tuple[int, int, Ranks, Ranks]
 class TrailGraph:
     """Multigraph of assigned-axis edges over all constituent-box vertices.
 
-    ``assignment`` is the 1-based axis of each box.  ``edges`` holds
-    ``(box, edge_id, lower end, upper end)`` tuples in box and edge_id order,
-    the lower end being the one with the lower coordinate on the box's axis,
-    as :func:`edges_of_box` lists them; ``adjacency`` maps each vertex to
-    ``(far endpoint, box, edge_id)`` tuples in edge order.  Both are in the
-    ranks of ``ranks``; ``vertices`` and :meth:`degree` speak exact points.
+    ``assignment`` is the 1-based axis of each box.  The edges are four
+    columns, in box and edge_id order: edge number ``i`` is edge
+    ``edge_id[i]`` of box ``box[i]``, from its lower end ``lower[i]``, the
+    one with the lower coordinate on the box's axis, as :func:`edges_of_box`
+    lists it, to its upper end ``upper[i]``.  ``adjacency`` maps each vertex
+    to the numbers of its edges, ascending.  Ends and vertices are rank
+    tuples of ``ranks``; ``vertices`` and :meth:`degree` speak exact points,
+    and ``edges`` lists the ``(box, edge_id, lower end, upper end)`` tuples,
+    built when read.
     """
 
     ranks: RankView
     assignment: tuple[int, ...]
-    edges: tuple[RankEdge, ...]
-    adjacency: Mapping[Ranks, list[tuple[Ranks, int, int]]]
+    box: list[int]
+    edge_id: list[int]
+    lower: list[Ranks]
+    upper: list[Ranks]
+    adjacency: Mapping[Ranks, list[int]]
+
+    @property
+    def edges(self) -> tuple[RankEdge, ...]:
+        return tuple(zip(self.box, self.edge_id, self.lower, self.upper))
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -177,7 +199,9 @@ def build_graph(p: Union[Partition, RankView], c: tuple[int, ...]) -> TrailGraph
     Vertices are the edges' endpoints (deduplicated as rank tuples): these
     edges reach all ``2^n`` corners of their box, so the vertices are exactly
     the corners of all constituent boxes.  T-junction contacts (a vertex of
-    one box interior to an edge of another) do not split edges.
+    one box interior to an edge of another) do not split edges.  Besides the
+    view, the graph keeps one list per vertex, its four columns and the
+    adjacency map: the ends are the view's own corner tuples.
     """
     view = p if isinstance(p, RankView) else rank_partition(p)
     boxes = len(view.partition.boxes)
@@ -187,15 +211,16 @@ def build_graph(p: Union[Partition, RankView], c: tuple[int, ...]) -> TrailGraph
     layouts = {j: _edge_layout(dim, j) for j in range(1, dim + 1)}
     if not layouts.keys() >= set(c):
         raise ValueError(f"assignment names an axis outside 1..{dim}")
-    edges: list[RankEdge] = []
-    adjacency: dict[Ranks, list[tuple[Ranks, int, int]]] = {}
-    for k, axis, corners in zip(count(1), c, zip(*view.corners)):
-        for edge_id, lo, hi in layouts[axis]:
-            a, z = corners[lo], corners[hi]
-            edges.append((k, edge_id, a, z))
-            adjacency.setdefault(a, []).append((z, k, edge_id))
-            adjacency.setdefault(z, []).append((a, k, edge_id))
-    return TrailGraph(ranks=view, assignment=c, edges=tuple(edges), adjacency=adjacency)
+    corners = view.corners
+    box = [k for k, axis in enumerate(c, 1) for _ in layouts[axis]]
+    edge_id = [e for axis in c for e, _, _ in layouts[axis]]
+    lower = [corners[lo][k] for k, axis in enumerate(c) for _, lo, _ in layouts[axis]]
+    upper = [corners[hi][k] for k, axis in enumerate(c) for _, _, hi in layouts[axis]]
+    adjacency: dict[Ranks, list[int]] = {}
+    for i, a, z in zip(count(), lower, upper):
+        adjacency.setdefault(a, []).append(i)
+        adjacency.setdefault(z, []).append(i)
+    return TrailGraph(view, c, box, edge_id, lower, upper, adjacency)
 
 
 @dataclass(frozen=True)
@@ -271,16 +296,82 @@ def parity_audit(g: TrailGraph) -> ParityReport:
     return ParityReport(graph=g, ok=ok)
 
 
-@dataclass(frozen=True)
 class Trail:
-    """A non-repeating edge walk between two distinct outer corners."""
+    """A non-repeating edge walk between two distinct outer corners.
+
+    ``start`` and ``end`` are exact points, and each of ``steps`` is an
+    :class:`Edge` in the direction walked, from the vertex left to the vertex
+    reached.  A trail from :func:`extract_trail` holds its walk on ranks:
+    ``graph`` is the graph walked, ``path`` the vertices visited, as rank
+    tuples from the start, and ``taken`` the number of each step's edge in
+    ``graph``; its steps and points are built from those when first read.
+    A trail made from exact points has no ``graph``.  Equality, hashing and
+    ``repr`` read the exact fields.
+    """
 
     start: Point
-    steps: tuple[Edge, ...]
     end: Point
+    graph: Optional[TrailGraph] = None
+    path: Sequence[Ranks] = ()
+    taken: Sequence[int] = ()
+
+    def __init__(self, start: Point, steps: Iterable[Edge], end: Point) -> None:
+        self.start, self.steps, self.end = start, tuple(steps), end
+
+    @classmethod
+    def walked(
+        cls, graph: TrailGraph, path: Sequence[Ranks], taken: Sequence[int]
+    ) -> "Trail":
+        """The walk along edges ``taken`` of ``graph``, visiting ``path``."""
+        trail = cls.__new__(cls)
+        trail.graph, trail.path, trail.taken = graph, path, taken
+        trail.start = graph.ranks.point(path[0])
+        trail.end = graph.ranks.point(path[-1])
+        return trail
+
+    @cached_property
+    def steps(self) -> tuple[Edge, ...]:
+        g, points = self.graph, self.points()
+        return tuple(
+            Edge(g.box[i], g.edge_id[i], a, b)
+            for i, a, b in zip(self.taken, points, points[1:])
+        )
 
     def points(self) -> tuple[Point, ...]:
-        return (self.start,) + tuple(s.dst for s in self.steps)
+        if self.graph is None:
+            return (self.start,) + tuple(s.dst for s in self.steps)
+        return tuple(map(self.graph.ranks.point, self.path))
+
+    def ranks_in(self, view: RankView) -> Sequence[Ranks]:
+        """The walk's vertices in the ranks of ``view``.
+
+        They are ``path`` when the walk was made on a view of the same
+        partition, whose ranks are the same; otherwise each exact point is
+        looked up, and ``ValueError`` names one that is no vertex of ``view``.
+        """
+        if self.graph is not None and self.graph.ranks.partition is view.partition:
+            return self.path
+        ranks = []
+        for v in self.points():
+            r = view.ranks_of(v)
+            if r is None:
+                raise ValueError(f"trail point {format_point(v)} is no vertex")
+            ranks.append(r)
+        return ranks
+
+    def _fields(self) -> tuple[Point, tuple[Edge, ...], Point]:
+        return self.start, self.steps, self.end
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trail):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"Trail(start={self.start!r}, steps={self.steps!r}, end={self.end!r})"
 
 
 def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
@@ -291,19 +382,18 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
     odd number of used incidences, so an unused edge remains).  Tie-break,
     applied at each vertex the walk visits: the unused edge with the
     lexicographically smallest far endpoint, then smallest box index, then
-    smallest edge_id, which is the plain order of the adjacency's
-    ``(far, box, edge_id)`` tuples — this makes the whole pipeline
-    reproducible byte-for-byte.  ``(box, edge_id)`` identifies an edge.  The
-    walk runs on ranks; each step is written out as an :class:`Edge` in exact
-    points, from the vertex left to the vertex reached.  ``start`` is read
-    with :func:`~boxcert.geometry.parse_point`, so a float start raises
-    ``ValueError`` like one that is not an outer corner.
+    smallest edge_id, that is, the first such edge in the vertex's ascending
+    list of edge numbers — this makes the whole pipeline reproducible
+    byte-for-byte.  The walk runs on ranks, marks used edges in a
+    ``bytearray`` and returns a :class:`Trail` that holds the rank tuples it
+    visited and the edges it took; no exact point is formed here.  ``start``
+    is read with :func:`~boxcert.geometry.parse_point`, so a float start
+    raises ``ValueError`` like one that is not an outer corner.
     """
     view = g.ranks
     corners = set(view.outer.corners())
     if start is None:
         first = min(corners)
-        start = view.point(first)
     else:
         start = parse_point(start)
         first = view.ranks_of(start)
@@ -311,26 +401,32 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
             raise ValueError(
                 f"start {format_point(start)} is not a corner of the outer box"
             )
-    adjacency = g.adjacency
-    used: set[tuple[int, int]] = set()
-    current, here = first, start
-    steps: list[Edge] = []
+    adjacency, lower, upper = g.adjacency, g.lower, g.upper
+    used = bytearray(len(lower))
+    current = first
+    path: list[Ranks] = [first]
+    taken: list[int] = []
     while True:
-        taken = min(
-            (e for e in adjacency.get(current, ()) if e[1:] not in used), default=None
-        )
-        if taken is None:
+        best = -1
+        for i in adjacency.get(current, ()):
+            if not used[i]:
+                far = lower[i]
+                if far == current:
+                    far = upper[i]
+                if best < 0 or far < nearest:
+                    best, nearest = i, far
+        if best < 0:
             break
-        far, box, edge_id = taken
-        used.add((box, edge_id))
-        there = view.point(far)
-        steps.append(Edge(box, edge_id, here, there))
-        current, here = far, there
-    if not steps:
+        used[best] = 1
+        taken.append(best)
+        path.append(nearest)
+        current = nearest
+    if not taken:
+        here = view.point(current)
         raise StuckAtEvenVertex(here, f"no edges at start {format_point(here)}")
     if current == first or current not in corners:
-        raise StuckAtEvenVertex(here)
-    return Trail(start=start, steps=tuple(steps), end=here)
+        raise StuckAtEvenVertex(view.point(current))
+    return Trail.walked(g, path, taken)
 
 
 @dataclass(frozen=True)
@@ -380,29 +476,25 @@ def project_to_axis(t: Trail, p: Union[Partition, RankView]) -> YSequence:
 
     Takes the partition or its :class:`~boxcert.geometry.RankView`; every
     point of ``t`` must be a vertex of it, as every point of a trail from
-    :func:`extract_trail` is.  The axis is the smallest one on which start
-    and end corners differ; on it one corner sits at 0 and the other at the
-    full outer extent, and the sequence is oriented to start at 0.  Steps
-    from edges parallel to other axes project to zero and are dropped.  The
-    walk is projected, deduplicated, oriented and checked on ranks; each
-    kept rank is then read back from the value table, less the outer box's
-    low face (a subtraction only where that face is not 0).
+    :func:`extract_trail` is.  The axis is the smallest one on which the
+    walk's first and last vertices differ; on it one corner sits at 0 and
+    the other at the full outer extent, and the sequence is oriented to
+    start at 0.  Steps from edges parallel to other axes project to zero and
+    are dropped.  The walk's ranks (:meth:`Trail.ranks_in`) are projected,
+    deduplicated, oriented and checked; each kept rank is then read back
+    from the value table, less the outer box's low face (a subtraction only
+    where that face is not 0).
     """
     view = p if isinstance(p, RankView) else rank_partition(p)
-    differing = [
-        j for j in range(1, view.outer.dim + 1) if t.start[j - 1] != t.end[j - 1]
-    ]
+    path = t.ranks_in(view)
+    first, last = path[0], path[-1]
+    differing = [j for j in range(view.outer.dim) if first[j] != last[j]]
     if not differing:
         raise SoundnessError("trail starts and ends at the same corner")
     j = differing[0]
-    index, values = view.index[j - 1], view.values[j - 1]
-    lo, hi = view.outer.lo[j - 1], view.outer.hi[j - 1]
-    ranks: list[int] = []
-    for v in t.points():
-        c = v[j - 1]
-        r = index[c.numerator, c.denominator]
-        if not ranks or r != ranks[-1]:
-            ranks.append(r)
+    values = view.values[j]
+    lo, hi = view.outer.lo[j], view.outer.hi[j]
+    ranks = [r for r, _ in groupby(map(itemgetter(j), path))]
     if ranks[0] != lo:
         ranks.reverse()
     if ranks[0] != lo or ranks[-1] != hi:
@@ -415,7 +507,7 @@ def project_to_axis(t: Trail, p: Union[Partition, RankView]) -> YSequence:
     if base:
         values = {r: values[r] - base for r in set(ranks)}
     return YSequence(
-        axis=j,
+        axis=j + 1,
         length=values[hi],
         points=tuple(values[r] for r in ranks),
         ranks=tuple(ranks),

@@ -387,6 +387,35 @@ def test_check_accepts_each_audit_field_only_as_certify_writes_it(name):
     assert result.reasons[0].split(":")[0] == stage, result.reasons
 
 
+# Spellings of the same certificate's other fields outside the derivation
+# table, with the stage that must reject each.
+_ENVELOPE_RESPELLINGS = {
+    "extra top-level key": (("note", "x"), "certificate"),
+    "extra key in claimed_side": (("claimed_side", "note", "x"), "claim"),
+    "extra key in reduction": (("reduction", "note", "x"), "reduction"),
+    "claimed length 20/1": (("claimed_side", "length", "20/1"), "claim"),
+    "claimed length as a JSON integer": (("claimed_side", "length", 20), "claim"),
+    "reduction result 20/1": (("reduction", "result", "20/1"), "reduction"),
+    "reduction result as a JSON integer": (("reduction", "result", 20), "reduction"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_RESPELLINGS))
+def test_check_accepts_the_envelope_only_as_certify_writes_it(name):
+    # Each edit parses to the certificate certify wrote; only its spelling
+    # or an unread key differs.
+    edit, stage = _ENVELOPE_RESPELLINGS[name]
+    p, g = _pinwheel()
+    doc = _written(p, g)
+    _put(doc, *edit)
+    cert = certificate_from_json(doc)
+    assert cert.claimed_side == ClaimedSide(axis=1, length=_F(20))
+    assert cert.reduction.result == 20
+    result = check_certificate(cert, p, g)
+    assert not result.ok
+    assert result.reasons[0].split(":")[0] == stage, result.reasons
+
+
 def test_certificate_from_json_parses_no_rational_inside_the_audit(monkeypatch):
     # Of a 300-strip row's rationals, the parser reads those of gens, the
     # table, the result, the claimed length and the trail's start; none of

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +158,45 @@ def test_assign_axes_asks_member_once_per_distinct_extent():
         asked.clear()
         assert assign_axes(given, counted) == (1,) * (n * n)
         assert 0 < len(asked) <= len(distinct)  # 2 * n; n * n at one per box
+
+
+def _benchmark_pool(workload, seed):
+    """The benchmark's pool of ``workload`` instances for ``seed``, from
+    ``perfbench/workloads.py``, which does not import boxcert."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses read the defining module
+    try:
+        spec.loader.exec_module(module)
+        return module.generate(workload, seed)
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_assign_axes_asks_member_once_per_distinct_length(monkeypatch):
+    # Seed-1 row instance 0: 8 distinct strip widths over ~270 distinct
+    # pairs of x ranks.  The verdicts are keyed on the integer length, and
+    # no Fraction is subtracted.
+    spec = _benchmark_pool("row", 1)[0]
+    p = jsonio.partition_from_json(spec.partition)
+    member = _member(tuple(GeneratorSet.from_values(spec.gens).gens), max(p.outer.extents()))
+    asked = []
+
+    def counted(value):
+        asked.append(value)
+        return member(value)
+
+    for given in (p, rank_partition(p)):
+        asked.clear()
+        subtractions = _count_fraction_calls(monkeypatch, "__sub__", "__rsub__")
+        axes = assign_axes(given, counted)
+        assert subtractions[0] == 0
+        monkeypatch.undo()
+        widths = {b.hi[0] - b.lo[0] for b in p.boxes}
+        assert axes == (1,) * len(p.boxes)
+        assert sorted(asked) == sorted(widths)  # each distinct length once
+        assert len(widths) <= 10 < len(p.boxes)
 
 
 def test_assign_axes_and_construct_make_no_box_extent_call(monkeypatch):
@@ -332,15 +374,46 @@ def test_validation_and_the_graph_read_one_corner_enumeration(monkeypatch):
 
 
 def test_certify_builds_an_edge_only_for_each_trail_step(monkeypatch):
+    # The walk and the audit writer run on ranks: certify builds no Edge;
+    # only the certificate's trail view, which decodes the written audit,
+    # builds one per step.
     n = 40
     p = _unit_grid(n)
     calls = _count_inits(monkeypatch, Edge)
     cert = pipeline.certify(p, GeneratorSet.of(1))
-    built = calls[0]  # before the trail view decodes the audit into Edges
+    assert calls[0] == 0  # before the trail view decodes the audit into Edges
     assert len(cert.trail.steps) == n
-    assert built <= len(cert.trail.steps)
     Edge(1, 0, _pt(0, 0), _pt(1, 0))
-    assert calls[0] == 2 * n + 1  # the counter is live: certify, the view, here
+    assert calls[0] == n + 1  # the counter is live: the view, here
+
+
+def test_a_row_graph_keeps_one_tracked_object_per_vertex():
+    # The graph holds its edges as columns of the view's own corner tuples
+    # and each vertex's edges as one list of edge numbers, so what it keeps
+    # alive for the garbage collector to track is about one object per
+    # vertex, not a tuple per edge and two per incidence (2,420 here).
+    n = 300
+    rng = random.Random(300)
+    xs = [0]
+    for _ in range(n):
+        xs.append(xs[-1] + rng.randint(2, 9))
+    height = _F("5/3")
+    strips = tuple(Box((_F(a), _F(0)), (_F(b), height)) for a, b in zip(xs, xs[1:]))
+    p = Partition(2, Box((_F(0), _F(0)), (_F(xs[-1]), height)), strips)
+    view = rank_partition(p)
+    axes = (1,) * n
+    build_graph(view, axes)  # the corners and the edge layout are cached
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        g = build_graph(view, axes)
+        kept = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    vertices = len(g.adjacency)
+    assert vertices == 2 * (n + 1)
+    assert len(g.edges) == 2 * n
+    assert vertices <= kept <= vertices + 16
 
 
 def test_strip_trail_golden():
@@ -494,6 +567,18 @@ def _reference_trail(p, axes):
     return Trail(start=start, steps=tuple(steps), end=current)
 
 
+def _decoded_adjacency(g):
+    """The graph's adjacency as ``(far endpoint, box, edge_id)`` lists, read
+    off its edge numbers and columns."""
+    out = {}
+    for v, numbers in g.adjacency.items():
+        out[v] = []
+        for i in numbers:
+            far = g.upper[i] if g.lower[i] == v else g.lower[i]
+            out[v].append((far, g.box[i], g.edge_id[i]))
+    return out
+
+
 def test_vertices_are_the_sorted_box_corners_under_any_assignment():
     # The vertex set is read off the edges' endpoints; the parallel edges of
     # each box reach all of its corners whatever axis it is assigned.  The
@@ -519,7 +604,7 @@ def test_vertices_are_the_sorted_box_corners_under_any_assignment():
                 for e in edges_of_box(b, k, axis):
                     expected.setdefault(e.src, []).append((e.dst, k, e.edge_id))
                     expected.setdefault(e.dst, []).append((e.src, k, e.edge_id))
-            assert g.adjacency == expected
+            assert _decoded_adjacency(g) == expected
             assert extract_trail(g) == _reference_trail(p, axes)
 
 
