@@ -1,16 +1,20 @@
 """JSON wire formats and the canonical bytes used for hashing.
 
-All rationals travel as lowest-terms strings (``"p/q"``, or ``"p"`` for
-integers); plain JSON integers are accepted on input.  Non-integer JSON
-numbers are rejected: a binary float almost never denotes the decimal the
-user wrote, and every consumer here needs exact values.
+All rationals are written as lowest-terms strings (``"p/q"``, or ``"p"`` for
+integers), and the parsers of partitions and generators also take plain JSON
+integers.  A certificate is accepted only as
+:func:`boxcert.pipeline.certify` writes it: the parser holds each entry of
+its derivation table to the form :func:`derivation_to_json` writes, and the
+checker holds the rest of the document to it by comparison.  Non-integer
+JSON numbers are rejected: a binary float almost never denotes the decimal
+the user wrote, and every consumer here needs exact values.
 
 A document repeats a few values many times (a coordinate in every box and
 trail step that touches it), so each loader reads its document's rational
 strings through one table, string to exact ``Fraction``, that lives for that
-one call (a parsed certificate keeps it, for reading its audit fields): each
-distinct string is parsed once, and equal strings give the same
-``Fraction`` object.  A malformed string never enters the table, so it
+one call (a parsed certificate keeps it, for the fields it decodes when they
+are read): each distinct string is parsed once, and equal strings give the
+same ``Fraction`` object.  A malformed string never enters the table, so it
 is rejected wherever it occurs.  The lower-level parsers take the table as
 the keyword ``rats`` and start a fresh one when it is omitted.
 
@@ -25,11 +29,11 @@ sub-derivation; a sum entry takes every operand of a chain of sums at once
 The certificate parser (:func:`boxcert.pipeline.certificate_from_json`)
 decodes only what the checker reads: the generators, the derivation table
 and its result, the claimed side and the trail's start corner, through one
-table.  The audit fields ``bound``, ``assignment``, ``trail`` and ``y`` are
-kept as written; the checker compares them, as JSON, with what it writes
-with :func:`trail_to_json` (from the walk's ranks) and
-:func:`ysequence_to_json`, and :func:`trail_from_json` and
-:func:`ysequence_from_json` decode them only when a program reads them.
+table, and keeps the document as written.  The checker compares it with the
+document it writes, whose trail and projection come from
+:func:`trail_to_json` (from the walk's ranks) and :func:`ysequence_to_json`;
+:func:`trail_from_json` and :func:`ysequence_from_json` decode them only
+when a program reads them.
 
 ``canonical_json`` (sorted keys, no whitespace) defines the byte string that
 content digests are computed over; pretty output is for files and humans and
@@ -323,11 +327,13 @@ def derivation_from_json(
     every argument must index an earlier entry, and each entry's "value"
     annotation must equal the value its node computes when it is built from
     its arguments.  The table must also have the form
-    :func:`derivation_to_json` writes: no entry may repeat another (the same
-    leaf value, or the same op over the same entries), every entry but the
-    root must be an argument of a later one, and no sum may have exactly
-    one use, by a sum, which would hold it folded in.  A table that breaks
-    any of these is rejected here, before any semantic checking.
+    :func:`derivation_to_json` writes: each entry has exactly the keys
+    ``op``, ``args`` and ``value``, and its value is the lowest-terms
+    string; no entry may repeat another (the same leaf value, or the same op
+    over the same entries), every entry but the root must be an argument of
+    a later one, and no sum may have exactly one use, by a sum, which would
+    hold it folded in.  A table that breaks any of these is rejected here,
+    before any semantic checking.
     The annotations keep the arithmetic and memory in proportion to the
     input: every value computed is also written out, so n chained doublings
     cannot derive an n-bit value from O(n) bytes.
@@ -345,7 +351,13 @@ def derivation_from_json(
             d = expect_dict(entry, "")
             op = get_key(d, "op", "")
             args = expect_list(get_key(d, "args", ""), ".args")
-            claimed = _rat(get_key(d, "value", ""), rats, ".value")
+            value = get_key(d, "value", "")
+            claimed = _rat(value, rats, ".value")
+            if len(d) != 3:  # op, args and value, which are all there
+                raise _Malformed("", f"keys {sorted(d)} are not op, args and value")
+            written = format_rat(claimed)
+            if value != written:
+                raise _Malformed(".value", f"expected {written!r}, got {value!r}")
             arity = _ARITY.get(op) if isinstance(op, str) else None
             if arity is None:
                 raise _Malformed(".op", f"unknown operation {op!r}")

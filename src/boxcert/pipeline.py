@@ -4,21 +4,22 @@ One private function, :func:`_construct`, runs the stages both sides share:
 validation, bounded closure of the generators, per-box axis assignment,
 trail graph, parity audit, greedy corner-to-corner trail and projection.
 ``certify`` is that sequence plus the reduction and packaging into a
-:class:`Certificate` bound to the partition by a content digest; the shared
-stages' results are written once, as the certificate's audit record, by
-:func:`_write_audit`.  :func:`check_certificate` re-checks a certificate
-without trusting the producer: it runs the soundness kernel first, then the
-same shared stages from the recorded trail start, writes their results with
-the same writer and compares the two records field by field, so each audit
-field is accepted only as certify writes it.  It never raises on malformed
-input, and reports the failing stage instead.
+:class:`Certificate`: one JSON document, bound to the partition by a content
+digest and written by one function, :func:`_write`.
+:func:`check_certificate` re-checks a certificate without trusting the
+producer: it runs the soundness kernel first, then the shared stages from
+the recorded trail start, writes the document certify would have written
+with the same writer and compares it with the certificate's as written.
+Only the derivation table is not written back: the parser holds each entry
+to the form certify writes.  Check never raises on malformed input, and
+reports the failing stage instead.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from . import jsonio
 from .closure import BoundedClosure, GeneratorSet, bounded_closure
@@ -63,101 +64,121 @@ class ClaimedSide:
 class Certificate:
     """Everything needed to re-check one certified instance.
 
-    ``partition_sha256`` pins the exact partition (canonical JSON digest).
-    ``gens_json`` is the generator list as written, and ``gens`` its set;
-    :func:`check_certificate` accepts only the list certify writes, sorted,
-    distinct and in lowest terms.
-    ``reduction`` derives the claimed side length from generators only, and
-    always ends at ``claimed_side.length``.  ``start`` is the trail's start
-    corner, from which :func:`check_certificate` re-runs the shared stages.
-    ``audit`` records those stages' results as one JSON record,
-    ``{"bound", "assignment", "trail", "y"}``, exactly as written; check
-    compares it with the record it writes itself and decodes nothing in it.
-    ``envelope`` keeps the rest of the document outside the derivation table
-    as written, for check to compare in the same way: ``{"keys",
-    "reduction", "claimed_side"}``, the set of top-level keys, the
-    ``reduction`` object without its ``derivation`` and the
-    ``claimed_side`` object.
+    ``document`` is the certificate's JSON document exactly as written: the
+    one :func:`certify` wrote, or the one :func:`certificate_from_json` was
+    given.  The fields beside it are what the kernel and the recomputation
+    read, decoded: the generator set ``gens``; ``start``, the trail's start
+    corner, from which :func:`check_certificate` re-runs the shared stages;
+    and ``reduction``, which derives ``claimed_side.length`` from generators
+    only.
 
-    ``bound``, ``assignment``, ``trail`` and ``y`` read the audit record:
-    each is decoded on first read by the :mod:`~boxcert.jsonio` parsers,
-    through ``rats``, the rational strings already parsed from the
-    certificate's document, so equal strings in one document still give one
-    ``Fraction``.  A malformed field raises ``ValueError`` when it is read.
+    ``partition_sha256`` (the canonical JSON digest of the partition),
+    ``bound``, ``assignment``, ``trail`` and ``y`` read the document; the
+    last four are decoded on first read through ``rats``, the rational
+    strings already parsed from the document, so equal strings in one
+    document still give one ``Fraction``.  A malformed field raises
+    ``ValueError`` when it is read.
     """
 
-    partition_sha256: str
     gens: GeneratorSet
-    gens_json: list[Any]
     start: Point
-    audit: dict[str, Any]
     reduction: ReductionCertificate
     claimed_side: ClaimedSide
-    envelope: dict[str, Any]
+    document: dict[str, Any] = field(repr=False)
     rats: jsonio.RatTable = field(default_factory=dict, repr=False)
+
+    @property
+    def partition_sha256(self) -> str:
+        return self.document["partition_sha256"]
 
     @cached_property
     def bound(self) -> Fraction:
         return jsonio.rat_from_json(
-            self.audit["bound"], "certificate.bound", rats=self.rats
+            self.document["bound"], "certificate.bound", rats=self.rats
         )
 
     @cached_property
     def assignment(self) -> tuple[int, ...]:
         where = "certificate.assignment"
-        axes = jsonio.expect_list(self.audit["assignment"], where)
+        axes = jsonio.expect_list(self.document["assignment"], where)
         return tuple(jsonio.expect_int(a, where, i) for i, a in enumerate(axes))
 
     @cached_property
     def trail(self) -> Trail:
-        return jsonio.trail_from_json(self.audit["trail"], rats=self.rats)
+        return jsonio.trail_from_json(self.document["trail"], rats=self.rats)
 
     @cached_property
     def y(self) -> YSequence:
-        return jsonio.ysequence_from_json(self.audit["y"], rats=self.rats)
+        return jsonio.ysequence_from_json(self.document["y"], rats=self.rats)
 
 
-def _write_audit(
-    bound: Fraction, assignment: tuple[int, ...], trail: Trail, y: YSequence
+def _write(
+    digest: str,
+    g: GeneratorSet,
+    bound: Fraction,
+    assignment: tuple[int, ...],
+    trail: Trail,
+    y: YSequence,
+    claim: ClaimedSide,
+    table: list[Any],
 ) -> dict[str, Any]:
-    """The audit record of a certificate, as certify writes it and check
-    rewrites it."""
+    """The certificate document, as certify writes it and check rewrites it
+    around the certificate's own derivation ``table``.  The reduction's
+    result is the claimed length."""
+    length = format_rat(claim.length)
     return {
+        "partition_sha256": digest,
+        "gens": [format_rat(v) for v in g.sorted_values],
         "bound": format_rat(bound),
         "assignment": list(assignment),
         "trail": jsonio.trail_to_json(trail),
         "y": jsonio.ysequence_to_json(y),
-    }
-
-
-def _write_gens(g: GeneratorSet) -> list[str]:
-    """The generator list, as certify writes it and check rewrites it."""
-    return [format_rat(v) for v in g.sorted_values]
-
-
-#: The top-level keys of a certificate document.
-_KEYS = frozenset(
-    {"partition_sha256", "gens", "bound", "assignment", "trail", "y", "reduction",
-     "claimed_side"}
-)
-
-
-def _write_envelope(claim: ClaimedSide) -> dict[str, Any]:
-    """The envelope of a certificate of ``claim``, as certify writes it and
-    check rewrites it: the reduction's result is the claimed length."""
-    length = format_rat(claim.length)
-    return {
-        "keys": _KEYS,
-        "reduction": {"result": length},
+        "reduction": {"result": length, "derivation": table},
         "claimed_side": {"axis": claim.axis, "length": length},
     }
 
 
 def _ints(values: Iterable[Any]) -> bool:
-    """True iff every value is a JSON integer.  ``true`` and ``1.0`` compare
-    equal to ``1``, so a recorded audit field equal to the written one may
-    still hold them where the writer puts integers."""
+    """True iff every value is a JSON integer: ``true`` and ``1.0`` equal ``1``."""
     return all(type(v) is int for v in values)
+
+
+def _none(_: Any) -> tuple[()]:
+    return ()
+
+
+def _axis(obj: dict[str, Any]) -> tuple[Any]:
+    return (obj["axis"],)
+
+
+def _step_ints(trail: dict[str, Any]) -> list[Any]:
+    return [v for step in trail["steps"] for v in (step["box"], step["edge"])]
+
+
+#: Every top-level key of a certificate document, in the order
+#: :func:`_difference` compares it: its stage, the detail (``{0}`` is the
+#: recorded value, ``{1}`` the written one) and the values in it that
+#: certify writes as JSON integers.
+_STAGES: dict[str, tuple[str, str, Callable[[Any], Iterable[Any]]]] = {
+    "partition_sha256": ("digest", "partition digest does not match the certificate", _none),
+    "gens": ("gens", "certificate gens {0} differ from supplied {1}", _none),
+    "bound": ("bound", "bound is not the outer extent {1}", _none),
+    "assignment": ("assignment", "recomputed axis assignment differs", list),
+    "trail": ("trail", "recomputed trail from the recorded start differs", _step_ints),
+    "y": ("projection", "recomputed position sequence differs", _axis),
+    "claimed_side": ("claim", "claimed side {0} differs from the projection's {1}", _axis),
+    "reduction": ("reduction", "reduction is not written as certify writes it", _none),
+}
+
+
+def _difference(doc: dict[str, Any], written: dict[str, Any]) -> Optional[tuple[str, str]]:
+    """The stage and detail of the first key of :data:`_STAGES` whose value in
+    ``doc`` is not the one in ``written``, integers written as integers, or
+    None.  Both documents have exactly those keys."""
+    for key, (stage, detail, ints) in _STAGES.items():
+        if doc[key] != written[key] or not _ints(ints(doc[key])):
+            return stage, detail.format(doc[key], written[key])
+    return None
 
 
 def _construct(
@@ -240,15 +261,15 @@ def certify(
             f"extent on axis {y.axis}"
         )
     claim = ClaimedSide(axis=y.axis, length=reduction.result)
+    table = jsonio.derivation_to_json(reduction.derivation)
     return Certificate(
-        partition_sha256=jsonio.partition_digest(p),
         gens=g,
-        gens_json=_write_gens(g),
         start=trail.start,
-        audit=_write_audit(max(extents), assignment, trail, y),
         reduction=reduction,
         claimed_side=claim,
-        envelope=_write_envelope(claim),
+        document=_write(
+            jsonio.partition_digest(p), g, max(extents), assignment, trail, y, claim, table
+        ),
     )
 
 
@@ -292,27 +313,24 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     (every leaf of the derivation is a generator, and the root's value, which
     each node computed exactly when it was built, is the recorded result) plus
     "the claimed length is the outer extent".  It runs before any partition
-    work.  Everything else is an audit by recomputation: :func:`certify`'s own
-    stages are re-run from the recorded trail start, their results are
-    written with certify's writer, :func:`_write_audit`, and each field of
-    the recorded audit must equal the written one as JSON, integers written
-    as integers.  So each audit field is accepted only in the one spelling
-    :func:`certify` writes, and nothing inside it is decoded.  The
-    certificate's top-level keys, its reduction result and its claimed side
-    are compared as written too (:func:`_write_envelope`).  The
-    derivation is verified, not rebuilt.
+    work.  Everything else is an audit by recomputation: :func:`certify`'s
+    stages are re-run from the recorded trail start, :func:`_write` writes
+    the document certify would have written around the certificate's own
+    derivation table, and the certificate's document must equal it, integers
+    written as integers.  So every field is accepted only as certify writes
+    it.  The derivation is verified, not rebuilt, and the parser holds its
+    table to the form certify writes.
 
     Stages, in order (the first failure is reported with its stage tag):
-    ``digest``, ``gens`` (the recorded list must be the one certify writes
-    for ``g``), ``certificate`` (the top-level keys must be those certify
-    writes), the kernel (``reduction``, ``claim``), then the
-    shared stages (``partition`` when validation fails, ``assignment`` when
-    a box has no side in the closure, ``trail`` when the start is not an
-    exact outer corner), then equality of the recorded ``bound``,
-    ``assignment``, ``trail`` and ``y`` (reported as ``projection``) with
-    the written ones, of the claim with the recomputed projection
-    (``claim``), and of the reduction object without its table
-    (``reduction``) and the claimed side (``claim``) with the written ones.
+    ``digest``, ``gens`` (the recorded set must be ``g``), ``certificate``
+    (the top-level keys must be those certify writes), the kernel
+    (``reduction``, ``claim``), the shared stages (``partition`` when
+    validation fails, ``assignment`` when a box has no side in the closure,
+    ``trail`` when the start is not an exact outer corner), the first field
+    of the document that is not as written, with its stage from
+    :data:`_STAGES` (``gens``, ``bound``, ``assignment``, ``trail``,
+    ``projection`` for ``y``, ``claim``, ``reduction``), and last the
+    decoded claim against the recomputed projection (``claim``).
     Never raises: malformed certificates yield ``CheckResult(False, ...)``.
     """
     reasons: list[str] = []
@@ -322,15 +340,15 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
         return CheckResult(ok=False, reasons=tuple(reasons))
 
     try:
-        if jsonio.partition_digest(p) != cert.partition_sha256:
+        digest = jsonio.partition_digest(p)
+        if digest != cert.partition_sha256:
             return fail("digest", "partition digest does not match the certificate")
-        gens = _write_gens(g)
-        if cert.gens_json != gens:
-            detail = f"certificate gens {cert.gens_json} differ from supplied {gens}"
-            return fail("gens", detail)
-        keys = cert.envelope["keys"]
-        if keys != _KEYS:
-            detail = f"certificate keys {sorted(keys)} differ from {sorted(_KEYS)}"
+        doc = cert.document
+        if cert.gens != g:
+            supplied = [format_rat(v) for v in g.sorted_values]
+            return fail("gens", f"certificate gens {doc['gens']} differ from supplied {supplied}")
+        if doc.keys() != _STAGES.keys():
+            detail = f"certificate keys {sorted(doc)} differ from {sorted(_STAGES)}"
             return fail("certificate", detail)
         failure = _kernel(cert, p, g)
         if failure is not None:
@@ -343,28 +361,14 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
             return fail("assignment", str(exc))
         except ValueError as exc:  # extract_trail: the start is not an exact outer corner
             return fail("trail", str(exc))
-        recorded = cert.audit
-        written = _write_audit(max(extents), assignment, trail, y)
-        if recorded["bound"] != written["bound"]:
-            return fail("bound", f"bound is not the outer extent {written['bound']}")
-        axes = recorded["assignment"]
-        if axes != written["assignment"] or not _ints(axes):
-            return fail("assignment", "recomputed axis assignment differs")
-        walk = recorded["trail"]
-        if walk != written["trail"] or not _ints(
-            v for step in walk["steps"] for v in (step["box"], step["edge"])
-        ):
-            return fail("trail", "recomputed trail from the recorded start differs")
-        if recorded["y"] != written["y"] or type(recorded["y"]["axis"]) is not int:
-            return fail("projection", "recomputed position sequence differs")
         claim = ClaimedSide(axis=y.axis, length=y.length)
+        table = doc["reduction"]["derivation"]
+        written = _write(digest, g, max(extents), assignment, trail, y, claim, table)
+        failure = _difference(doc, written)
+        if failure is not None:
+            return fail(*failure)
         if cert.claimed_side != claim:
             return fail("claim", "claimed side does not match the projection")
-        written = _write_envelope(claim)
-        if cert.envelope["reduction"] != written["reduction"]:
-            return fail("reduction", "reduction is not written as certify writes it")
-        if cert.envelope["claimed_side"] != written["claimed_side"]:
-            return fail("claim", "claimed side is not written as certify writes it")
     except Exception as exc:  # malformed data must reject, not raise
         return fail("error", f"{type(exc).__name__}: {exc}")
     return CheckResult(ok=True, reasons=())
@@ -374,90 +378,62 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    """The certificate's JSON document.  ``gens`` and the audit fields are
-    copied from ``cert`` as written, and the document shares their contents;
-    the reduction and the claimed side are written from ``cert.reduction``
-    and ``cert.claimed_side``."""
-    return {
-        "partition_sha256": cert.partition_sha256,
-        "gens": cert.gens_json,
-        **cert.audit,
-        "reduction": {
-            "result": format_rat(cert.reduction.result),
-            "derivation": jsonio.derivation_to_json(cert.reduction.derivation),
-        },
-        "claimed_side": {
-            "axis": cert.claimed_side.axis,
-            "length": format_rat(cert.claimed_side.length),
-        },
-    }
+    """The certificate's JSON document, as written (``cert.document``)."""
+    return cert.document
 
 
 def certificate_from_json(obj: Any) -> Certificate:
     """Parse a certificate: decode what the kernel and the recomputation read.
 
-    That is the digest, ``gens``, the reduction (its result and derivation
-    table), the claimed side and the trail's start corner; each distinct
-    rational string among them is parsed once, and ``gens`` is also kept as
-    written, for the ``gens`` stage.  The audit fields ``bound``
-    (a string or an integer), ``assignment`` (an array), ``trail`` and ``y``
-    (objects) are checked for presence and that JSON type only, and kept as
-    written, for :func:`check_certificate` to compare with the record it
-    writes.  So are the top-level key set, the ``reduction`` object less its
-    table and the ``claimed_side`` object (``Certificate.envelope``); keys
-    the parser does not read are not rejected here.
+    That is ``gens``, the reduction (its result and derivation table), the
+    claimed side and the trail's start corner; each distinct rational string
+    among them is parsed once.  The digest must be a string, and the fields
+    ``bound`` (a string or an integer), ``assignment`` (an array), ``trail``
+    and ``y`` (objects) are checked for presence and that JSON type only.
+    The document is kept as given, for :func:`check_certificate` to compare
+    with the one it writes; keys the parser does not read are not rejected
+    here.
     """
     rats: jsonio.RatTable = {}
     d = jsonio.expect_dict(obj, "certificate")
     digest = jsonio.get_key(d, "partition_sha256", "certificate")
     if not isinstance(digest, str):
         raise ValueError("certificate.partition_sha256: expected a string")
-    gens_json = jsonio.get_key(d, "gens", "certificate")
-    gens = GeneratorSet(
-        frozenset(jsonio.rats_from_json(gens_json, "certificate.gens", rats=rats))
+    listed = jsonio.rats_from_json(
+        jsonio.get_key(d, "gens", "certificate"), "certificate.gens", rats=rats
     )
     bound = jsonio.get_key(d, "bound", "certificate")
     if isinstance(bound, bool) or not isinstance(bound, (str, int)):
         raise ValueError(
             f'certificate.bound: expected an integer or a "p/q" string, got {bound!r}'
         )
-    audit = {
-        "bound": bound,
-        "assignment": jsonio.expect_list(
-            jsonio.get_key(d, "assignment", "certificate"), "certificate.assignment"
-        ),
-        "trail": jsonio.expect_dict(jsonio.get_key(d, "trail", "certificate"), "trail"),
-        "y": jsonio.expect_dict(jsonio.get_key(d, "y", "certificate"), "y"),
-    }
-    start = jsonio.point_from_json(
-        jsonio.get_key(audit["trail"], "start", "trail"), "trail.start", rats=rats
+    jsonio.expect_list(
+        jsonio.get_key(d, "assignment", "certificate"), "certificate.assignment"
     )
-    claim_obj = jsonio.expect_dict(
+    trail = jsonio.expect_dict(jsonio.get_key(d, "trail", "certificate"), "trail")
+    jsonio.expect_dict(jsonio.get_key(d, "y", "certificate"), "y")
+    claim = jsonio.expect_dict(
         jsonio.get_key(d, "claimed_side", "certificate"), "certificate.claimed_side"
     )
-    reduction = jsonio.get_key(d, "reduction", "certificate")
     return Certificate(
-        partition_sha256=digest,
-        gens=gens,
-        gens_json=gens_json,
-        start=start,
-        audit=audit,
-        reduction=jsonio.reduction_from_json(reduction, rats=rats),
+        gens=GeneratorSet(frozenset(listed)),
+        start=jsonio.point_from_json(
+            jsonio.get_key(trail, "start", "trail"), "trail.start", rats=rats
+        ),
+        reduction=jsonio.reduction_from_json(
+            jsonio.get_key(d, "reduction", "certificate"), rats=rats
+        ),
         claimed_side=ClaimedSide(
             axis=jsonio.expect_int(
-                jsonio.get_key(claim_obj, "axis", "certificate.claimed_side"),
+                jsonio.get_key(claim, "axis", "certificate.claimed_side"),
                 "certificate.claimed_side.axis",
             ),
             length=jsonio.rat_from_json(
-                jsonio.get_key(claim_obj, "length", "certificate.claimed_side"),
+                jsonio.get_key(claim, "length", "certificate.claimed_side"),
                 "certificate.claimed_side.length",
                 rats=rats,
             ),
         ),
-        envelope={
-            "keys": frozenset(d),
-            "reduction": {k: v for k, v in reduction.items() if k != "derivation"},
-            "claimed_side": claim_obj,
-        },
+        document=d,
         rats=rats,
     )

@@ -473,6 +473,29 @@ MALFORMED = {
         _set("reduction", "derivation", 1, "op", "halve"),
         "reduction.derivation[1].op: unknown operation 'halve'",
     ),
+    # The pinwheel table is leaves 10, 7 and 17 and the root triple 20: each
+    # entry is accepted only in the form certify writes it.
+    "extra key in a table entry": (
+        "certificate",
+        _set("reduction", "derivation", 0, "note", "x"),
+        "reduction.derivation[0]: keys ['args', 'note', 'op', 'value'] are not "
+        "op, args and value",
+    ),
+    "leaf value 10/1": (
+        "certificate",
+        _set("reduction", "derivation", 0, "value", "10/1"),
+        "reduction.derivation[0].value: expected '10', got '10/1'",
+    ),
+    "root value 20/1": (
+        "certificate",
+        _set("reduction", "derivation", 3, "value", "20/1"),
+        "reduction.derivation[3].value: expected '20', got '20/1'",
+    ),
+    "leaf value as a JSON integer": (
+        "certificate",
+        _set("reduction", "derivation", 0, "value", 10),
+        "reduction.derivation[0].value: expected '10', got 10",
+    ),
     "gens entry": (
         "certificate",
         _set("gens", 1, 10.5),

@@ -264,6 +264,11 @@ def test_check_flags_tampered_claim():
     assert result.reasons[0].startswith("claim")
 
 
+def _rewritten(cert, **fields) -> dict:
+    """A copy of ``cert``'s document with ``fields`` written in place."""
+    return {**json.loads(jsonio.canonical_json(cert.document)), **fields}
+
+
 def test_check_rejects_a_valid_but_non_canonical_trail():
     # This instance has a second non-repeating trail from the same start: take
     # the largest far endpoint at every vertex instead of the smallest.  Its
@@ -294,7 +299,9 @@ def test_check_rejects_a_valid_but_non_canonical_trail():
     closure = bounded_closure(g, max(p.outer.extents()))
     bad = dataclasses.replace(
         cert,
-        audit=pipeline._write_audit(cert.bound, cert.assignment, trail, y),
+        document=_rewritten(
+            cert, trail=jsonio.trail_to_json(trail), y=jsonio.ysequence_to_json(y)
+        ),
         reduction=reduce_sequence(y, closure.derivation_for),
         claimed_side=ClaimedSide(axis=y.axis, length=y.length),
     )
@@ -317,7 +324,12 @@ def test_check_rejects_a_valid_but_non_canonical_assignment():
     closure = bounded_closure(g, max(p.outer.extents()))
     bad = dataclasses.replace(
         cert,
-        audit=pipeline._write_audit(cert.bound, assignment, trail, y),
+        document=_rewritten(
+            cert,
+            assignment=list(assignment),
+            trail=jsonio.trail_to_json(trail),
+            y=jsonio.ysequence_to_json(y),
+        ),
         reduction=reduce_sequence(y, closure.derivation_for),
         claimed_side=ClaimedSide(axis=y.axis, length=y.length),
     )
@@ -329,9 +341,7 @@ def test_check_rejects_a_valid_but_non_canonical_assignment():
 def test_check_never_raises_on_garbage_fields():
     p, g = _pinwheel()
     cert = certify(p, g)
-    bad = dataclasses.replace(
-        cert, audit=pipeline._write_audit(_F(-5), cert.assignment, cert.trail, cert.y)
-    )
+    bad = dataclasses.replace(cert, document=_rewritten(cert, bound="-5"))
     result = check_certificate(bad, p, g)
     assert not result.ok
     assert result.reasons[0].startswith("bound")
@@ -439,7 +449,7 @@ def test_certificate_from_json_parses_no_rational_inside_the_audit(monkeypatch):
     monkeypatch.setattr(jsonio, "parse_rat", counted)
     cert = certificate_from_json(doc)
     assert 0 < calls[0] <= len(read) < 30
-    assert len(cert.audit["trail"]["steps"]) == 300
+    assert len(cert.document["trail"]["steps"]) == 300
 
 
 _HOSTILE_AUDITS = {
