@@ -40,16 +40,6 @@ EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL = 4
 EXIT_NONMEMBER = 5
 
-#: The most characters of one message printed: a message may quote a field
-#: of an untrusted document, and a field may be of any size.
-MESSAGE_CHARS = 1000
-
-
-def _clip(message: object) -> str:
-    text = str(message)
-    cut = len(text) - MESSAGE_CHARS
-    return text if cut <= 0 else f"{text[:MESSAGE_CHARS]}... ({cut} more characters)"
-
 
 class _CliError(Exception):
     """Usage or input error that should terminate with a message and code."""
@@ -166,7 +156,7 @@ def _certify_one(
     try:
         p = _load_partition(path)
     except _CliError as exc:
-        sys.stderr.write(f"{_clip(exc)}\n")
+        sys.stderr.write(f"{exc}\n")
         return exc.code
     try:
         cert = pipeline.certify(p, gens, start=start)
@@ -181,7 +171,7 @@ def _certify_one(
         sys.stderr.write(f"{path}: internal invariant [{stage}]: {exc}\n")
         return EXIT_INTERNAL
     except ValueError as exc:
-        sys.stderr.write(f"{path}: {_clip(exc)}\n")
+        sys.stderr.write(f"{path}: {exc}\n")
         return EXIT_PARSE
     side = cert.claimed_side
     sys.stdout.write(
@@ -223,7 +213,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     for reason in result.reasons:
-        print(f"REJECTED: {_clip(reason)}")
+        print(f"REJECTED: {reason}")
     return EXIT_INVALID
 
 
@@ -300,7 +290,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         result = pipeline.check_certificate(cert, p, cert.gens)
         if not result.ok:
             raise _CliError(
-                "\n".join(f"{args.cert}: REJECTED: {_clip(r)}" for r in result.reasons),
+                "\n".join(f"{args.cert}: REJECTED: {r}" for r in result.reasons),
                 EXIT_INVALID,
             )
     try:
@@ -438,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except _CliError as exc:
-        print(_clip(exc), file=sys.stderr)
+        print(str(exc), file=sys.stderr)
         return exc.code
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from . import jsonio
 from .closure import BoundedClosure, GeneratorSet, bounded_closure
@@ -78,6 +78,11 @@ class Certificate:
     strings already parsed from the document, so equal strings in one
     document still give one ``Fraction``.  A malformed field raises
     ``ValueError`` when it is read.
+
+    The document is never rewritten from the decoded fields: a field set with
+    ``dataclasses.replace`` changes what check reads, not the document, which
+    :func:`certificate_to_json` returns as it is, the same dict.  Editing that
+    dict edits the certificate, and views already read do not follow.
     """
 
     gens: GeneratorSet
@@ -143,42 +148,17 @@ def _ints(values: Iterable[Any]) -> bool:
     return all(type(v) is int for v in values)
 
 
-def _none(_: Any) -> tuple[()]:
-    return ()
-
-
-def _axis(obj: dict[str, Any]) -> tuple[Any]:
-    return (obj["axis"],)
-
-
-def _step_ints(trail: dict[str, Any]) -> list[Any]:
-    return [v for step in trail["steps"] for v in (step["box"], step["edge"])]
-
-
-#: Every top-level key of a certificate document, in the order
-#: :func:`_difference` compares it: its stage, the detail (``{0}`` is the
-#: recorded value, ``{1}`` the written one) and the values in it that
-#: certify writes as JSON integers.
-_STAGES: dict[str, tuple[str, str, Callable[[Any], Iterable[Any]]]] = {
-    "partition_sha256": ("digest", "partition digest does not match the certificate", _none),
-    "gens": ("gens", "certificate gens {0} differ from supplied {1}", _none),
-    "bound": ("bound", "bound is not the outer extent {1}", _none),
-    "assignment": ("assignment", "recomputed axis assignment differs", list),
-    "trail": ("trail", "recomputed trail from the recorded start differs", _step_ints),
-    "y": ("projection", "recomputed position sequence differs", _axis),
-    "claimed_side": ("claim", "claimed side {0} differs from the projection's {1}", _axis),
-    "reduction": ("reduction", "reduction is not written as certify writes it", _none),
+#: The stage and detail that report a key of a certificate document whose
+#: value is not the one check writes, in the order they are compared.  The
+#: digest and ``gens``, the other two keys, are compared before the kernel.
+_STAGES: dict[str, tuple[str, str]] = {
+    "bound": ("bound", "bound is not the outer extent"),
+    "assignment": ("assignment", "recomputed axis assignment differs"),
+    "trail": ("trail", "recomputed trail from the recorded start differs"),
+    "y": ("projection", "recomputed position sequence differs"),
+    "claimed_side": ("claim", "claimed side is not written as certify writes it"),
+    "reduction": ("reduction", "reduction is not written as certify writes it"),
 }
-
-
-def _difference(doc: dict[str, Any], written: dict[str, Any]) -> Optional[tuple[str, str]]:
-    """The stage and detail of the first key of :data:`_STAGES` whose value in
-    ``doc`` is not the one in ``written``, integers written as integers, or
-    None.  Both documents have exactly those keys."""
-    for key, (stage, detail, ints) in _STAGES.items():
-        if doc[key] != written[key] or not _ints(ints(doc[key])):
-            return stage, detail.format(doc[key], written[key])
-    return None
 
 
 def _construct(
@@ -322,15 +302,18 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     table to the form certify writes.
 
     Stages, in order (the first failure is reported with its stage tag):
-    ``digest``, ``gens`` (the recorded set must be ``g``), ``certificate``
-    (the top-level keys must be those certify writes), the kernel
-    (``reduction``, ``claim``), the shared stages (``partition`` when
-    validation fails, ``assignment`` when a box has no side in the closure,
-    ``trail`` when the start is not an exact outer corner), the first field
-    of the document that is not as written, with its stage from
-    :data:`_STAGES` (``gens``, ``bound``, ``assignment``, ``trail``,
-    ``projection`` for ``y``, ``claim``, ``reduction``), and last the
-    decoded claim against the recomputed projection (``claim``).
+    ``digest``, ``gens`` (the recorded list must be the one certify writes
+    for ``g``), ``certificate`` (the top-level keys must be those certify
+    writes), the kernel (``reduction``, ``claim``), the shared stages
+    (``partition`` when validation fails, ``assignment`` when a box has no
+    side in the closure, ``trail`` when the start is not an exact outer
+    corner), then one comparison of the whole document with the written
+    one; when they differ, the first key of :data:`_STAGES` that differs
+    names the stage (``bound``, ``assignment``, ``trail``, ``projection``
+    for ``y``, ``claim`` for ``claimed_side``, ``reduction``).  Then the
+    type pass (``true`` or ``1.0`` where certify writes an integer, under
+    the stage of its key), and last the decoded claim against the
+    recomputed projection (``claim``).
     Never raises: malformed certificates yield ``CheckResult(False, ...)``.
     """
     reasons: list[str] = []
@@ -341,14 +324,15 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
 
     try:
         digest = jsonio.partition_digest(p)
-        if digest != cert.partition_sha256:
-            return fail("digest", "partition digest does not match the certificate")
         doc = cert.document
-        if cert.gens != g:
-            supplied = [format_rat(v) for v in g.sorted_values]
-            return fail("gens", f"certificate gens {doc['gens']} differ from supplied {supplied}")
-        if doc.keys() != _STAGES.keys():
-            detail = f"certificate keys {sorted(doc)} differ from {sorted(_STAGES)}"
+        if digest != doc["partition_sha256"]:
+            return fail("digest", "partition digest does not match the certificate")
+        gens = [format_rat(v) for v in g.sorted_values]
+        if doc["gens"] != gens:
+            return fail("gens", f"certificate gens {doc['gens']} differ from supplied {gens}")
+        keys = {"partition_sha256", "gens", *_STAGES}
+        if doc.keys() != keys:
+            detail = f"certificate keys {sorted(doc)} differ from {sorted(keys)}"
             return fail("certificate", detail)
         failure = _kernel(cert, p, g)
         if failure is not None:
@@ -364,9 +348,17 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
         claim = ClaimedSide(axis=y.axis, length=y.length)
         table = doc["reduction"]["derivation"]
         written = _write(digest, g, max(extents), assignment, trail, y, claim, table)
-        failure = _difference(doc, written)
-        if failure is not None:
-            return fail(*failure)
+        if doc != written:
+            key = next(k for k in _STAGES if doc[k] != written[k])
+            return fail(*_STAGES[key])
+        for key, values in (
+            ("assignment", doc["assignment"]),
+            ("trail", (v for step in doc["trail"]["steps"] for v in (step["box"], step["edge"]))),
+            ("y", (doc["y"]["axis"],)),
+            ("claimed_side", (doc["claimed_side"]["axis"],)),
+        ):
+            if not _ints(values):
+                return fail(*_STAGES[key])
         if cert.claimed_side != claim:
             return fail("claim", "claimed side does not match the projection")
     except Exception as exc:  # malformed data must reject, not raise
@@ -378,7 +370,11 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    """The certificate's JSON document, as written (``cert.document``)."""
+    """The certificate's JSON document: ``cert.document`` itself, not a copy.
+
+    Decoded fields replaced with ``dataclasses.replace`` are not written
+    back, so the document is what was certified or parsed.
+    """
     return cert.document
 
 

@@ -1,17 +1,16 @@
 """A mutation gate for the checker's failure paths.
 
-Every ``return`` of a failure in :func:`boxcert.pipeline.check_certificate`,
-the soundness kernel :func:`boxcert.pipeline._kernel` and the key-to-stage
-walk :func:`boxcert.pipeline._difference` is listed from the source with
-:mod:`ast`.  For each, a mutant without that return is compiled in-process
-and swapped into the module with ``monkeypatch``; nothing is written to
-disk, so no stale bytecode can stand in for a mutant.  So is, for each key
-of ``pipeline._STAGES`` that holds JSON integers, a table that skips their
-type pass.  A small corpus of forged ``pinwheel`` and strip certificates,
-each pinned to the first reason the checker gives, must tell every mutant
-from the checker.  The corpus forges through the JSON document and through
-``dataclasses.replace`` of the decoded fields, and has at least one forgery
-for each stage.
+Every ``return`` of a failure in :func:`boxcert.pipeline.check_certificate`
+(the key-to-stage walk among them) and the soundness kernel
+:func:`boxcert.pipeline._kernel` is listed from the source with :mod:`ast`.
+For each, a mutant without that return is compiled in-process and swapped
+into the module with ``monkeypatch``; nothing is written to disk, so no
+stale bytecode can stand in for a mutant.  So is, for each key in check's
+integer type pass, a mutant that skips that key.  A small corpus of forged
+``pinwheel`` and strip certificates, each pinned to the first reason the
+checker gives, must tell every mutant from the checker.  The corpus forges
+through the JSON document and through ``dataclasses.replace`` of the decoded
+fields, and has at least one forgery for each stage.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from boxcert.reduction import ReductionCertificate
 from boxcert.trailgraph import build_graph, extract_trail, project_to_axis
 
 #: The functions whose failure returns are mutated.
-TARGETS = ("check_certificate", "_kernel", "_difference")
+TARGETS = ("check_certificate", "_kernel")
 
 _PINWHEEL = factory.pinwheel_partition(17, 10, 7)
 _PINWHEEL_GENS = GeneratorSet.of(17, 10, 7)
@@ -165,13 +164,15 @@ CORPUS = {
         lambda: _cert(_both(_MORE_GENS, _set("claimed_side", "axis", 3))),
         "gens: certificate gens ['7', '10', '17', '20'] differ from supplied ['7', '10', '17']",
     ),
-    "decoded gens replaced": (
-        lambda: _replaced(gens=GeneratorSet.of(17, 10)),
-        "gens: certificate gens ['7', '10', '17'] differ from supplied ['7', '10', '17']",
-    ),
+    # Check reads the supplied set and the document, not the decoded set.
+    "decoded gens replaced": (lambda: _replaced(gens=GeneratorSet.of(17, 10)), None),
     "gens unsorted": (
         lambda: _cert(_set("gens", ["17", "10", "7"])),
         "gens: certificate gens ['17', '10', '7'] differ from supplied ['7', '10', '17']",
+    ),
+    "gens written as integers": (
+        lambda: _cert(_set("gens", [7, 10, 17])),
+        "gens: certificate gens [7, 10, 17] differ from supplied ['7', '10', '17']",
     ),
     "a key more": (
         lambda: _cert(_set("note", "x")),
@@ -220,7 +221,7 @@ CORPUS = {
     ),
     "bound": (
         lambda: _cert(_set("bound", "15")),
-        "bound: bound is not the outer extent 20",
+        "bound: bound is not the outer extent",
     ),
     "assignment flipped": (
         lambda: _cert(_set("assignment", 1, 2)),
@@ -248,8 +249,7 @@ CORPUS = {
     ),
     "claimed length 20/1": (
         lambda: _cert(_set("claimed_side", "length", "20/1")),
-        "claim: claimed side {'axis': 1, 'length': '20/1'} differs from the "
-        "projection's {'axis': 1, 'length': '20'}",
+        "claim: claimed side is not written as certify writes it",
     ),
     "true as a step's box": (
         lambda: _cert(_set("trail", "steps", 0, "box", True)),
@@ -261,8 +261,7 @@ CORPUS = {
     ),
     "true as the claimed axis, in a replaced document": (
         lambda: _replaced(document=_edited(_set("claimed_side", "axis", True))),
-        "claim: claimed side {'axis': True, 'length': '20'} differs from the "
-        "projection's {'axis': 1, 'length': '20'}",
+        "claim: claimed side is not written as certify writes it",
     ),
     "a key more in reduction": (
         lambda: _cert(_set("reduction", "note", "x")),
@@ -330,17 +329,8 @@ MUTANTS = [
 ]
 
 
-def _mutant(name: str, index: int):
-    """``pipeline.<name>`` without its ``index``-th failure return, compiled
-    from the source in memory."""
-    tree = _tree(name)
-    gone = _failure_returns(tree)[index]
-    for parent in ast.walk(tree):
-        for _, body in ast.iter_fields(parent):
-            if isinstance(body, list) and any(stmt is gone for stmt in body):
-                body[[id(s) for s in body].index(id(gone))] = ast.copy_location(
-                    ast.Pass(), gone
-                )
+def _compiled(name: str, tree: ast.Module):
+    """``pipeline.<name>`` compiled in memory from the edited ``tree``."""
     fn = getattr(pipeline, name)
     code = compile(
         tree,
@@ -354,6 +344,44 @@ def _mutant(name: str, index: int):
     return namespace[name]
 
 
+def _mutant(name: str, index: int):
+    """``pipeline.<name>`` without its ``index``-th failure return."""
+    tree = _tree(name)
+    gone = _failure_returns(tree)[index]
+    for parent in ast.walk(tree):
+        for _, body in ast.iter_fields(parent):
+            if isinstance(body, list) and any(stmt is gone for stmt in body):
+                body[[id(s) for s in body].index(id(gone))] = ast.copy_location(
+                    ast.Pass(), gone
+                )
+    return _compiled(name, tree)
+
+
+def _type_pass(tree: ast.Module) -> list[ast.expr]:
+    """The ``(key, values)`` pairs of check's integer type pass: the one loop
+    of ``check_certificate`` over a literal tuple."""
+    (loop,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)
+    ]
+    return loop.iter.elts
+
+
+#: The keys whose integers check's type pass reads.
+INTEGER_KEYS = [
+    ast.literal_eval(pair.elts[0]) for pair in _type_pass(_tree("check_certificate"))
+]
+
+
+def _without_type_pass(key: str):
+    """``pipeline.check_certificate`` with no type pass over ``key``."""
+    tree = _tree("check_certificate")
+    pairs = _type_pass(tree)
+    pairs[:] = [pair for pair in pairs if ast.literal_eval(pair.elts[0]) != key]
+    return _compiled("check_certificate", tree)
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_each_forgery_gets_its_pinned_reason(name):
     _, cert, p, g, reason = next(f for f in _forgeries() if f[0] == name)
@@ -365,6 +393,7 @@ def test_the_corpus_covers_every_stage_and_target():
     assert stages == STAGES
     assert any(reason is None for *_, reason in _forgeries())
     assert {name for name, _, _ in MUTANTS} == set(TARGETS)
+    assert INTEGER_KEYS == ["assignment", "trail", "y", "claimed_side"]
 
 
 def _survives() -> bool:
@@ -386,12 +415,7 @@ def test_every_failure_return_is_needed(monkeypatch, name, index, line):
     assert not _survives(), f"the return at pipeline.py:{line} can go unnoticed"
 
 
-#: The keys of the document whose values hold JSON integers.
-INTEGER_KEYS = [key for key, (*_, ints) in pipeline._STAGES.items() if ints is not pipeline._none]
-
-
 @pytest.mark.parametrize("key", INTEGER_KEYS)
 def test_every_integer_type_pass_is_needed(monkeypatch, key):
-    stage, detail, _ = pipeline._STAGES[key]
-    monkeypatch.setitem(pipeline._STAGES, key, (stage, detail, pipeline._none))
+    monkeypatch.setattr(pipeline, "check_certificate", _without_type_pass(key))
     assert not _survives(), f"integers under {key!r} can be written as true or 1.0"

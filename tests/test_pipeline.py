@@ -975,7 +975,8 @@ def _seeded_row(seed):
 
 def test_certificate_json_round_trips_through_the_parser():
     # Parsing keeps one node per table entry and writing folds nothing more,
-    # so the parsed certificate writes the bytes it was read from.
+    # so the decoded fields of a parsed certificate write the document they
+    # were read from.
     cases = [
         *_golden_instances().values(),
         *(_seeded_row(seed) for seed in range(40)),
@@ -989,7 +990,37 @@ def test_certificate_json_round_trips_through_the_parser():
     ]
     for p, g in cases:
         doc = json.loads(jsonio.canonical_json(certificate_to_json(certify(p, g))))
-        assert certificate_to_json(certificate_from_json(doc)) == doc
+        cert = certificate_from_json(doc)
+        table = jsonio.derivation_to_json(cert.reduction.derivation)
+        assert table == doc["reduction"]["derivation"]
+        assert format_rat(cert.reduction.result) == doc["reduction"]["result"]
+        assert cert.start == cert.trail.start
+        written = pipeline._write(
+            cert.partition_sha256,
+            cert.gens,
+            cert.bound,
+            cert.assignment,
+            cert.trail,
+            cert.y,
+            cert.claimed_side,
+            table,
+        )
+        assert written == doc
+
+
+def test_certificate_to_json_returns_the_document_as_written():
+    # The document is the certificate's own and is not rewritten from the
+    # decoded fields: a replaced claim changes what check reads, not the
+    # document.
+    p, g = _pinwheel()
+    cert = certify(p, g)
+    doc = certificate_to_json(cert)
+    assert doc is cert.document
+    before = jsonio.canonical_json(doc)
+    moved = dataclasses.replace(cert, claimed_side=ClaimedSide(axis=2, length=_F(20)))
+    assert certificate_to_json(moved) is doc
+    assert jsonio.canonical_json(doc) == before
+    assert not check_certificate(moved, p, g).ok
 
 
 def test_certificate_size_follows_distinct_sub_derivations():
