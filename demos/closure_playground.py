@@ -21,7 +21,7 @@ from boxcert import (
     op_triple,
     verify_derivation,
 )
-from boxcert.closure import children
+from boxcert.kernel import children
 
 # The two operations themselves.  op_triple sorts its arguments, so the
 # result never depends on the order you pass them in.

@@ -26,7 +26,7 @@ from boxcert import (
     replay,
     validate_partition,
 )
-from boxcert.closure import children
+from boxcert.kernel import children
 
 # A seeded random guillotine partition: recursive straight cuts through a
 # square, every coordinate a small-denominator rational.

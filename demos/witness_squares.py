@@ -19,7 +19,7 @@ from boxcert import (
     render_svg,
     strip_partition,
 )
-from boxcert.closure import children
+from boxcert.kernel import children
 
 
 def fmt(d):

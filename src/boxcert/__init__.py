@@ -12,17 +12,10 @@ can be re-verified independently.
 
 from .closure import (
     BoundedClosure,
-    Derivation,
     GeneratorSet,
-    Leaf,
-    Sum,
-    Triple,
     bounded_closure,
     brute_force_closure,
     membership,
-    op_sum,
-    op_triple,
-    verify_derivation,
 )
 from .errors import (
     HypothesisViolated,
@@ -49,10 +42,8 @@ from .geometry import (
     RankView,
     ValidationReport,
     format_point,
-    format_rat,
     interiors_disjoint,
     parse_point,
-    parse_rat,
     rank_partition,
     validate_partition,
 )
@@ -62,6 +53,17 @@ from .jsonio import (
     partition_from_json,
     partition_to_json,
     pretty_json,
+)
+from .kernel import (
+    Derivation,
+    Leaf,
+    Sum,
+    Triple,
+    format_rat,
+    op_sum,
+    op_triple,
+    parse_rat,
+    verify_derivation,
 )
 from .pipeline import (
     Certificate,

@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 from . import factory, jsonio, pipeline
 from .closure import GeneratorSet, bounded_closure, membership
 from .errors import HypothesisViolated, RenderUnsupported, SoundnessError
-from .geometry import Partition, Point, format_rat, parse_rat, validate_partition
+from .geometry import Partition, Point, validate_partition
+from .kernel import format_rat, parse_rat
 from .svg import RenderSpec, render_svg
 
 EXIT_OK = 0

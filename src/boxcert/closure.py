@@ -18,15 +18,9 @@ step of Euclid's algorithm.  :func:`bounded_closure` keeps ``d``, ``c`` and
 the runs below ``c``: membership is a bisect over a few runs, whatever the
 bound or the conductor.
 
-A derivation node computes its ``value`` once, when it is built, from its
-children's values through :func:`op_sum` or :func:`op_triple`; no caller can
-supply it.  So a derivation is evaluated exactly once, whoever builds it, and
-the kernel :func:`verify_derivation` checks the leaves and the root value.
-A :class:`Sum` takes two or more children: certify builds them in pairs, and
-a parsed derivation table gives one node per entry, however many operands
-the entry folds together.
-
-Derivations are built only on demand:
+The operations and the derivation nodes, which compute their values when
+they are built, live in the trusted base, :mod:`boxcert.kernel`; this module
+only chooses which nodes to build.  Derivations are built only on demand:
 :meth:`BoundedClosure.derivation_for` walks down from the requested value,
 choosing each element's producing rule by a fixed search the first time it
 is needed.  :func:`brute_force_closure` is a deliberately separate
@@ -38,33 +32,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
 from math import gcd, isfinite, lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
-from .errors import LeafNotGenerator, SoundnessError
-from .geometry import RatLike, format_rat, parse_rat
-
-
-def op_sum(x: Fraction, y: Fraction) -> Fraction:
-    """The first closure operation: plain addition of positive rationals."""
-    if x <= 0 or y <= 0:
-        raise ValueError(f"operands must be positive, got {x}, {y}")
-    return x + y
-
-
-def op_triple(x: Fraction, y: Fraction, z: Fraction) -> Fraction:
-    """The second closure operation: ``x + y + z - 2*min(x, y, z)``.
-
-    Equivalently, with the operands sorted as ``a <= b <= c``, the result is
-    ``b + c - a``: never below the largest operand, and equal to it exactly
-    when the two smallest operands coincide.
-    """
-    if x <= 0 or y <= 0 or z <= 0:
-        raise ValueError(f"operands must be positive, got {x}, {y}, {z}")
-    return x + y + z - 2 * min(x, y, z)
+from .errors import SoundnessError
+from .kernel import Derivation, Leaf, RatLike, Sum, Triple, format_rat, parse_rat
 
 
 @dataclass(frozen=True)
@@ -105,112 +80,6 @@ class GeneratorSet:
 
     def __str__(self) -> str:
         return "{" + ", ".join(format_rat(g) for g in self.sorted_values) + "}"
-
-
-# --- derivation trees -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Leaf:
-    """A generator used as-is."""
-
-    value: Fraction
-
-
-@dataclass(frozen=True, init=False)
-class Sum:
-    """op_sum folded over two or more sub-derivations: ``Sum(a, b, ...)``.
-
-    ``op_sum`` is associative, so a chain of sums is one sum.  A child may
-    appear more than once; the value is the sum, over the distinct children
-    (told apart by identity), of multiplicity times value, each child
-    positive.  So a parsed table's one entry that takes a huge entry 10^5
-    times costs one multiplication, and more than two operands with n
-    distinct children cost n - 1 ``op_sum`` calls.
-    """
-
-    args: tuple["Derivation", ...]
-    value: Fraction = field(init=False, compare=False, repr=False)
-
-    def __init__(self, *args: "Derivation") -> None:
-        object.__setattr__(self, "args", args)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        args = self.args
-        if len(args) < 2:
-            raise ValueError(f"a sum takes two or more operands, got {len(args)}")
-        if len(args) == 2:  # two operands, as certify builds them: one op_sum
-            value = op_sum(args[0].value, args[1].value)
-        else:
-            times: dict[int, int] = {}
-            for k in args:
-                times[id(k)] = times.get(id(k), 0) + 1
-            terms = [times.pop(id(k)) * k.value for k in args if id(k) in times]
-            if terms[0] <= 0:
-                raise ValueError(f"operands must be positive, got {terms[0]}")
-            value = reduce(op_sum, terms)
-        object.__setattr__(self, "value", value)
-
-
-@dataclass(frozen=True)
-class Triple:
-    """op_triple applied to the values of three sub-derivations."""
-
-    first: "Derivation"
-    second: "Derivation"
-    third: "Derivation"
-    value: Fraction = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        value = op_triple(self.first.value, self.second.value, self.third.value)
-        object.__setattr__(self, "value", value)
-
-
-Derivation = Union[Leaf, Sum, Triple]
-
-
-def children(node: Derivation) -> tuple[Derivation, ...]:
-    if isinstance(node, Leaf):
-        return ()
-    if isinstance(node, Sum):
-        return node.args
-    if isinstance(node, Triple):
-        return (node.first, node.second, node.third)
-    raise TypeError(f"not a derivation node: {node!r}")
-
-
-def topological(d: Derivation) -> list[Derivation]:
-    """Every distinct node of ``d`` once, children before parents, ``d`` last.
-
-    Nodes are told apart by identity, so a subtree shared in memory is listed
-    once.  Iterative, because chains can be deep.
-    """
-    order: list[Derivation] = []
-    seen: set[int] = set()
-    stack: list[tuple[Derivation, bool]] = [(d, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((k, False) for k in reversed(children(node)))
-    return order
-
-
-def verify_derivation(d: Derivation, gens: GeneratorSet) -> Fraction:
-    """Check that every leaf of ``d`` is one of ``gens``; return ``d.value``.
-
-    Each node computed its value exactly from its children's when it was
-    built, so with every leaf a generator (else :class:`LeafNotGenerator`)
-    the returned value really is in the closure of ``gens``.
-    """
-    for node in topological(d):
-        if isinstance(node, Leaf) and node.value not in gens:
-            raise LeafNotGenerator(node.value)
-    return d.value
 
 
 # --- the closure engine -----------------------------------------------------

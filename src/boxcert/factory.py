@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 
 from .closure import GeneratorSet
-from .geometry import Box, Partition, RatLike, format_rat, parse_rat
+from .geometry import Box, Partition
+from .kernel import RatLike, format_rat, parse_rat
 
 
 def strip_partition(x: RatLike, y: RatLike) -> Partition:

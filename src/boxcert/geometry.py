@@ -1,8 +1,9 @@
 """Exact axis-aligned boxes, partitions, and partition validation.
 
-All coordinates are exact rationals (``fractions.Fraction``).  Floats are
-rejected at the boundary: geometric predicates here feed certificate
-checking, so every comparison must be decidable, not approximate.
+All coordinates are exact rationals (``fractions.Fraction``), read by
+:func:`boxcert.kernel.parse_rat`, which rejects floats: geometric predicates
+here feed certificate checking, so every comparison must be decidable, not
+approximate.
 
 Validation and the trail graph only ever ask how coordinates *order*, so
 they work on a :class:`RankView`: each axis's distinct coordinates sorted
@@ -19,7 +20,6 @@ off, which two boxes or none cover (:func:`validate_partition`).
 """
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,58 +29,10 @@ from operator import attrgetter, getitem, itemgetter, le, lt
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import SoundnessError
-
-RatLike = Union[int, str, Fraction]
-
-#: A signed integer, ``p/q`` or a plain decimal in ASCII digits: the strings
-#: ``Fraction`` reads, less exponent notation and underscores.
-_RATIONAL = re.compile(r"([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?", re.ASCII)
+from .kernel import RatLike, format_rat, parse_rat
 
 #: A point is a tuple of exact rationals; its length is the ambient dimension.
 Point = tuple[Fraction, ...]
-
-
-def parse_rat(value: RatLike) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a "p/q" string.
-
-    Strings must be an optionally signed integer, ``p/q`` with a nonzero
-    denominator, or a plain decimal; not exponent notation, whose ten bytes
-    ``"1e4000000"`` take seconds to parse.  Floats (and bools) are rejected
-    outright: a binary float silently denotes a different rational than the
-    decimal the user typed.
-    """
-    if isinstance(value, str):  # first: the ABC check for Fraction is slower
-        match = _RATIONAL.fullmatch(value.strip())
-        if match is None:
-            raise ValueError(f"not a rational: {value!r}")
-        sign, num, den, dec = match.groups()
-        try:
-            if den is not None:
-                n, d = int(num), int(den)
-            else:
-                d = 10 ** len(dec or "")
-                n = int(num or "0") * d + int(dec or "0")
-            return Fraction(-n if sign == "-" else n, d)  # lowest terms
-        except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
-            raise ValueError(f"not a rational: {value!r}") from exc
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ValueError(
-            f"floats are not accepted (got {value!r}); write an exact \"p/q\" string"
-        )
-    raise ValueError(f"not a rational: {value!r}")
-
-
-def format_rat(value: Fraction) -> str:
-    """Render a rational in lowest terms: ``"p"`` for integers, else ``"p/q"``."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_point(coords: Sequence[RatLike]) -> Point:
@@ -397,22 +349,33 @@ def _tiles(view: RankView) -> bool:
     The boxes' corners are the view's shared enumeration
     (``RankView.corners``), which :func:`~boxcert.trailgraph.build_graph`
     pairs into edges; corner ``i`` has as many upper ends as ``i`` has set
-    bits, and that parity gives its sign.
+    bits, and that parity gives its sign.  :func:`_signed_corners` counts
+    them, for this decision and for the report alike.
     """
     outer = view.outer
     if not all(map(lt, outer.lo, outer.hi)) or not all(
         all(map(lt, lo, hi)) for lo, hi in zip(view.lo, view.hi)
     ):
         return False
-    ends = outer.lo + outer.hi
-    signed: tuple[list[Ranks], list[Ranks]] = ([], [])  # even, odd upper ends
+    even, odd = _signed_corners(view)
+    return even == odd
+
+
+def _signed_corners(
+    view: RankView, solid: Optional[Sequence[bool]] = None
+) -> tuple[Counter, Counter]:
+    """How often each lattice point is a box corner with an even and with an
+    odd number of upper ends, over the boxes that ``solid`` selects (all when
+    None); the outer box's corners count on the other side."""
+    ends = view.outer.lo + view.outer.hi
+    signed: tuple[Counter, Counter] = (Counter(), Counter())  # even, odd upper ends
     for i, (corners, getter) in enumerate(
-        zip(view.corners, _corner_getters(len(outer.lo)))
+        zip(view.corners, _corner_getters(len(view.outer.lo)))
     ):
         odd = i.bit_count() & 1
-        signed[odd].extend(corners)
-        signed[not odd].append(getter(ends))  # the outer box's, on the other side
-    return Counter(signed[0]) == Counter(signed[1])
+        signed[odd].update(corners if solid is None else compress(corners, solid))
+        signed[not odd][getter(ends)] += 1  # the outer box's, on the other side
+    return signed
 
 
 def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
@@ -464,15 +427,7 @@ def validate_partition(p: Union[Partition, RankView]) -> ValidationReport:
             defects.append(
                 Defect("not-contained", (k,), f"box {b} is not inside outer {p.outer}")
             )
-    ends = outer.lo + outer.hi
-    signed: tuple[Counter, Counter] = (Counter(), Counter())  # even, odd upper ends
-    for i, (corners, getter) in enumerate(
-        zip(view.corners, _corner_getters(len(outer.lo)))
-    ):
-        odd = i.bit_count() & 1
-        signed[odd].update(compress(corners, solid))
-        signed[not odd][getter(ends)] += 1  # the outer box's, on the other side
-    even, odd = signed
+    even, odd = _signed_corners(view, solid)
     unbalanced = [c for c in even.keys() | odd.keys() if even[c] != odd[c]]
     if unbalanced:
         cell = min(unbalanced)

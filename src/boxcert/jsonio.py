@@ -3,8 +3,9 @@
 All rationals are written as lowest-terms strings (``"p/q"``, or ``"p"`` for
 integers), and the parsers of partitions and generators also take plain JSON
 integers.  A certificate is accepted only as
-:func:`boxcert.pipeline.certify` writes it: the parser holds each entry of
-its derivation table to the form :func:`derivation_to_json` writes, and the
+:func:`boxcert.pipeline.certify` writes it: the table parser,
+:func:`boxcert.kernel.derivation_from_json`, holds each entry of its
+derivation table to the form :func:`derivation_to_json` writes, and the
 checker holds the rest of the document to it by comparison.  Non-integer
 JSON numbers are rejected: a binary float almost never denotes the decimal
 the user wrote, and every consumer here needs exact values.
@@ -16,7 +17,9 @@ one call (a parsed certificate keeps it, for the fields it decodes when they
 are read): each distinct string is parsed once, and equal strings give the
 same ``Fraction`` object.  A malformed string never enters the table, so it
 is rejected wherever it occurs.  The lower-level parsers take the table as
-the keyword ``rats`` and start a fresh one when it is omitted.
+the keyword ``rats`` and start a fresh one when it is omitted; they read
+through the kernel's readers (:mod:`boxcert.kernel`), which the table parser
+uses too.
 
 The location in an error message (``trail.steps[3].to[1]``) is formatted
 only when a value is rejected: a list element is read relative to its own
@@ -24,7 +27,8 @@ position, and the list names the element when it passes the error up.
 
 A derivation travels as a flat table, one entry per distinct
 sub-derivation; a sum entry takes every operand of a chain of sums at once
-(:func:`derivation_to_json`), and the parser builds one node per entry.
+(:func:`derivation_to_json`), and the kernel's parser builds one node per
+entry.
 
 The certificate parser (:func:`boxcert.pipeline.certificate_from_json`)
 decodes only what the checker reads: the generators, the derivation table
@@ -50,15 +54,23 @@ from fractions import Fraction
 from operator import getitem
 from typing import Any, Optional
 
-from .closure import (
+from .geometry import Box, Partition, Point
+from .kernel import (
     Derivation,
     Leaf,
+    RatTable,
     Sum,
-    Triple,
+    _Malformed,
+    _rat,
     children,
+    derivation_from_json,
+    expect_dict,
+    expect_int,
+    expect_list,
+    format_rat,
+    get_key,
     topological,
 )
-from .geometry import Box, Partition, Point, parse_rat, format_rat
 from .reduction import ReductionCertificate
 from .trailgraph import Edge, Trail, YSequence
 
@@ -72,39 +84,6 @@ def pretty_json(payload: Any) -> str:
 
 
 # --- locations, rationals and points ----------------------------------------
-
-
-RatTable = dict[str, Fraction]  # one document's rational strings, each parsed once
-
-
-class _Malformed(ValueError):
-    """A rejected field: ``where`` names it and ``detail`` says what is wrong."""
-
-    def __init__(self, where: str, detail: str) -> None:
-        super().__init__(f"{where}: {detail}")
-        self.where, self.detail = where, detail
-
-    def under(self, prefix: str) -> "_Malformed":
-        """The same fault, named from the container at ``prefix``."""
-        return _Malformed(prefix + self.where, self.detail)
-
-
-def _at(where: str, i: Optional[int]) -> str:
-    return where if i is None else f"{where}[{i}]"
-
-
-def _rat(obj: Any, rats: RatTable, where: str, i: Optional[int] = None) -> Fraction:
-    """``obj`` as an exact rational; element ``i`` of ``where`` when i is given."""
-    if isinstance(obj, str):
-        value = rats.get(obj)
-        if value is None:
-            value = rats[obj] = parse_rat(obj)
-        return value
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise _Malformed(
-            _at(where, i), f"expected an integer or a \"p/q\" string, got {obj!r}"
-        )
-    return parse_rat(obj)
 
 
 def rat_from_json(
@@ -132,31 +111,6 @@ def point_from_json(
 
 def point_to_json(p: Point) -> list[str]:
     return [format_rat(c) for c in p]
-
-
-def expect_dict(obj: Any, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise _Malformed(where, f"expected an object, got {type(obj).__name__}")
-    return obj
-
-
-def expect_list(obj: Any, where: str) -> list:
-    if not isinstance(obj, list):
-        raise _Malformed(where, f"expected an array, got {type(obj).__name__}")
-    return obj
-
-
-def expect_int(obj: Any, where: str, i: Optional[int] = None) -> int:
-    """``obj`` as a JSON integer; element ``i`` of ``where`` when i is given."""
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise _Malformed(_at(where, i), f"expected an integer, got {obj!r}")
-    return obj
-
-
-def get_key(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
-        raise _Malformed(where, f"missing key {key!r}")
-    return obj[key]
 
 
 # --- partitions -------------------------------------------------------------
@@ -236,10 +190,6 @@ def partition_digest(p: Partition) -> str:
 # --- derivations ------------------------------------------------------------
 
 
-# Internal node classes by wire name, and the argument counts they take.
-_OPS = {"sum": Sum, "triple": Triple}
-_ARITY = {"leaf": 0, "sum": 2, "triple": 3}  # a sum takes two or more
-
 _Entry = tuple[str, Fraction, list[int]]  # (op, value, indices of earlier entries)
 
 
@@ -315,89 +265,6 @@ def _fold(entries: list[_Entry]) -> tuple[list[_Entry], bool]:
         if index[i] == len(out):
             out.append((op, value, flat))
     return out, len(out) + sum(folds) < len(entries)
-
-
-def derivation_from_json(
-    obj: Any, where: str = "derivation", *, rats: Optional[RatTable] = None
-) -> Derivation:
-    """Parse and *check* a derivation table; the last entry is the root.
-
-    One forward pass that builds one node per entry: a ``sum`` takes two or
-    more arguments, which may repeat, a ``triple`` three and a ``leaf`` none;
-    every argument must index an earlier entry, and each entry's "value"
-    annotation must equal the value its node computes when it is built from
-    its arguments.  The table must also have the form
-    :func:`derivation_to_json` writes: each entry has exactly the keys
-    ``op``, ``args`` and ``value``, and its value is the lowest-terms
-    string; no entry may repeat another (the same leaf value, or the same op
-    over the same entries), every entry but the root must be an argument of
-    a later one, and no sum may have exactly one use, by a sum, which would
-    hold it folded in.  A table that breaks any of these is rejected here,
-    before any semantic checking.
-    The annotations keep the arithmetic and memory in proportion to the
-    input: every value computed is also written out, so n chained doublings
-    cannot derive an n-bit value from O(n) bytes.
-    """
-    table = expect_list(obj, where)
-    if not table:
-        raise _Malformed(where, "empty derivation table")
-    rats = {} if rats is None else rats
-    nodes: list[Derivation] = []
-    seen: set[tuple] = set()
-    uses = [0] * len(table)
-    by_sum = [False] * len(table)  # the last use is by a sum
-    for n, entry in enumerate(table):
-        try:  # read relative to the entry; its location is named on failure
-            d = expect_dict(entry, "")
-            op = get_key(d, "op", "")
-            args = expect_list(get_key(d, "args", ""), ".args")
-            value = get_key(d, "value", "")
-            claimed = _rat(value, rats, ".value")
-            if len(d) != 3:  # op, args and value, which are all there
-                raise _Malformed("", f"keys {sorted(d)} are not op, args and value")
-            written = format_rat(claimed)
-            if value != written:
-                raise _Malformed(".value", f"expected {written!r}, got {value!r}")
-            arity = _ARITY.get(op) if isinstance(op, str) else None
-            if arity is None:
-                raise _Malformed(".op", f"unknown operation {op!r}")
-            if len(args) < arity or (len(args) > arity and op != "sum"):
-                more = " or more" if op == "sum" else ""
-                raise _Malformed(
-                    "", f"op {op!r} takes {arity}{more} arguments, got {len(args)}"
-                )
-            for i, a in enumerate(args):
-                if not 0 <= expect_int(a, ".args", i) < n:
-                    raise _Malformed(f".args[{i}]", f"{a} is not an earlier entry")
-                uses[a] += 1
-                by_sum[a] = op == "sum"
-            key = (op, claimed) if op == "leaf" else (op, *args)
-            if key in seen:
-                raise _Malformed("", "duplicates an earlier entry")
-            seen.add(key)
-            if op == "leaf":
-                if claimed <= 0:
-                    raise _Malformed("", "leaf value must be positive")
-                node: Derivation = Leaf(claimed)
-            else:
-                node = _OPS[op](*[nodes[a] for a in args])
-                if node.value != claimed:
-                    raise _Malformed(
-                        "",
-                        f"value annotation {format_rat(claimed)} does not "
-                        f"match recomputed {format_rat(node.value)}",
-                    )
-        except _Malformed as exc:
-            raise exc.under(f"{where}[{n}]") from None
-        nodes.append(node)
-    for n in range(len(table) - 1):
-        if not uses[n]:
-            raise _Malformed(f"{where}[{n}]", "no later entry uses it")
-        if uses[n] == 1 and by_sum[n] and isinstance(nodes[n], Sum):
-            raise _Malformed(
-                f"{where}[{n}]", "a sum that only one sum uses must be written inside it"
-            )
-    return nodes[-1]
 
 
 # --- trails and sequences ---------------------------------------------------

@@ -7,7 +7,9 @@ trail graph, parity audit, greedy corner-to-corner trail and projection.
 :class:`Certificate`: one JSON document, bound to the partition by a content
 digest and written by one function, :func:`_write`.
 :func:`check_certificate` re-checks a certificate without trusting the
-producer: it runs the soundness kernel first, then the shared stages from
+producer: it runs the soundness kernel first (:func:`_kernel`, which calls
+the trusted base: :func:`~boxcert.reduction.replay` and
+:mod:`boxcert.kernel`), then the shared stages from
 the recorded trail start, writes the document certify would have written
 with the same writer and compares it with the certificate's as written.
 Only the derivation table is not written back: the parser holds each entry
@@ -24,13 +26,15 @@ from typing import Any, Iterable, Optional
 from . import jsonio
 from .closure import BoundedClosure, GeneratorSet, bounded_closure
 from .errors import HypothesisViolated, ParityViolation, ReplayMismatch, SoundnessError
-from .geometry import (
-    Partition,
-    Point,
-    format_point,
+from .geometry import Partition, Point, format_point, rank_partition, validate_partition
+from .kernel import (
+    RatTable,
+    check_claim,
+    expect_dict,
+    expect_int,
+    expect_list,
     format_rat,
-    rank_partition,
-    validate_partition,
+    get_key,
 )
 from .reduction import ReductionCertificate, reduce_sequence, replay
 from .trailgraph import (
@@ -90,7 +94,7 @@ class Certificate:
     reduction: ReductionCertificate
     claimed_side: ClaimedSide
     document: dict[str, Any] = field(repr=False)
-    rats: jsonio.RatTable = field(default_factory=dict, repr=False)
+    rats: RatTable = field(default_factory=dict, repr=False)
 
     @property
     def partition_sha256(self) -> str:
@@ -105,8 +109,8 @@ class Certificate:
     @cached_property
     def assignment(self) -> tuple[int, ...]:
         where = "certificate.assignment"
-        axes = jsonio.expect_list(self.document["assignment"], where)
-        return tuple(jsonio.expect_int(a, where, i) for i, a in enumerate(axes))
+        axes = expect_list(self.document["assignment"], where)
+        return tuple(expect_int(a, where, i) for i, a in enumerate(axes))
 
     @cached_property
     def trail(self) -> Trail:
@@ -267,23 +271,18 @@ class CheckResult:
 def _kernel(cert: Certificate, p: Partition, g: GeneratorSet) -> Optional[tuple[str, str]]:
     """The soundness kernel: the first failing ``(stage, detail)``, or None.
 
-    The derivation uses only generators of ``g`` and evaluates to the
-    recorded result (:func:`~boxcert.reduction.replay`, looked up as a global
-    of this module), the result is the claimed length, and the claimed length
-    is the outer extent on an axis of ``p``.  Nothing else is read.
+    :func:`~boxcert.reduction.replay` (looked up as a global of this module):
+    the derivation uses only generators of ``g`` and evaluates to the
+    recorded result.  Then :func:`~boxcert.kernel.check_claim`: the result is
+    the claimed length, and the claimed length is the outer extent on an axis
+    of ``p``.  Nothing else is read.
     """
     try:
         value = replay(cert.reduction, g)
     except ReplayMismatch as exc:
         return "reduction", exc.reason
     claim = cert.claimed_side
-    if not 1 <= claim.axis <= p.dim:
-        return "claim", f"axis {claim.axis} out of range"
-    if value != claim.length:
-        return "claim", "derived result does not match the claimed length"
-    if p.outer.extent(claim.axis) != claim.length:
-        return "claim", "claimed length is not the outer extent"
-    return None
+    return check_claim(value, claim.axis, claim.length, p.outer.extents())
 
 
 def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> CheckResult:
@@ -291,8 +290,10 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
 
     The soundness kernel is :func:`_kernel`: :func:`~boxcert.reduction.replay`
     (every leaf of the derivation is a generator, and the root's value, which
-    each node computed exactly when it was built, is the recorded result) plus
-    "the claimed length is the outer extent".  It runs before any partition
+    each node computed exactly when it was built, is the recorded result) and
+    then :func:`~boxcert.kernel.check_claim` ("the claimed length is the
+    outer extent").  With the table parser, these are the trusted base,
+    :mod:`boxcert.kernel` and ``replay``.  It runs before any partition
     work.  Everything else is an audit by recomputation: :func:`certify`'s
     stages are re-run from the recorded trail start, :func:`_write` writes
     the document certify would have written around the certificate's own
@@ -390,42 +391,42 @@ def certificate_from_json(obj: Any) -> Certificate:
     with the one it writes; keys the parser does not read are not rejected
     here.
     """
-    rats: jsonio.RatTable = {}
-    d = jsonio.expect_dict(obj, "certificate")
-    digest = jsonio.get_key(d, "partition_sha256", "certificate")
+    rats: RatTable = {}
+    d = expect_dict(obj, "certificate")
+    digest = get_key(d, "partition_sha256", "certificate")
     if not isinstance(digest, str):
         raise ValueError("certificate.partition_sha256: expected a string")
     listed = jsonio.rats_from_json(
-        jsonio.get_key(d, "gens", "certificate"), "certificate.gens", rats=rats
+        get_key(d, "gens", "certificate"), "certificate.gens", rats=rats
     )
-    bound = jsonio.get_key(d, "bound", "certificate")
+    bound = get_key(d, "bound", "certificate")
     if isinstance(bound, bool) or not isinstance(bound, (str, int)):
         raise ValueError(
             f'certificate.bound: expected an integer or a "p/q" string, got {bound!r}'
         )
-    jsonio.expect_list(
-        jsonio.get_key(d, "assignment", "certificate"), "certificate.assignment"
+    expect_list(
+        get_key(d, "assignment", "certificate"), "certificate.assignment"
     )
-    trail = jsonio.expect_dict(jsonio.get_key(d, "trail", "certificate"), "trail")
-    jsonio.expect_dict(jsonio.get_key(d, "y", "certificate"), "y")
-    claim = jsonio.expect_dict(
-        jsonio.get_key(d, "claimed_side", "certificate"), "certificate.claimed_side"
+    trail = expect_dict(get_key(d, "trail", "certificate"), "trail")
+    expect_dict(get_key(d, "y", "certificate"), "y")
+    claim = expect_dict(
+        get_key(d, "claimed_side", "certificate"), "certificate.claimed_side"
     )
     return Certificate(
         gens=GeneratorSet(frozenset(listed)),
         start=jsonio.point_from_json(
-            jsonio.get_key(trail, "start", "trail"), "trail.start", rats=rats
+            get_key(trail, "start", "trail"), "trail.start", rats=rats
         ),
         reduction=jsonio.reduction_from_json(
-            jsonio.get_key(d, "reduction", "certificate"), rats=rats
+            get_key(d, "reduction", "certificate"), rats=rats
         ),
         claimed_side=ClaimedSide(
-            axis=jsonio.expect_int(
-                jsonio.get_key(claim, "axis", "certificate.claimed_side"),
+            axis=expect_int(
+                get_key(claim, "axis", "certificate.claimed_side"),
                 "certificate.claimed_side.axis",
             ),
             length=jsonio.rat_from_json(
-                jsonio.get_key(claim, "length", "certificate.claimed_side"),
+                get_key(claim, "length", "certificate.claimed_side"),
                 "certificate.claimed_side.length",
                 rats=rats,
             ),

@@ -48,9 +48,10 @@ so no Fraction is built for the span), and the reduction ends at [0, L],
 with a derivation of L from X.  Errors report exact rationals, converted
 back from the grid.  The :class:`RewriteStep` log is a function of the
 sequence alone, so certificates do not carry it.  The checker does not re-run
-the rewrites either: :func:`replay` is its kernel, which verifies the
-derivation with :func:`~boxcert.closure.verify_derivation` and compares its
-value with the recorded result.
+the rewrites either: :func:`replay`, the one part of the trusted base outside
+:mod:`boxcert.kernel`, verifies the derivation with
+:func:`~boxcert.kernel.verify_derivation` and compares its value with the
+recorded result.
 """
 from __future__ import annotations
 
@@ -59,9 +60,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
 
-from .closure import Derivation, GeneratorSet, Sum, Triple, verify_derivation
+from .closure import GeneratorSet
 from .errors import LeafNotGenerator, ReplayMismatch, SoundnessError, ZigzagIndexMissing
-from .geometry import format_rat
+from .kernel import Derivation, Sum, Triple, format_rat, verify_derivation
 from .trailgraph import YSequence
 
 
@@ -201,12 +202,15 @@ def reduce_sequence(
 
 
 def replay(cert: ReductionCertificate, gens: GeneratorSet) -> Fraction:
-    """The checker's kernel: the recorded derivation proves the recorded result.
+    """The checker's first kernel step: the recorded derivation proves the
+    recorded result.
 
     The derivation must evaluate to ``cert.result`` using only the given
-    generators (:func:`~boxcert.closure.verify_derivation`), which puts the
+    generators (:func:`~boxcert.kernel.verify_derivation`), which puts the
     result in their closure.  Any discrepancy raises :class:`ReplayMismatch`.
-    The recorded ``steps`` are not read.
+    The recorded ``steps`` are not read.  It is trusted, like
+    :mod:`boxcert.kernel`, and stays outside it until the certificate drops
+    its recorded result.
     """
     try:
         derived = verify_derivation(cert.derivation, gens)

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import RenderUnsupported
-from .geometry import Box, Partition, format_rat
+from .geometry import Box, Partition
+from .kernel import format_rat
 from .pipeline import Certificate
 
 # Pale fills cycled by box index; outer outline and trail use fixed colors.

@@ -49,10 +49,10 @@ from .geometry import (
     RankView,
     Ranks,
     format_point,
-    format_rat,
     parse_point,
     rank_partition,
 )
+from .kernel import format_rat
 
 
 def assign_axes(

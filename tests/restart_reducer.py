@@ -9,9 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from boxcert.closure import Derivation, Sum, Triple
 from boxcert.errors import SoundnessError, ZigzagIndexMissing
-from boxcert.geometry import format_rat
+from boxcert.kernel import Derivation, Sum, Triple, format_rat
 from boxcert.reduction import ReductionCertificate, RewriteStep
 from boxcert.trailgraph import YSequence
 

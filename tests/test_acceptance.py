@@ -19,16 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from boxcert import factory, pipeline
-from boxcert.closure import (
-    GeneratorSet,
-    Leaf,
-    Sum,
-    Triple,
-    bounded_closure,
-    brute_force_closure,
-    verify_derivation,
-)
-from boxcert.geometry import format_rat, parse_rat
+from boxcert.closure import GeneratorSet, bounded_closure, brute_force_closure
+from boxcert.kernel import Leaf, Sum, Triple, format_rat, parse_rat, verify_derivation
 from boxcert.reduction import reduce_sequence, replay
 from boxcert.svg import render_svg
 from boxcert.trailgraph import assign_axes, build_graph, parity_audit

@@ -11,6 +11,10 @@ integer type pass, a mutant that skips that key.  A small corpus of forged
 checker gives, must tell every mutant from the checker.  The corpus forges
 through the JSON document and through ``dataclasses.replace`` of the decoded
 fields, and has at least one forgery for each stage.
+
+The trusted base, ``boxcert/kernel.py``, is mutated as a whole: every
+function and method, listed from the module's source, not by name (see
+"every mutant of the trusted base" below).
 """
 
 from __future__ import annotations
@@ -22,13 +26,16 @@ import functools
 import inspect
 import json
 import textwrap
+import types
 from fractions import Fraction
 
 import pytest
 
-from boxcert import factory, jsonio, pipeline
-from boxcert.closure import GeneratorSet, Leaf
+import test_hostile_certificates as hostile
+from boxcert import factory, jsonio, kernel, pipeline
+from boxcert.closure import GeneratorSet
 from boxcert.geometry import Box, Partition, parse_point
+from boxcert.kernel import Leaf
 from boxcert.pipeline import ClaimedSide, certificate_from_json, certify
 from boxcert.reduction import ReductionCertificate
 from boxcert.trailgraph import build_graph, extract_trail, project_to_axis
@@ -419,3 +426,496 @@ def test_every_failure_return_is_needed(monkeypatch, name, index, line):
 def test_every_integer_type_pass_is_needed(monkeypatch, key):
     monkeypatch.setattr(pipeline, "check_certificate", _without_type_pass(key))
     assert not _survives(), f"integers under {key!r} can be written as true or 1.0"
+
+
+# --- every mutant of the trusted base ----------------------------------------
+#
+# Each function of boxcert/kernel.py is mutated from the module's source:
+# every ``raise`` and every failure return (a ``(stage, detail)`` pair) is
+# dropped, every comparison is negated, every ``<``, ``<=``, ``>`` and ``>=``
+# is swapped with its strict or weak twin, and ``min`` with ``max``.  The
+# edited module is compiled in memory and only the function's code object is
+# swapped in, through ``__code__``: so every module that imported the name,
+# and every class that holds the method, runs the mutant.  The named unit
+# cases below, the forged corpus (built afresh under the mutant) and the
+# table forgeries of tests/test_hostile_certificates.py must kill each one.
+
+_KERNEL_FILE = inspect.getsourcefile(kernel)
+_SWAPPED = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+
+
+def _kernel_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Every function of the module and every method of its classes, by
+    qualified name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+def _is_kernel_failure(node: ast.AST) -> bool:
+    """A ``raise``, or a ``return`` of a ``(stage, detail)`` pair."""
+    if isinstance(node, ast.Raise):
+        return True
+    value = node.value if isinstance(node, ast.Return) else None
+    return (
+        isinstance(value, ast.Tuple)
+        and bool(value.elts)
+        and isinstance(value.elts[0], ast.Constant)
+        and isinstance(value.elts[0].value, str)
+    )
+
+
+def _sites(fn: ast.FunctionDef) -> list[tuple[str, ast.AST, int]]:
+    """``(kind, node, operator index)`` of every mutation of ``fn``, in
+    source order within each kind."""
+    found = []
+    for node in ast.walk(fn):
+        if _is_kernel_failure(node):
+            found.append(("drop", node, 0))
+        elif isinstance(node, ast.Compare):
+            found.append(("negate", node, 0))
+            found += [("swap", node, j) for j, op in enumerate(node.ops) if type(op) in _SWAPPED]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("min", "max"):
+                found.append(("minmax", node, 0))
+    return sorted(found, key=lambda s: (s[0], s[1].lineno, s[1].col_offset, s[2]))
+
+
+def _kernel_tree() -> ast.Module:
+    with open(_KERNEL_FILE, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), _KERNEL_FILE)
+
+
+def _kernel_mutant_ids() -> list[str]:
+    """``<function>-<kind>-<index>``, the index counted within the function
+    and kind; the line of each site is in the assertion message."""
+    ids = []
+    for name, fn in _kernel_functions(_kernel_tree()).items():
+        kinds: dict[str, int] = {}
+        for kind, _, _ in _sites(fn):
+            ids.append(f"{name}-{kind}-{kinds.setdefault(kind, 0)}")
+            kinds[kind] += 1
+    return ids
+
+
+class _Mutate(ast.NodeTransformer):
+    """Applies one mutation to the node it targets."""
+
+    def __init__(self, kind: str, target: ast.AST, j: int) -> None:
+        self.kind, self.target, self.j = kind, target, j
+
+    def visit(self, node):
+        if node is not self.target:
+            return self.generic_visit(node)
+        if self.kind == "drop":
+            return ast.copy_location(ast.Pass(), node)
+        if self.kind == "negate":
+            return ast.copy_location(ast.UnaryOp(ast.Not(), node), node)
+        if self.kind == "swap":
+            node.ops[self.j] = _SWAPPED[type(node.ops[self.j])]()
+        else:
+            node.func.id = "max" if node.func.id == "min" else "min"
+        return node
+
+
+def _code_named(code: types.CodeType, qualname: str) -> types.CodeType:
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if const.co_qualname == qualname:
+                return const
+            found = _code_named(const, qualname)
+            if found is not None:
+                return found
+    return None
+
+
+def _kernel_mutant(mutant_id: str) -> tuple[types.FunctionType, types.CodeType, int]:
+    """The function the mutant changes, its mutated code and the site's line."""
+    name, kind, index = mutant_id.rsplit("-", 2)
+    tree = _kernel_tree()
+    sites = [s for s in _sites(_kernel_functions(tree)[name]) if s[0] == kind]
+    _, node, j = sites[int(index)]
+    line = node.lineno
+    tree = ast.fix_missing_locations(_Mutate(kind, node, j).visit(tree))
+    code = _code_named(compile(tree, _KERNEL_FILE, "exec", dont_inherit=True), name)
+    fn = functools.reduce(getattr, name.split("."), kernel)
+    return fn, code, line
+
+
+def _raised(kind: str, message: str) -> tuple[str, str, str]:
+    return ("raised", kind, message)
+
+
+def _outcome(thunk):
+    """What ``thunk()`` returns, or what it raises, by type name and message."""
+    try:
+        return thunk()
+    except Exception as exc:
+        return _raised(type(exc).__name__, str(exc))
+
+
+def _leaf(value) -> dict:
+    return {"op": "leaf", "value": value, "args": []}
+
+
+def _op(op: str, value: str, *args) -> dict:
+    return {"op": op, "value": value, "args": list(args)}
+
+
+def _table(*entries: dict):
+    return lambda: kernel.derivation_from_json(list(entries)).value
+
+
+def _malformed(message: str):
+    return _raised("_Malformed", message)
+
+
+def _node(*values):
+    return [Leaf(Fraction(v)) for v in values]
+
+
+def _shared_rats():
+    rats: dict = {}
+    kernel.derivation_from_json([_leaf("2"), _op("sum", "4", 0, 0)], rats=rats)
+    return sorted(rats)
+
+
+def _topological_order():
+    (a,) = _node(1)
+    s = kernel.Sum(a, a)
+    t = kernel.Triple(s, a, s)
+    return [id(n) for n in kernel.topological(t)] == [id(a), id(s), id(t)]
+
+
+_NOT_POSITIVE = "operands must be positive, got"
+
+#: name -> (thunk, its outcome under the kernel as written).  The thunks
+#: call the kernel through its module, so a swapped code object runs.
+UNIT_CASES = {
+    # rationals
+    "parse_rat: p/q in lowest terms": (lambda: kernel.parse_rat("6/4"), Fraction(3, 2)),
+    "parse_rat: signed integers": (
+        lambda: [kernel.parse_rat(s) for s in ("-2", "+7", " 5 ", "0")], [-2, 7, 5, 0]
+    ),
+    "parse_rat: decimals": (
+        lambda: [kernel.parse_rat(s) for s in ("2.5", ".5", "5.", "-0.25")],
+        [Fraction(5, 2), Fraction(1, 2), 5, Fraction(-1, 4)],
+    ),
+    "parse_rat: a Fraction and an int": (
+        lambda: [kernel.parse_rat(Fraction(2, 3)), kernel.parse_rat(7)], [Fraction(2, 3), 7]
+    ),
+    "parse_rat: zero denominator": (
+        lambda: kernel.parse_rat("3/0"), _raised("ValueError", "not a rational: '3/0'")
+    ),
+    "parse_rat: exponent": (
+        lambda: kernel.parse_rat("1e3"), _raised("ValueError", "not a rational: '1e3'")
+    ),
+    "parse_rat: bool": (
+        lambda: kernel.parse_rat(True), _raised("ValueError", "not a rational: True")
+    ),
+    "parse_rat: float": (
+        lambda: kernel.parse_rat(1.5),
+        _raised("ValueError", 'floats are not accepted (got 1.5); write an exact "p/q" string'),
+    ),
+    "parse_rat: None": (
+        lambda: kernel.parse_rat(None), _raised("ValueError", "not a rational: None")
+    ),
+    "format_rat": (
+        lambda: [kernel.format_rat(Fraction(n, d)) for n, d in ((3, 2), (4, 1), (-1, 3))],
+        ["3/2", "4", "-1/3"],
+    ),
+    # the operations
+    "op_sum": (lambda: kernel.op_sum(Fraction(1), Fraction(2)), 3),
+    "op_sum: first operand zero": (
+        lambda: kernel.op_sum(Fraction(0), Fraction(1)), _raised("ValueError", f"{_NOT_POSITIVE} 0, 1")
+    ),
+    "op_sum: second operand zero": (
+        lambda: kernel.op_sum(Fraction(1), Fraction(0)), _raised("ValueError", f"{_NOT_POSITIVE} 1, 0")
+    ),
+    "op_triple": (
+        lambda: [kernel.op_triple(*map(Fraction, t)) for t in ((3, 1, 2), (1, 1, 5))], [4, 5]
+    ),
+    **{
+        f"op_triple: operand {i} zero": (
+            lambda i=i: kernel.op_triple(*map(Fraction, [1] * i + [0] + [1] * (2 - i))),
+            _raised("ValueError", f"{_NOT_POSITIVE} {', '.join('1' * i + '0' + '1' * (2 - i))}"),
+        )
+        for i in range(3)
+    },
+    # the nodes
+    "Sum of two": (lambda: kernel.Sum(*_node(1, 2)).value, 3),
+    "Sum counts multiplicity": (
+        lambda: (lambda one, two: kernel.Sum(two, one, two, two).value)(*_node(1, 2)), 7
+    ),
+    "Sum of one": (
+        lambda: kernel.Sum(*_node(1)),
+        _raised("ValueError", "a sum takes two or more operands, got 1"),
+    ),
+    "Sum of two with a zero": (
+        lambda: kernel.Sum(*_node(0, 1)), _raised("ValueError", f"{_NOT_POSITIVE} 0, 1")
+    ),
+    "Sum of three zeros": (
+        lambda: kernel.Sum(*_node(0) * 3), _raised("ValueError", f"{_NOT_POSITIVE} 0")
+    ),
+    "Triple": (lambda: kernel.Triple(*_node(3, 1, 2)).value, 4),
+    "Triple with a zero": (
+        lambda: kernel.Triple(*_node(0, 1, 1)), _raised("ValueError", f"{_NOT_POSITIVE} 0, 1, 1")
+    ),
+    "children": (
+        lambda: [
+            kernel.children(node)
+            for node in (Leaf(Fraction(1)), kernel.Sum(*_node(1, 2)), kernel.Triple(*_node(1, 2, 3)))
+        ],
+        [(), tuple(_node(1, 2)), tuple(_node(1, 2, 3))],
+    ),
+    "children of a non-node": (
+        lambda: kernel.children(1), _raised("TypeError", "not a derivation node: 1")
+    ),
+    "topological lists a shared node once": (_topological_order, True),
+    "verify_derivation": (
+        lambda: kernel.verify_derivation(kernel.Sum(*_node(1, 2)), {1, 2}), 3
+    ),
+    "verify_derivation: a leaf that is no generator": (
+        lambda: kernel.verify_derivation(kernel.Sum(*_node(1, 2)), {1}),
+        _raised("LeafNotGenerator", "leaf 2 is not a generator"),
+    ),
+    # derivation tables
+    "table: a sum used once by a triple": (
+        _table(_leaf("1"), _leaf("2"), _op("sum", "3", 0, 1), _op("triple", "4", 2, 0, 1)), 4
+    ),
+    "table: a sum used twice by a sum": (
+        _table(_leaf("1"), _leaf("1/2"), _op("sum", "3/2", 0, 1), _op("sum", "3", 2, 2)), 3
+    ),
+    "table: a sum of three": (_table(_leaf("2"), _leaf("3"), _op("sum", "7", 0, 0, 1)), 7),
+    "table: rats shared with the caller": (_shared_rats, ["2", "4"]),
+    "table: no array": (
+        lambda: kernel.derivation_from_json({}),
+        _malformed("derivation: expected an array, got dict"),
+    ),
+    "table: empty": (
+        lambda: kernel.derivation_from_json([]), _malformed("derivation: empty derivation table")
+    ),
+    "table: an entry that is no object": (
+        lambda: kernel.derivation_from_json([[]]),
+        _malformed("derivation[0]: expected an object, got list"),
+    ),
+    "table: no op": (
+        _table({"value": "1", "args": []}), _malformed("derivation[0]: missing key 'op'")
+    ),
+    "table: args no array": (
+        _table({"op": "leaf", "value": "1", "args": "x"}),
+        _malformed("derivation[0].args: expected an array, got str"),
+    ),
+    "table: no value": (
+        _table({"op": "leaf", "args": []}), _malformed("derivation[0]: missing key 'value'")
+    ),
+    "table: a float value": (
+        _table(_leaf(1.5)),
+        _malformed('derivation[0].value: expected an integer or a "p/q" string, got 1.5'),
+    ),
+    "table: a value that is no rational": (
+        _table(_leaf("x")), _raised("ValueError", "not a rational: 'x'")
+    ),
+    "table: a key more": (
+        _table(dict(_leaf("1"), note="x")),
+        _malformed("derivation[0]: keys ['args', 'note', 'op', 'value'] are not op, args and value"),
+    ),
+    "table: a value not in lowest terms": (
+        _table(_leaf("2/1")), _malformed("derivation[0].value: expected '2', got '2/1'")
+    ),
+    "table: a value written as an integer": (
+        _table(_leaf(2)), _malformed("derivation[0].value: expected '2', got 2")
+    ),
+    "table: an unknown op": (
+        _table(_op("halve", "1")), _malformed("derivation[0].op: unknown operation 'halve'")
+    ),
+    "table: an op that is no string": (
+        _table(_op(["sum"], "1")), _malformed("derivation[0].op: unknown operation ['sum']")
+    ),
+    "table: a sum of one": (
+        _table(_leaf("2"), _op("sum", "2", 0)),
+        _malformed("derivation[1]: op 'sum' takes 2 or more arguments, got 1"),
+    ),
+    "table: a leaf with arguments": (
+        _table(_op("leaf", "2", 0)), _malformed("derivation[0]: op 'leaf' takes 0 arguments, got 1")
+    ),
+    "table: a triple of two": (
+        _table(_leaf("1"), _op("triple", "1", 0, 0)),
+        _malformed("derivation[1]: op 'triple' takes 3 arguments, got 2"),
+    ),
+    "table: a triple of four": (
+        _table(_leaf("1"), _op("triple", "1", 0, 0, 0, 0)),
+        _malformed("derivation[1]: op 'triple' takes 3 arguments, got 4"),
+    ),
+    "table: true as an argument": (
+        _table(_leaf("2"), _leaf("3"), _op("sum", "5", 0, True)),
+        _malformed("derivation[2].args[1]: expected an integer, got True"),
+    ),
+    **{
+        f"table: argument {a}": (
+            _table(_leaf("2"), _op("sum", "4", 0, a)),
+            _malformed(f"derivation[1].args[1]: {a} is not an earlier entry"),
+        )
+        for a in (-1, 1, 2)
+    },
+    "table: a duplicated leaf": (
+        _table(_leaf("2"), _leaf("2"), _op("sum", "4", 0, 1)),
+        _malformed("derivation[1]: duplicates an earlier entry"),
+    ),
+    "table: a duplicated op": (
+        _table(_leaf("2"), _op("sum", "4", 0, 0), _op("sum", "4", 0, 0), _op("sum", "8", 1, 2)),
+        _malformed("derivation[2]: duplicates an earlier entry"),
+    ),
+    **{
+        f"table: leaf {v}": (
+            _table(_leaf(v)), _malformed("derivation[0]: leaf value must be positive")
+        )
+        for v in ("0", "-1")
+    },
+    "table: a wrong annotation": (
+        _table(_leaf("2"), _leaf("3"), _op("sum", "8", 0, 0, 1)),
+        _malformed("derivation[2]: value annotation 8 does not match recomputed 7"),
+    ),
+    "table: an unused entry": (
+        _table(_leaf("3"), _leaf("2"), _op("sum", "4", 1, 1)),
+        _malformed("derivation[0]: no later entry uses it"),
+    ),
+    "table: an unfolded sum": (
+        _table(_leaf("2"), _op("sum", "4", 0, 0), _op("sum", "6", 1, 0)),
+        _malformed("derivation[1]: a sum that only one sum uses must be written inside it"),
+    ),
+    # the claim
+    "check_claim: axis 1 and axis 2": (
+        lambda: [
+            kernel.check_claim(Fraction(v), axis, Fraction(v), (Fraction(20), Fraction(10)))
+            for v, axis in ((20, 1), (10, 2))
+        ],
+        [None, None],
+    ),
+    **{
+        f"check_claim: axis {axis}": (
+            lambda axis=axis: kernel.check_claim(Fraction(20), axis, Fraction(20), (20, 20)),
+            ("claim", f"axis {axis} out of range"),
+        )
+        for axis in (0, 3)
+    },
+    "check_claim: derived value is not the length": (
+        lambda: kernel.check_claim(Fraction(20), 1, Fraction(10), (20, 10)),
+        ("claim", "derived result does not match the claimed length"),
+    ),
+    "check_claim: length is not the extent": (
+        lambda: kernel.check_claim(Fraction(10), 1, Fraction(10), (20, 10)),
+        ("claim", "claimed length is not the outer extent"),
+    ),
+}
+
+
+def _unit_cases_hold() -> bool:
+    return all(_outcome(thunk) == expected for thunk, expected in UNIT_CASES.values())
+
+
+def _corpus_holds() -> bool:
+    """True iff every forgery, built afresh, still gets its pinned reason."""
+    for build, reason in CORPUS.values():
+        try:
+            if _first_reason(*build()) != reason:
+                return False
+        except Exception:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _hostile_tables() -> dict[str, tuple[str, int]]:
+    """name -> (the certificate's JSON text, exit code) for each case of
+    tests/test_hostile_certificates.py that edits the reduction."""
+    written = hostile._doc()
+    found = {}
+    for name, (edit, code) in hostile.CASES.items():
+        doc = hostile._doc()
+        edit(doc)
+        if doc["reduction"] != written["reduction"]:
+            found[name] = (json.dumps(doc), code)
+    return found
+
+
+def _hostile_outcome(text: str):
+    """``("parse", message)`` or ``("check", reasons)``: exit 1 or 2 on the
+    command line."""
+    try:
+        cert = certificate_from_json(json.loads(text))
+    except ValueError as exc:
+        return "parse", str(exc)
+    return "check", pipeline.check_certificate(cert, _PINWHEEL, _PINWHEEL_GENS).reasons
+
+
+@functools.lru_cache(maxsize=None)
+def _hostile_oracle() -> dict[str, tuple]:
+    """Each hostile table's outcome under the kernel as written."""
+    return {name: _hostile_outcome(text) for name, (text, _) in _hostile_tables().items()}
+
+
+def _hostile_tables_hold(oracle: dict[str, tuple]) -> bool:
+    for name, (text, _) in _hostile_tables().items():
+        try:
+            if _hostile_outcome(text) != oracle[name]:
+                return False
+        except Exception:
+            return False
+    return True
+
+
+#: Every kernel mutant, as ``<function>-<kind>-<index>``.
+KERNEL_MUTANTS = _kernel_mutant_ids()
+
+#: Mutants no input can tell from the kernel, and why.
+EQUIVALENT = {
+    "parse_rat-drop-1": (
+        "the re-raise of a failed int() or Fraction() falls through to the last "
+        "raise, which gives the same ValueError and message, without the cause"
+    ),
+}
+
+
+def test_the_kernel_as_written_passes_every_killer():
+    assert _unit_cases_hold()
+    assert _corpus_holds()
+    oracle = _hostile_oracle()
+    assert _hostile_tables_hold(oracle)
+    # the in-process outcome is the exit code the command line gives
+    kinds = {name: oracle[name][0] for name in oracle}
+    codes = {name: code for name, (_, code) in _hostile_tables().items()}
+    assert kinds == {name: {1: "parse", 2: "check"}[code] for name, code in codes.items()}
+    assert len(codes) >= 8
+
+
+def test_the_kernel_mutants_cover_the_kernel():
+    # Triple.__post_init__ has no site of these kinds: it only calls op_triple.
+    functions = {m.rsplit("-", 2)[0] for m in KERNEL_MUTANTS}
+    assert {
+        "parse_rat", "format_rat", "op_sum", "op_triple", "Sum.__post_init__",
+        "children", "topological", "verify_derivation",
+        "_at", "_rat", "expect_dict", "expect_list", "expect_int", "get_key",
+        "derivation_from_json", "check_claim",
+    } <= functions
+    kinds = {m.rsplit("-", 2)[1] for m in KERNEL_MUTANTS}
+    assert kinds == {"drop", "negate", "swap", "minmax"}
+    assert set(EQUIVALENT) <= set(KERNEL_MUTANTS)
+
+
+@pytest.mark.parametrize("mutant_id", KERNEL_MUTANTS)
+def test_every_kernel_mutant_is_killed(monkeypatch, mutant_id):
+    oracle = _hostile_oracle()  # under the kernel as written
+    fn, code, line = _kernel_mutant(mutant_id)
+    monkeypatch.setattr(fn, "__code__", code)
+    killed = not (_unit_cases_hold() and _hostile_tables_hold(oracle) and _corpus_holds())
+    if mutant_id in EQUIVALENT:
+        assert not killed, f"kernel.py:{line}: {mutant_id} is killed; drop it from EQUIVALENT"
+    else:
+        assert killed, f"kernel.py:{line}: {mutant_id} survives"

@@ -13,10 +13,11 @@ import time
 
 import pytest
 
-from boxcert import factory, jsonio
+from boxcert import factory, jsonio, kernel
 from boxcert.cli import main
-from boxcert.closure import GeneratorSet, verify_derivation
+from boxcert.closure import GeneratorSet
 from boxcert.geometry import Box, Partition, parse_point
+from boxcert.kernel import verify_derivation
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -90,7 +91,7 @@ def test_certify_pinwheel(capsys, pinwheel_file, tmp_path):
     assert code == 0
     assert "side of length 20 along axis 1" in out
     assert "closure({7, 10, 17})" in out
-    cert = jsonio.expect_dict(json.loads(out_path.read_text()), "certificate")
+    cert = kernel.expect_dict(json.loads(out_path.read_text()), "certificate")
     assert cert["claimed_side"] == {"axis": 1, "length": "20"}
 
 
@@ -292,7 +293,7 @@ def test_closure_output(capsys):
 def test_member_prints_verifiable_derivation(capsys):
     code, out, _ = run_cli(capsys, "member", "--gens", "5,3,7", "--value", "9")
     assert code == 0
-    d = jsonio.derivation_from_json(json.loads(out))
+    d = kernel.derivation_from_json(json.loads(out))
     assert verify_derivation(d, GeneratorSet.of(5, 3, 7)) == 9
 
 

@@ -19,22 +19,24 @@ from math import gcd
 import pytest
 from saturate_oracle import _saturate_bits
 
-from boxcert import closure, jsonio
+from boxcert import closure, jsonio, kernel
 from boxcert.closure import (
     BoundedClosure,
     GeneratorSet,
+    bounded_closure,
+    brute_force_closure,
+    membership,
+)
+from boxcert.errors import LeafNotGenerator
+from boxcert.kernel import (
     Leaf,
     Sum,
     Triple,
-    bounded_closure,
-    brute_force_closure,
     children,
-    membership,
     op_sum,
     op_triple,
     verify_derivation,
 )
-from boxcert.errors import LeafNotGenerator
 
 
 def _F(x) -> Fraction:
@@ -126,7 +128,7 @@ def test_a_sum_counts_each_distinct_operand_by_its_multiplicity(monkeypatch):
         calls[0] += 1
         return op_sum(x, y)
 
-    monkeypatch.setattr(closure, "op_sum", counted)
+    monkeypatch.setattr(kernel, "op_sum", counted)
     assert Sum(*[one, two, three] * 1000).value == 6000
     assert calls[0] == 2
     monkeypatch.undo()
@@ -400,7 +402,7 @@ def test_split_search_tests_no_partner_one_at_a_time(monkeypatch):
     d = bc.derivation_for(1)
     assert verify_derivation(d, gens) == 1
     assert any(rule[0] == "triple" for rule in bc._rules.values())
-    assert 0 < calls[0] <= len(closure.topological(d))
+    assert 0 < calls[0] <= len(kernel.topological(d))
 
 
 def _count_pair_solves(monkeypatch) -> list[int]:

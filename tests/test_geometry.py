@@ -14,13 +14,12 @@ from boxcert.geometry import (
     Box,
     Partition,
     format_point,
-    format_rat,
     interiors_disjoint,
     parse_point,
-    parse_rat,
     rank_partition,
     validate_partition,
 )
+from boxcert.kernel import format_rat, parse_rat
 
 
 def _box(lo, hi) -> Box:

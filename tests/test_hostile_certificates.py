@@ -1,10 +1,11 @@
 """Hostile certificates through the command line, each within a budget.
 
 Every case edits the ``pinwheel 17 10 7`` certificate and runs ``python -m
-boxcert check`` on it in a child process whose address space is capped with
-``RLIMIT_AS``, set in the child only, and whose wall time has a budget.  Each
-must be answered under the exit contract: 1 for a document the parser
-rejects, 2 for a certificate the checker rejects, never a traceback.
+boxcert check`` and ``python -m boxcert render --cert`` on it, each in a
+child process whose address space is capped with ``RLIMIT_AS``, set in the
+child only, and whose wall time has a budget.  Each must be answered under
+the exit contract: 1 for a document the parser rejects, 2 for a certificate
+the checker rejects, never a traceback.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_a_hostile_certificate_is_answered_within_budget(tmp_path, name):
+def _answer(tmp_path, name: str, command: str) -> None:
+    """Run ``command`` (``check`` or ``render``) on the edited certificate and
+    the pinwheel; it must exit with the case's code and print no traceback."""
     edit, code = CASES[name]
     doc = _doc()
     edit(doc)
@@ -125,11 +127,12 @@ def test_a_hostile_certificate_is_answered_within_budget(tmp_path, name):
     deep = "[" * 100_000 + "]" * 100_000
     cert_path.write_text(json.dumps(doc).replace(json.dumps(_DEEP), deep))
     partition_path.write_text(json.dumps(jsonio.partition_to_json(_PINWHEEL)))
+    args = {
+        "check": [str(cert_path), "--partition", str(partition_path), "--gens", _GENS],
+        "render": [str(partition_path), "--cert", str(cert_path)],
+    }[command]
     done = subprocess.run(
-        [
-            sys.executable, "-m", "boxcert", "check", str(cert_path),
-            "--partition", str(partition_path), "--gens", _GENS,
-        ],
+        [sys.executable, "-m", "boxcert", command, *args],
         capture_output=True,
         text=True,
         timeout=SECONDS,
@@ -138,3 +141,15 @@ def test_a_hostile_certificate_is_answered_within_budget(tmp_path, name):
     printed = done.stdout + done.stderr
     assert done.returncode == code, printed[-4096:]
     assert "Traceback" not in printed
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_hostile_certificate_is_answered_within_budget(tmp_path, name):
+    _answer(tmp_path, name, "check")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_render_answers_a_hostile_certificate_within_budget(tmp_path, name):
+    # render checks the certificate against its own generators; none of these
+    # edits gives a set that check would accept, so each exits as check does.
+    _answer(tmp_path, name, "render")

@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from boxcert import factory, jsonio
-from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
-from boxcert.geometry import Box, Partition, format_rat
+from boxcert import factory, jsonio, kernel
+from boxcert.closure import GeneratorSet, bounded_closure
+from boxcert.geometry import Box, Partition
+from boxcert.kernel import Leaf, Sum, Triple, format_rat
 from boxcert.pipeline import certificate_from_json, certificate_to_json, certify
 from boxcert.trailgraph import (
     Edge,
@@ -156,12 +157,29 @@ def test_derivation_round_trip_and_value_annotations():
         {"op": "triple", "value": "20", "args": [0, 1, 2]},
         {"op": "sum", "value": "34", "args": [3, 1, 1]},
     ]
-    back = jsonio.derivation_from_json(enc)
+    back = kernel.derivation_from_json(enc)
     assert back.value == d.value and jsonio.derivation_to_json(back) == enc
     # equal subtrees that are distinct objects are written once too, and a
     # sum used twice stays an entry of its own
     twice = Sum(Sum(Leaf(_F(1)), Leaf(_F("1/2"))), Sum(Leaf(_F(1)), Leaf(_F("1/2"))))
     assert [e["args"] for e in jsonio.derivation_to_json(twice)] == [[], [], [0, 1], [2, 2]]
+
+
+def test_a_sum_that_shares_no_sum_is_written_unshared():
+    # a + (b + (a + b)) holds no sum twice, so it folds into one sum over
+    # a, b, a, b.  That table and the one above, [[], [], [0, 1], [2, 2]],
+    # are the writer's tables for two different derivations of 3, not two
+    # spellings of one: each parses and writes back as it is.
+    a, b = Leaf(_F(1)), Leaf(_F("1/2"))
+    enc = jsonio.derivation_to_json(Sum(a, Sum(b, Sum(a, b))))
+    assert enc == [
+        {"op": "leaf", "value": "1", "args": []},
+        {"op": "leaf", "value": "1/2", "args": []},
+        {"op": "sum", "value": "3", "args": [0, 1, 0, 1]},
+    ]
+    back = kernel.derivation_from_json(enc)
+    assert back.value == 3 and [k.value for k in back.args] == [1, _F("1/2"), 1, _F("1/2")]
+    assert jsonio.derivation_to_json(back) == enc
 
 
 def test_folding_that_makes_two_sums_equal_writes_them_once():
@@ -176,7 +194,7 @@ def test_folding_that_makes_two_sums_equal_writes_them_once():
         {"op": "leaf", "value": "1", "args": []},
         {"op": "triple", "value": "33", "args": [4, 4, 5]},
     ]
-    back = jsonio.derivation_from_json(enc)
+    back = kernel.derivation_from_json(enc)
     assert back.value == d.value and jsonio.derivation_to_json(back) == enc
 
 
@@ -184,23 +202,23 @@ def test_derivation_parse_rejects_wrong_value_annotation():
     enc = jsonio.derivation_to_json(Sum(Leaf(_F(1)), Leaf(_F(2))))
     enc[-1]["value"] = "4"
     with pytest.raises(ValueError, match="value"):
-        jsonio.derivation_from_json(enc)
+        kernel.derivation_from_json(enc)
     enc = jsonio.derivation_to_json(Sum(Leaf(_F(1)), Leaf(_F(2))))
     enc[0]["value"] = "0"  # a leaf must be positive
     with pytest.raises(ValueError):
-        jsonio.derivation_from_json(enc)
+        kernel.derivation_from_json(enc)
 
 
 def test_derivation_parse_rejects_wrong_arity():
     two = {"op": "leaf", "value": "2", "args": []}
     with pytest.raises(ValueError, match="arguments"):
-        jsonio.derivation_from_json([two, {"op": "sum", "value": "2", "args": [0]}])
+        kernel.derivation_from_json([two, {"op": "sum", "value": "2", "args": [0]}])
     with pytest.raises(ValueError, match="arguments"):
-        jsonio.derivation_from_json([{"op": "leaf", "value": "2", "args": [0]}])
+        kernel.derivation_from_json([{"op": "leaf", "value": "2", "args": [0]}])
     with pytest.raises(ValueError):
-        jsonio.derivation_from_json([{"op": "halve", "value": "1", "args": []}])
+        kernel.derivation_from_json([{"op": "halve", "value": "1", "args": []}])
     with pytest.raises(ValueError):
-        jsonio.derivation_from_json([{"op": ["sum"], "value": "1", "args": []}])
+        kernel.derivation_from_json([{"op": ["sum"], "value": "1", "args": []}])
     # hostile tables: every argument must index an earlier entry
     hostile = {
         "forward reference": [two, {"op": "sum", "value": "4", "args": [0, 2]}, two],
@@ -231,7 +249,7 @@ def test_derivation_parse_rejects_wrong_arity():
     }
     for table in hostile.values():
         with pytest.raises(ValueError):
-            jsonio.derivation_from_json(table)
+            kernel.derivation_from_json(table)
 
 
 def test_deep_derivation_round_trips_without_recursion():
@@ -244,14 +262,14 @@ def test_deep_derivation_round_trips_without_recursion():
         {"op": "leaf", "value": "1", "args": []},
         {"op": "sum", "value": "4001", "args": [0] * 4001},
     ]
-    assert jsonio.derivation_to_json(jsonio.derivation_from_json(enc)) == enc
+    assert jsonio.derivation_to_json(kernel.derivation_from_json(enc)) == enc
     # ... while sums under triples stay entries: 8,000 deep on the wire.
     d = Leaf(_F(1))
     for _ in range(4000):
         d = Triple(Sum(d, Leaf(_F(1))), Leaf(_F(1)), Leaf(_F(1)))
     enc = jsonio.derivation_to_json(d)
     assert len(enc) == 8001
-    back = jsonio.derivation_from_json(enc)
+    back = kernel.derivation_from_json(enc)
     assert back.value == 4001 and jsonio.derivation_to_json(back) == enc
 
 
@@ -300,11 +318,11 @@ def test_hostile_tables_are_answered_in_time_with_one_sum_per_entry(
     monkeypatch.setattr(Sum, "__post_init__", counted)
     t0 = time.perf_counter()
     if error is None:
-        root = jsonio.derivation_from_json(table)
+        root = kernel.derivation_from_json(table)
         assert root.value == jsonio.rat_from_json(table[-1]["value"])
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
-            jsonio.derivation_from_json(table)
+            kernel.derivation_from_json(table)
     assert time.perf_counter() - t0 < 1.0
     assert built[0] == sum(e["op"] == "sum" for e in table)
 
@@ -325,7 +343,7 @@ def test_hostile_tables_are_answered_in_time_with_one_sum_per_entry(
 )
 def test_malformed_sums_are_rejected_at_their_entry(table, error):
     with pytest.raises(ValueError) as caught:
-        jsonio.derivation_from_json(table)
+        kernel.derivation_from_json(table)
     assert str(caught.value) == "derivation" + error
 
 
@@ -551,7 +569,7 @@ def _counted(fn, calls):
 
 def _count_parse_rat(monkeypatch):
     calls = [0]
-    monkeypatch.setattr(jsonio, "parse_rat", _counted(jsonio.parse_rat, calls))
+    monkeypatch.setattr(kernel, "parse_rat", _counted(kernel.parse_rat, calls))
     return calls
 
 

@@ -30,11 +30,11 @@ from boxcert.geometry import (
     Defect,
     Partition,
     ValidationReport,
-    format_rat,
     interiors_disjoint,
     rank_partition,
     validate_partition,
 )
+from boxcert.kernel import format_rat
 
 _F = Fraction
 

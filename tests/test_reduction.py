@@ -10,9 +10,10 @@ from math import lcm
 import pytest
 
 from boxcert import reduction
-from boxcert.closure import GeneratorSet, Leaf, Sum, Triple, bounded_closure
+from boxcert.closure import GeneratorSet, bounded_closure
 from boxcert.errors import ReplayMismatch, SoundnessError
 from boxcert.jsonio import derivation_to_json
+from boxcert.kernel import Leaf, Sum, Triple
 from boxcert.reduction import reduce_sequence, replay
 from restart_reducer import reduce_sequence as restart_reduce
 from walks import GenerationFailed, random_y_sequence, sampled_walks

@@ -367,7 +367,7 @@ def test_validation_and_the_graph_read_one_corner_enumeration(monkeypatch):
 
     monkeypatch.setattr(RankView, "corners", Watched())
     pipeline.certify(p, GeneratorSet.of(1))
-    assert [reader for reader, _ in reads] == ["_tiles", "build_graph"]
+    assert [reader for reader, _ in reads] == ["_signed_corners", "build_graph"]
     (_, first), (_, second) = reads
     assert second is first
     assert len(first) == 4 and all(len(corners) == n * n for corners in first)

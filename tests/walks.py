@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from boxcert.geometry import RatLike, format_rat, parse_rat
+from boxcert.kernel import RatLike, format_rat, parse_rat
 from boxcert.trailgraph import YSequence
 
 
