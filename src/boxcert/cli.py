@@ -11,9 +11,10 @@ Subcommands::
     render     draw a 2D partition (and optional trail) as SVG
     selftest   certify the built-in witness instances and print a table
 
-Exit codes are a stable contract: 0 success; 1 parse or usage errors;
-2 invalid partition / rejected certificate; 3 hypothesis violated (some box
-has no side in the closure); 4 internal invariant failure; 5 non-member.
+Exit codes are a stable contract: 0 success; 1 parse or usage errors, and a
+partition with more box corner coordinates than the cap; 2 invalid partition
+/ rejected certificate; 3 hypothesis violated (some box has no side in the
+closure); 4 internal invariant failure; 5 non-member.
 All output is byte-deterministic for fixed inputs, flags, and seeds; the
 ``BOXCERT_SEED`` environment variable overrides default seeds.
 """
@@ -29,8 +30,8 @@ from typing import Optional, Sequence
 
 from . import factory, jsonio, pipeline
 from .closure import GeneratorSet, bounded_closure, membership
-from .errors import HypothesisViolated, RenderUnsupported, SoundnessError
-from .geometry import Partition, Point, validate_partition
+from .errors import HypothesisViolated, RenderUnsupported, SoundnessError, TooManyCorners
+from .geometry import Partition, validate_partition
 from .kernel import format_rat, parse_rat
 from .svg import RenderSpec, render_svg
 
@@ -73,11 +74,6 @@ def _parse_gens_arg(text: str) -> GeneratorSet:
         return GeneratorSet.of(*[_parse_rat_arg(p, "generator") for p in parts])
     except ValueError as exc:
         raise _CliError(f"bad generator set: {exc}") from exc
-
-
-def _parse_point_arg(text: str) -> Point:
-    parts = [p.strip() for p in text.split(",")]
-    return tuple(_parse_rat_arg(p, "coordinate") for p in parts)
 
 
 def _parse_lift_arg(text: str) -> tuple[int, Fraction]:
@@ -142,7 +138,10 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate_partition(_load_partition(args.file))
+    try:
+        report = validate_partition(_load_partition(args.file))
+    except TooManyCorners as exc:
+        raise _CliError(f"{args.file}: {exc}") from exc
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_INVALID
 
@@ -150,9 +149,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- certify
 
 
-def _certify_one(
-    path: str, gens: GeneratorSet, start: Optional[Point], prefix: str, out: Optional[str]
-) -> int:
+def _certify_one(path: str, gens: GeneratorSet, prefix: str, out: Optional[str]) -> int:
     """Certify one file, write its lines and its ``out`` file; returns its exit code."""
     try:
         p = _load_partition(path)
@@ -160,7 +157,7 @@ def _certify_one(
         sys.stderr.write(f"{exc}\n")
         return exc.code
     try:
-        cert = pipeline.certify(p, gens, start=start)
+        cert = pipeline.certify(p, gens)
     except pipeline.PartitionInvalid as exc:
         sys.stderr.write(f"{path}: {exc.report.summary()}\n")
         return EXIT_INVALID
@@ -186,13 +183,12 @@ def _certify_one(
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     gens = _parse_gens_arg(args.gens)
-    start = _parse_point_arg(args.start_corner) if args.start_corner else None
     if args.out and len(args.files) != 1:
         raise _CliError("--out requires exactly one input file")
     exit_code = EXIT_OK
     for path in sorted(args.files):
         prefix = f"{path}: " if len(args.files) > 1 else ""
-        code = _certify_one(path, gens, start, prefix, args.out)
+        code = _certify_one(path, gens, prefix, args.out)
         if exit_code == EXIT_OK:
             exit_code = code
     return exit_code
@@ -370,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certify partition files")
     p_cert.add_argument("files", nargs="+", metavar="file")
     p_cert.add_argument("--gens", required=True, help="comma-separated rationals")
-    p_cert.add_argument("--start-corner", help="trail start corner, comma-separated")
     p_cert.add_argument("--out", help="write the certificate JSON here (single file)")
     p_cert.set_defaults(func=_cmd_certify)
 

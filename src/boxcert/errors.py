@@ -24,6 +24,17 @@ class HypothesisViolated(Exception):
         super().__init__(detail)
 
 
+class TooManyCorners(ValueError):
+    """A partition with more box corner coordinates (boxes x 2^n x n) than
+    :data:`boxcert.geometry.MAX_CORNER_COORDINATES`, refused before any
+    corner is built."""
+
+    def __init__(self, count: int, cap: int) -> None:
+        super().__init__(
+            f"the partition has {count} box corner coordinates, more than the cap of {cap}"
+        )
+
+
 class SoundnessError(Exception):
     """An invariant the certification argument guarantees did not hold."""
 

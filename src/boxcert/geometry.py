@@ -10,7 +10,8 @@ they work on a :class:`RankView`: each axis's distinct coordinates sorted
 once, and the boxes rewritten in integer ranks (coordinate compression), held
 as one column of lower and one of upper ranks per axis, in box order.  Exact
 values come back from the view's per-axis tables only where a result is
-read.  The view enumerates every box's corners once (``RankView.corners``);
+read.  The view enumerates every box's corners once (``RankView.corners``),
+and refuses to when they would be more than :data:`MAX_CORNER_COORDINATES`;
 whether the boxes tile the outer box is decided by counting those corners
 with their signs (:func:`_tiles`), and the trail graph pairs the same
 corners into edges.  Only when the count fails is a report written, from the
@@ -28,7 +29,7 @@ from itertools import compress
 from operator import attrgetter, getitem, itemgetter, le, lt
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import SoundnessError
+from .errors import SoundnessError, TooManyCorners
 from .kernel import RatLike, format_rat, parse_rat
 
 #: A point is a tuple of exact rationals; its length is the ambient dimension.
@@ -169,6 +170,15 @@ class Partition:
         return len(self.boxes)
 
 
+#: The most box corner coordinates, boxes x 2^n x n, that a :class:`RankView`
+#: enumerates.  On a 2-core host with Python 3.11, the two-box strip lifted
+#: to n = 17 (4.5e6 coordinates) certifies in 4.4 s and 361 MB, at n = 18
+#: (9.4e6) in 11.8 s and 760 MB, and at n = 20 it runs out of a 1 GiB
+#: address space.  The largest partition that the tests (apart from the
+#: cap's own) and the benchmark enumerate has 7.2e5.
+MAX_CORNER_COORDINATES = 4_000_000
+
+
 #: A point of a :class:`RankView`, such as a box corner or a trail-graph vertex:
 #: the ranks of its coordinates.
 Ranks = tuple[int, ...]
@@ -202,7 +212,9 @@ class RankView:
     of Fractions.  Build it with :func:`rank_partition`.
 
     ``corners`` enumerates every box's corners once, for validation, its
-    report on an invalid partition and the trail graph alike.
+    report on an invalid partition and the trail graph alike; it raises
+    :class:`~boxcert.errors.TooManyCorners`, before it builds any, when the
+    count is above :data:`MAX_CORNER_COORDINATES`.
     """
 
     partition: Partition
@@ -216,9 +228,13 @@ class RankView:
     def corners(self) -> tuple[list[Ranks], ...]:
         """``corners[i][k - 1]`` is corner ``i`` of box ``k``, in the order of
         ``itertools.product(*zip(lo, hi))`` (see :func:`_corner_getters`)."""
+        dim = len(self.lo)
+        count = len(self.partition.boxes) * dim << dim
+        if count > MAX_CORNER_COORDINATES:
+            raise TooManyCorners(count, MAX_CORNER_COORDINATES)
         columns = self.lo + self.hi
         return tuple(
-            list(zip(*getter(columns))) for getter in _corner_getters(len(self.lo))
+            list(zip(*getter(columns))) for getter in _corner_getters(dim)
         )
 
     def point(self, ranks: Iterable[int]) -> Point:

@@ -32,9 +32,9 @@ entry.
 
 The certificate parser (:func:`boxcert.pipeline.certificate_from_json`)
 decodes only what the checker reads: the generators, the derivation table
-and its result, the claimed side and the trail's start corner, through one
-table, and keeps the document as written.  The checker compares it with the
-document it writes, whose trail and projection come from
+and its result and the claimed side, through one table, and keeps the
+document as written.  The checker compares it with the document it writes,
+whose trail and projection come from
 :func:`trail_to_json` (from the walk's ranks) and :func:`ysequence_to_json`;
 :func:`trail_from_json` and :func:`ysequence_from_json` decode them only
 when a program reads them.

@@ -2,16 +2,18 @@
 
 One private function, :func:`_construct`, runs the stages both sides share:
 validation, bounded closure of the generators, per-box axis assignment,
-trail graph, parity audit, greedy corner-to-corner trail and projection.
+trail graph, parity audit, the greedy trail from the outer box's lowest
+corner and projection.  They read the partition and the generators and
+nothing else, so a partition and its generators have one walk.
 ``certify`` is that sequence plus the reduction and packaging into a
 :class:`Certificate`: one JSON document, bound to the partition by a content
 digest and written by one function, :func:`_write`.
 :func:`check_certificate` re-checks a certificate without trusting the
 producer: it runs the soundness kernel first (:func:`_kernel`, which calls
 the trusted base: :func:`~boxcert.reduction.replay` and
-:mod:`boxcert.kernel`), then the shared stages from
-the recorded trail start, writes the document certify would have written
-with the same writer and compares it with the certificate's as written.
+:mod:`boxcert.kernel`), then the shared stages, writes the document certify
+would have written with the same writer and compares it with the
+certificate's as written.
 Only the derivation table is not written back: the parser holds each entry
 to the form certify writes.  Check never raises on malformed input, and
 reports the failing stage instead.
@@ -25,8 +27,14 @@ from typing import Any, Iterable, Optional
 
 from . import jsonio
 from .closure import BoundedClosure, GeneratorSet, bounded_closure
-from .errors import HypothesisViolated, ParityViolation, ReplayMismatch, SoundnessError
-from .geometry import Partition, Point, format_point, rank_partition, validate_partition
+from .errors import (
+    HypothesisViolated,
+    ParityViolation,
+    ReplayMismatch,
+    SoundnessError,
+    TooManyCorners,
+)
+from .geometry import Partition, format_point, rank_partition, validate_partition
 from .kernel import (
     RatTable,
     check_claim,
@@ -70,11 +78,9 @@ class Certificate:
 
     ``document`` is the certificate's JSON document exactly as written: the
     one :func:`certify` wrote, or the one :func:`certificate_from_json` was
-    given.  The fields beside it are what the kernel and the recomputation
-    read, decoded: the generator set ``gens``; ``start``, the trail's start
-    corner, from which :func:`check_certificate` re-runs the shared stages;
-    and ``reduction``, which derives ``claimed_side.length`` from generators
-    only.
+    given.  The fields beside it are decoded from it: the generator set
+    ``gens``, and what the kernel reads, ``reduction``, which derives
+    ``claimed_side.length`` from generators only, and ``claimed_side``.
 
     ``partition_sha256`` (the canonical JSON digest of the partition),
     ``bound``, ``assignment``, ``trail`` and ``y`` read the document; the
@@ -90,7 +96,6 @@ class Certificate:
     """
 
     gens: GeneratorSet
-    start: Point
     reduction: ReductionCertificate
     claimed_side: ClaimedSide
     document: dict[str, Any] = field(repr=False)
@@ -158,7 +163,7 @@ def _ints(values: Iterable[Any]) -> bool:
 _STAGES: dict[str, tuple[str, str]] = {
     "bound": ("bound", "bound is not the outer extent"),
     "assignment": ("assignment", "recomputed axis assignment differs"),
-    "trail": ("trail", "recomputed trail from the recorded start differs"),
+    "trail": ("trail", "recomputed trail differs"),
     "y": ("projection", "recomputed position sequence differs"),
     "claimed_side": ("claim", "claimed side is not written as certify writes it"),
     "reduction": ("reduction", "reduction is not written as certify writes it"),
@@ -166,13 +171,13 @@ _STAGES: dict[str, tuple[str, str]] = {
 
 
 def _construct(
-    p: Partition, g: GeneratorSet, start: Optional[Point]
+    p: Partition, g: GeneratorSet
 ) -> tuple[tuple[Fraction, ...], BoundedClosure, tuple[int, ...], Trail, YSequence]:
     """The stages certify and check share, from validation to projection.
 
     Returns the outer box's extents, whose largest bounds the closure, the
-    closure, the axis assignment, the trail from ``start`` (the smallest
-    outer corner when None) and its projection.
+    closure, the axis assignment, the trail from the outer box's lowest
+    corner and its projection.
     Each stage is looked up as a global of this module at call time, so a
     tracer that wraps those globals sees certify's and check's calls alike.
     Validation, axis assignment, the graph, the projection and the step
@@ -196,7 +201,7 @@ def _construct(
             "degree parity violated at "
             + ", ".join(format_point(e.point) for e in parity.violations()),
         )
-    trail = extract_trail(graph, start)
+    trail = extract_trail(graph)
     y = project_to_axis(trail, ranks)
     j = y.axis - 1
     spans = {
@@ -216,19 +221,18 @@ def _construct(
     return extents, closure, assignment, trail, y
 
 
-def certify(
-    p: Partition, g: GeneratorSet, *, start: Optional[Point] = None
-) -> Certificate:
+def certify(p: Partition, g: GeneratorSet) -> Certificate:
     """Produce a certificate that the outer box has a side in the closure of g.
 
     Deterministic: with fixed inputs the certificate (and its JSON form) is
     byte-identical across runs.  Raises :class:`PartitionInvalid` for invalid
     partitions, :class:`~boxcert.errors.HypothesisViolated` when some box has
-    no side in the closure, ``ValueError`` when ``start`` is not an exact
-    outer corner, and a :class:`~boxcert.errors.SoundnessError` subclass if an
-    internal invariant fails (which means a bug, not a property of the input).
+    no side in the closure, :class:`~boxcert.errors.TooManyCorners` when the
+    partition has more corner coordinates than the stages enumerate, and a
+    :class:`~boxcert.errors.SoundnessError` subclass if an internal invariant
+    fails (which means a bug, not a property of the input).
     """
-    extents, closure, assignment, trail, y = _construct(p, g, start)
+    extents, closure, assignment, trail, y = _construct(p, g)
 
     def leaf_derivation(value: Fraction):
         d = closure.derivation_for(value)
@@ -248,7 +252,6 @@ def certify(
     table = jsonio.derivation_to_json(reduction.derivation)
     return Certificate(
         gens=g,
-        start=trail.start,
         reduction=reduction,
         claimed_side=claim,
         document=_write(
@@ -295,7 +298,7 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     outer extent").  With the table parser, these are the trusted base,
     :mod:`boxcert.kernel` and ``replay``.  It runs before any partition
     work.  Everything else is an audit by recomputation: :func:`certify`'s
-    stages are re-run from the recorded trail start, :func:`_write` writes
+    stages are re-run from the partition and ``g``, :func:`_write` writes
     the document certify would have written around the certificate's own
     derivation table, and the certificate's document must equal it, integers
     written as integers.  So every field is accepted only as certify writes
@@ -306,10 +309,10 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
     ``digest``, ``gens`` (the recorded list must be the one certify writes
     for ``g``), ``certificate`` (the top-level keys must be those certify
     writes), the kernel (``reduction``, ``claim``), the shared stages
-    (``partition`` when validation fails, ``assignment`` when a box has no
-    side in the closure, ``trail`` when the start is not an exact outer
-    corner), then one comparison of the whole document with the written
-    one; when they differ, the first key of :data:`_STAGES` that differs
+    (``partition`` when validation fails or the partition has more corner
+    coordinates than the stages enumerate, ``assignment`` when a box has no
+    side in the closure), then one comparison of the whole document with
+    the written one; when they differ, the first key of :data:`_STAGES` that differs
     names the stage (``bound``, ``assignment``, ``trail``, ``projection``
     for ``y``, ``claim`` for ``claimed_side``, ``reduction``).  Then the
     type pass (``true`` or ``1.0`` where certify writes an integer, under
@@ -339,13 +342,13 @@ def check_certificate(cert: Certificate, p: Partition, g: GeneratorSet) -> Check
         if failure is not None:
             return fail(*failure)
         try:
-            extents, _, assignment, trail, y = _construct(p, g, cert.start)
+            extents, _, assignment, trail, y = _construct(p, g)
         except PartitionInvalid as exc:
             return fail("partition", exc.report.summary())
+        except TooManyCorners as exc:
+            return fail("partition", str(exc))
         except HypothesisViolated as exc:
             return fail("assignment", str(exc))
-        except ValueError as exc:  # extract_trail: the start is not an exact outer corner
-            return fail("trail", str(exc))
         claim = ClaimedSide(axis=y.axis, length=y.length)
         table = doc["reduction"]["derivation"]
         written = _write(digest, g, max(extents), assignment, trail, y, claim, table)
@@ -380,13 +383,13 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: Any) -> Certificate:
-    """Parse a certificate: decode what the kernel and the recomputation read.
+    """Parse a certificate: decode what the kernel reads.
 
-    That is ``gens``, the reduction (its result and derivation table), the
-    claimed side and the trail's start corner; each distinct rational string
-    among them is parsed once.  The digest must be a string, and the fields
-    ``bound`` (a string or an integer), ``assignment`` (an array), ``trail``
-    and ``y`` (objects) are checked for presence and that JSON type only.
+    That is ``gens``, the reduction (its result and derivation table) and the
+    claimed side; each distinct rational string among them is parsed once.
+    The digest must be a string, and the fields ``bound`` (a string or an
+    integer), ``assignment`` (an array), ``trail`` and ``y`` (objects) are
+    checked for presence and that JSON type only.
     The document is kept as given, for :func:`check_certificate` to compare
     with the one it writes; keys the parser does not read are not rejected
     here.
@@ -407,16 +410,13 @@ def certificate_from_json(obj: Any) -> Certificate:
     expect_list(
         get_key(d, "assignment", "certificate"), "certificate.assignment"
     )
-    trail = expect_dict(get_key(d, "trail", "certificate"), "trail")
+    expect_dict(get_key(d, "trail", "certificate"), "trail")
     expect_dict(get_key(d, "y", "certificate"), "y")
     claim = expect_dict(
         get_key(d, "claimed_side", "certificate"), "certificate.claimed_side"
     )
     return Certificate(
         gens=GeneratorSet(frozenset(listed)),
-        start=jsonio.point_from_json(
-            get_key(trail, "start", "trail"), "trail.start", rats=rats
-        ),
         reduction=jsonio.reduction_from_json(
             get_key(d, "reduction", "certificate"), rats=rats
         ),

@@ -4,10 +4,11 @@ Each constituent box gets one axis whose side length lies in the tracked set;
 the box then contributes exactly its edges parallel to that axis to a
 multigraph on the constituent-box vertices.  Degree parity in that graph is
 forced: outer corners have degree exactly one, every other vertex even
-degree.  A greedy non-repeating walk from one outer corner therefore ends at
-a different outer corner, and projecting the walk to the first axis on which
-the two corners differ yields a sequence of positions whose nonzero step
-lengths are all tracked side lengths.  That sequence is what the reducer
+degree.  A greedy non-repeating walk from the outer box's lowest corner
+therefore ends at a different outer corner, and projecting the walk to the
+first axis on which the two corners differ yields a sequence of positions,
+from 0 up to that axis's outer extent, whose nonzero step lengths are all
+tracked side lengths.  That sequence is what the reducer
 collapses into a single derived length.
 
 Every stage here runs on the partition's :class:`~boxcert.geometry.RankView`.
@@ -374,8 +375,9 @@ class Trail:
         return f"Trail(start={self.start!r}, steps={self.steps!r}, end={self.end!r})"
 
 
-def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
-    """Greedy non-repeating walk from an outer corner until it gets stuck.
+def extract_trail(g: TrailGraph) -> Trail:
+    """Greedy non-repeating walk from the outer box's lowest corner until it
+    gets stuck.
 
     With the parity pattern in place the walk can only get stuck at an outer
     corner different from the start (at every even vertex an arrival leaves an
@@ -386,21 +388,11 @@ def extract_trail(g: TrailGraph, start: Optional[Point] = None) -> Trail:
     list of edge numbers — this makes the whole pipeline reproducible
     byte-for-byte.  The walk runs on ranks, marks used edges in a
     ``bytearray`` and returns a :class:`Trail` that holds the rank tuples it
-    visited and the edges it took; no exact point is formed here.  ``start``
-    is read with :func:`~boxcert.geometry.parse_point`, so a float start
-    raises ``ValueError`` like one that is not an outer corner.
+    visited and the edges it took; no exact point is formed here.
     """
     view = g.ranks
     corners = set(view.outer.corners())
-    if start is None:
-        first = min(corners)
-    else:
-        start = parse_point(start)
-        first = view.ranks_of(start)
-        if first not in corners:
-            raise ValueError(
-                f"start {format_point(start)} is not a corner of the outer box"
-            )
+    first = min(corners)
     adjacency, lower, upper = g.adjacency, g.lower, g.upper
     used = bytearray(len(lower))
     current = first
@@ -477,11 +469,11 @@ def project_to_axis(t: Trail, p: Union[Partition, RankView]) -> YSequence:
     Takes the partition or its :class:`~boxcert.geometry.RankView`; every
     point of ``t`` must be a vertex of it, as every point of a trail from
     :func:`extract_trail` is.  The axis is the smallest one on which the
-    walk's first and last vertices differ; on it one corner sits at 0 and
-    the other at the full outer extent, and the sequence is oriented to
-    start at 0.  Steps from edges parallel to other axes project to zero and
+    walk's first and last vertices differ; on it the first must sit at 0
+    and the last at the full outer extent, as a walk from the lowest corner
+    does, and a trail that runs the other way is refused.  Steps from edges parallel to other axes project to zero and
     are dropped.  The walk's ranks (:meth:`Trail.ranks_in`) are projected,
-    deduplicated, oriented and checked; each kept rank is then read back
+    deduplicated and checked; each kept rank is then read back
     from the value table, less the outer box's low face (a subtraction only
     where that face is not 0).
     """
@@ -495,8 +487,6 @@ def project_to_axis(t: Trail, p: Union[Partition, RankView]) -> YSequence:
     values = view.values[j]
     lo, hi = view.outer.lo[j], view.outer.hi[j]
     ranks = [r for r, _ in groupby(map(itemgetter(j), path))]
-    if ranks[0] != lo:
-        ranks.reverse()
     if ranks[0] != lo or ranks[-1] != hi:
         raise SoundnessError(
             f"projection endpoints {format_rat(values[ranks[0]] - values[lo])}, "

@@ -32,9 +32,10 @@ from fractions import Fraction
 import pytest
 
 import test_hostile_certificates as hostile
+import test_hostile_partitions
 from boxcert import factory, jsonio, kernel, pipeline
 from boxcert.closure import GeneratorSet
-from boxcert.geometry import Box, Partition, parse_point
+from boxcert.geometry import MAX_CORNER_COORDINATES, Box, Partition, parse_point
 from boxcert.kernel import Leaf
 from boxcert.pipeline import ClaimedSide, certificate_from_json, certify
 from boxcert.reduction import ReductionCertificate
@@ -122,6 +123,16 @@ _UNIT_CORNER = Partition(
 )
 
 
+def _above_the_corner_cap():
+    # The strip lifted to 20 dimensions, with a certificate that passes the
+    # digest, the generators and the kernel.
+    make, gens, table = test_hostile_partitions.HIGH_DIMENSIONAL["lifted-strip"]
+    partition = make(20)
+    doc = test_hostile_partitions._certificate(partition, gens, table)
+    p = jsonio.partition_from_json(partition)
+    return certificate_from_json(doc), p, GeneratorSet.of(3, 5)
+
+
 def _strip_with_its_other_assignment():
     # Box 1 of strip(15,5) has both extents in the closure of {15, 5}: giving
     # it its 20-side makes a trail, projection (0 -> 20 on axis 2) and claim
@@ -129,7 +140,7 @@ def _strip_with_its_other_assignment():
     # makes.
     cert = certificate_from_json(_doc(_STRIP, _STRIP_GENS))
     assignment = (2, 1)
-    trail = extract_trail(build_graph(_STRIP, assignment), cert.start)
+    trail = extract_trail(build_graph(_STRIP, assignment))
     y = project_to_axis(trail, _STRIP)
     doc = dict(
         cert.document,
@@ -218,13 +229,18 @@ CORPUS = {
         "partition: INVALID: 1 defect(s)\n  - gap: cell [0, 3] x [0, 10] is covered by "
         "0 boxes; the corner counts differ at 4 points",
     ),
+    "a partition above the corner cap": (
+        _above_the_corner_cap,
+        f"partition: the partition has {2 * 20 << 20} box corner coordinates, "
+        f"more than the cap of {MAX_CORNER_COORDINATES}",
+    ),
     "a box with no side in the closure": (
         lambda: _against(_UNIT_CORNER),
         "assignment: box k=1 has no side in the closure; extents ('1', '1')",
     ),
     "start off the corners": (
-        lambda: _replaced(start=_pt(1, 0)),
-        "trail: start (1, 0) is not a corner of the outer box",
+        lambda: _cert(_set("trail", "start", ["1", "0"])),
+        "trail: recomputed trail differs",
     ),
     "bound": (
         lambda: _cert(_set("bound", "15")),
@@ -244,7 +260,7 @@ CORPUS = {
     ),
     "steps swapped": (
         lambda: _cert(_swap_first_steps),
-        "trail: recomputed trail from the recorded start differs",
+        "trail: recomputed trail differs",
     ),
     "y point moved": (
         lambda: _cert(_set("y", "points", 1, "11")),
@@ -260,7 +276,7 @@ CORPUS = {
     ),
     "true as a step's box": (
         lambda: _cert(_set("trail", "steps", 0, "box", True)),
-        "trail: recomputed trail from the recorded start differs",
+        "trail: recomputed trail differs",
     ),
     "true as the projection axis": (
         lambda: _cert(_set("y", "axis", True)),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -15,9 +16,12 @@ import pytest
 
 from boxcert import factory, jsonio, kernel
 from boxcert.cli import main
-from boxcert.closure import GeneratorSet
+from boxcert.closure import GeneratorSet, bounded_closure
 from boxcert.geometry import Box, Partition, parse_point
 from boxcert.kernel import verify_derivation
+from boxcert.reduction import reduce_sequence
+from boxcert.trailgraph import YSequence
+from test_trailgraph import _reference_trail
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -243,31 +247,6 @@ def test_check_rejects_malformed_audit_content_with_exit_two(
     assert "projection: recomputed position sequence differs" in err
 
 
-def test_certify_from_a_chosen_start_corner(capsys, pinwheel_file, tmp_path):
-    cert_path = tmp_path / "cert.json"
-    code, _, err = run_cli(
-        capsys, "certify", pinwheel_file, "--gens", "17,10,7",
-        "--start-corner", "20,20", "--out", cert_path,
-    )
-    assert code == 0, err
-    cert = json.loads(cert_path.read_text())
-    assert cert["trail"]["start"] == ["20", "20"]
-    code, out, _ = run_cli(
-        capsys, "check", cert_path, "--partition", pinwheel_file, "--gens", "17,10,7"
-    )
-    assert code == 0
-    assert out.startswith("OK")
-
-
-def test_certify_start_corner_off_the_outer_corners_exits_one(capsys, pinwheel_file):
-    code, out, err = run_cli(
-        capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--start-corner", "5,5"
-    )
-    assert code == 1
-    assert out == ""
-    assert "start (5, 5)" in err
-
-
 def test_usage_errors_exit_one(capsys, pinwheel_file, tmp_path):
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
@@ -423,11 +402,46 @@ def test_render_rejects_a_certificate_that_check_rejects(capsys, pinwheel_file, 
         capsys, "check", cert_path, "--partition", pinwheel_file, "--gens", "17,10,7"
     )
     assert code == 2
-    assert "trail: recomputed trail from the recorded start differs" in out
+    assert "trail: recomputed trail differs" in out
     code, out, err = run_cli(capsys, "render", pinwheel_file, "--cert", cert_path)
     assert code == 2
     assert out == ""
-    assert "trail: recomputed trail from the recorded start differs" in err
+    assert "trail: recomputed trail differs" in err
+
+
+def test_a_certificate_walked_from_another_corner_is_refused(capsys, pinwheel_file, tmp_path):
+    # The pinwheel's walk from (20, 20), written into its certificate with a
+    # projection, derivation and claim that agree with it.  Certify walks
+    # from (0, 0) only, so check rejects the trail, and render with it.
+    p, g = factory.pinwheel_partition(17, 10, 7), GeneratorSet.of(17, 10, 7)
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", pinwheel_file, "--gens", "17,10,7", "--out", cert_path)
+    doc = json.loads(cert_path.read_text())
+    trail = _reference_trail(p, doc["assignment"], start=parse_point((20, 20)))
+    points = trail.points()
+    j = next(j for j in range(2) if points[0][j] != points[-1][j])
+    side = p.outer.extent(j + 1)
+    positions = [x for x, _ in itertools.groupby(v[j] for v in points)]
+    y = YSequence(axis=j + 1, length=side, points=tuple(reversed(positions)))
+    walked = reduce_sequence(y, bounded_closure(g, side).derivation_for)
+    doc.update(
+        trail=jsonio.trail_to_json(trail),
+        y=jsonio.ysequence_to_json(y),
+        reduction={
+            "result": kernel.format_rat(walked.result),
+            "derivation": jsonio.derivation_to_json(walked.derivation),
+        },
+        claimed_side={"axis": y.axis, "length": kernel.format_rat(side)},
+    )
+    assert trail.start == parse_point((20, 20)) and walked.result == side
+    cert_path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(
+        capsys, "check", cert_path, "--partition", pinwheel_file, "--gens", "17,10,7"
+    )
+    assert (code, out) == (2, "REJECTED: trail: recomputed trail differs\n")
+    code, out, err = run_cli(capsys, "render", pinwheel_file, "--cert", cert_path)
+    assert (code, out) == (2, "")
+    assert "trail: recomputed trail differs" in err
 
 
 def test_render_rejects_forged_gens_at_the_cost_of_the_conductor(

@@ -100,29 +100,6 @@ def test_certify_lifted_instances():
         assert check_certificate(cert, p, gens).ok
 
 
-def test_certify_custom_start_corner():
-    p, g = _strip()
-    cert = certify(p, g, start=_pt(20, 20))
-    assert cert.trail.start == _pt(20, 20)
-    assert cert.claimed_side.length == 20
-    assert check_certificate(cert, p, g).ok
-
-
-def test_the_start_corner_is_read_as_exact_rationals():
-    # An int start is read exactly and still written as "0"; a float start
-    # is rejected like any float, and check reports it at the trail stage.
-    p, g = _strip()
-    cert = certify(p, g, start=(0, 0))
-    assert cert.trail.start == _pt(0, 0)
-    assert certificate_to_json(cert)["trail"]["start"] == ["0", "0"]
-    with pytest.raises(ValueError, match="floats are not accepted"):
-        certify(p, g, start=(0.0, 0.0))
-    floated = dataclasses.replace(cert, start=(0.0, 0.0))
-    result = check_certificate(floated, p, g)
-    assert not result.ok
-    assert result.reasons[0].startswith("trail"), result.reasons
-
-
 def test_certify_rejects_invalid_partition():
     outer = Box(_pt(0, 0), _pt(4, 4))
     p = Partition(2, outer, (Box(_pt(0, 0), _pt(2, 4)),))
@@ -319,7 +296,7 @@ def test_check_rejects_a_valid_but_non_canonical_assignment():
     p, g = _strip()
     cert = certify(p, g)
     assignment = (2, 1)
-    trail = extract_trail(build_graph(p, assignment), cert.trail.start)
+    trail = extract_trail(build_graph(p, assignment))
     y = project_to_axis(trail, p)
     assert (y.axis, y.points) == (2, (_F(0), _F(20)))
     closure = bounded_closure(g, max(p.outer.extents()))
@@ -429,8 +406,8 @@ def test_check_accepts_the_envelope_only_as_certify_writes_it(name):
 
 def test_certificate_from_json_parses_no_rational_inside_the_audit(monkeypatch):
     # Of a 300-strip row's rationals, the parser reads those of gens, the
-    # table, the result, the claimed length and the trail's start; none of
-    # the trail's 1,200 step coordinates or the 301 y points.
+    # table, the result and the claimed length; none of the trail's start,
+    # its 1,200 step coordinates or the 301 y points.
     p, g = _row300()
     doc = _written(p, g)
     read = {
@@ -438,7 +415,6 @@ def test_certificate_from_json_parses_no_rational_inside_the_audit(monkeypatch):
         *(e["value"] for e in doc["reduction"]["derivation"]),
         doc["reduction"]["result"],
         doc["claimed_side"]["length"],
-        *doc["trail"]["start"],
     }
     calls = [0]
     parse = kernel.parse_rat
@@ -994,7 +970,6 @@ def test_certificate_json_round_trips_through_the_parser():
         table = jsonio.derivation_to_json(cert.reduction.derivation)
         assert table == doc["reduction"]["derivation"]
         assert format_rat(cert.reduction.result) == doc["reduction"]["result"]
-        assert cert.start == cert.trail.start
         written = pipeline._write(
             cert.partition_sha256,
             cert.gens,

@@ -211,7 +211,7 @@ def test_assign_axes_and_construct_make_no_box_extent_call(monkeypatch):
 
     monkeypatch.setattr(Box, "extent", counted)
     assign_axes(p, _member((1,), n))
-    pipeline._construct(p, GeneratorSet.of(1), None)
+    pipeline._construct(p, GeneratorSet.of(1))
     assert calls[0] == 0
     assert p.outer.extent(1) == n
     assert calls[0] == 1  # the counter is live
@@ -440,22 +440,6 @@ def test_pinwheel_trail_golden():
     )
 
 
-def test_trail_from_alternate_corner():
-    p = strip_partition(15, 5)
-    g = build_graph(p, (1, 1))
-    t = extract_trail(g, start=_pt(20, 0))
-    assert t.points() == (_pt(20, 0), _pt(15, 0), _pt(0, 0))
-
-
-def test_trail_start_must_be_an_outer_corner():
-    p = strip_partition(15, 5)
-    g = build_graph(p, (1, 1))
-    with pytest.raises(ValueError):
-        extract_trail(g, start=_pt(15, 0))
-    with pytest.raises(ValueError):
-        extract_trail(g, start=_pt(0, 0, 0))  # a corner's coordinates, plus one
-
-
 def test_trail_gets_stuck_on_uncovered_partition():
     outer = strip_partition(2, 2).outer
     p = Partition(2, outer, (Box(_pt(0, 0), _pt(2, 4)),))
@@ -474,13 +458,23 @@ def test_project_strip_trail():
     assert y.length == 20
 
 
-def test_project_orients_sequence_to_start_at_zero():
+def test_project_refuses_a_trail_from_the_far_corner():
+    # The strip's walk (0,0) -> (15,0) -> (20,0), taken backwards: every step
+    # is a box edge, but the positions run from the outer extent down to 0.
     p = strip_partition(15, 5)
-    g = build_graph(p, (1, 1))
-    t = extract_trail(g, start=_pt(20, 0))
-    y = project_to_axis(t, p)
-    # the reversed walk is the forward walk backwards
-    assert y.points == (_F(0), _F(15), _F(20))
+    reversed_walk = Trail(
+        start=_pt(20, 0),
+        steps=(
+            Edge(2, 0, _pt(20, 0), _pt(15, 0)),
+            Edge(1, 0, _pt(15, 0), _pt(0, 0)),
+        ),
+        end=_pt(0, 0),
+    )
+    forward = extract_trail(build_graph(p, (1, 1)))
+    assert reversed_walk.points() == forward.points()[::-1]
+    message = r"^projection endpoints 20, 0 do not span \[0, 20\]$"
+    with pytest.raises(SoundnessError, match=message):
+        project_to_axis(reversed_walk, p)
 
 
 def test_project_refuses_a_trail_that_stops_short_of_the_far_corner():
@@ -545,16 +539,17 @@ def test_parity_holds_on_random_instances():
         assert report.ok, f"seed {seed}: {report.table()}"
 
 
-def _reference_trail(p, axes):
+def _reference_trail(p, axes, start=None):
     """The greedy walk of :func:`extract_trail`, on :class:`Edge` objects in
-    exact points: from the smallest outer corner, the unused edge with the
-    smallest (far endpoint, box, edge_id) at each vertex."""
+    exact points: from the smallest outer corner (or from ``start``), the
+    unused edge with the smallest (far endpoint, box, edge_id) at each
+    vertex."""
     adjacency: dict = {}
     for k, (b, axis) in enumerate(zip(p.boxes, axes), start=1):
         for e in edges_of_box(b, k, axis):
             adjacency.setdefault(e.src, []).append((e.dst, e))
             adjacency.setdefault(e.dst, []).append((e.src, e))
-    start = current = min(p.outer.corners())
+    start = current = min(p.outer.corners()) if start is None else start
     used, steps = set(), []
     while True:
         options = [(far, e) for far, e in adjacency.get(current, ()) if e not in used]
